@@ -43,9 +43,9 @@ def _fmt(value):
     return str(value)
 
 
-def _emit(config, columns, rows, summary):
+def _emit(args, columns, rows, summary):
     lines = []
-    if config.format == "csv":
+    if args.format == "csv":
         lines.append(CSV_SCHEMA)
         lines.append(",".join(columns))
         for row in rows:
@@ -56,8 +56,8 @@ def _emit(config, columns, rows, summary):
     else:
         payload = {"rows": [dict(r) for r in rows], "summary": summary}
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as handle:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -107,26 +107,36 @@ def _overrides(args):
 
 
 def _metric_from_args(args):
+    """(metric, catalog entry, surface) from the input flags; the surface is
+    None for --metric input and metric catalog entries."""
     if getattr(args, "metric", None):
         parts = [p.strip() for p in args.metric.split(",")]
         if len(parts) != 3:
             raise InputError(
                 f"--metric wants three comma-separated expressions, "
                 f"got {args.metric!r}")
-        return intrinsic.MetricField.from_expressions(*parts), None
+        return intrinsic.MetricField.from_expressions(*parts), None, None
     if getattr(args, "catalog", None):
         entry = catalog.lookup(args.catalog)
-        metric = catalog.build_metric(entry, _overrides(args))
-        return metric, entry
+        if entry.kind != "surface":
+            return catalog.build_metric(entry, _overrides(args)), entry, None
+        surface = catalog.build_surface(entry, _overrides(args))
+    else:
+        entry, surface = None, _expression_surface(args)
+        if surface is None:
+            raise InputError("no metric given: use --metric, --catalog, "
+                             "--graph or --parametric")
+    return intrinsic.MetricField.from_surface(surface), entry, surface
+
+
+def _expression_surface(args):
+    """Surface from --graph or --parametric, or None if neither is given."""
     if getattr(args, "graph", None):
-        surf = surfaces.GraphSurface(exprlang.parse(args.graph))
-        return intrinsic.MetricField.from_surface(surf), None
+        return surfaces.GraphSurface(exprlang.parse(args.graph))
     if getattr(args, "parametric", None):
         sx, sy, sz = (exprlang.parse(t) for t in args.parametric)
-        surf = surfaces.ParametricSurface(sx, sy, sz)
-        return intrinsic.MetricField.from_surface(surf), None
-    raise InputError("no metric given: use --metric, --catalog, --graph "
-                     "or --parametric")
+        return surfaces.ParametricSurface(sx, sy, sz)
+    return None
 
 
 def _surface_from_args(args):
@@ -135,12 +145,11 @@ def _surface_from_args(args):
         if entry.kind != "surface":
             raise InputError(f"catalog entry {args.catalog!r} is not a surface")
         return catalog.build_surface(entry, _overrides(args)), entry
-    if getattr(args, "graph", None):
-        return surfaces.GraphSurface(exprlang.parse(args.graph)), None
-    if getattr(args, "parametric", None):
-        sx, sy, sz = (exprlang.parse(t) for t in args.parametric)
-        return surfaces.ParametricSurface(sx, sy, sz), None
-    raise InputError("no surface given: use --catalog, --graph or --parametric")
+    surface = _expression_surface(args)
+    if surface is None:
+        raise InputError(
+            "no surface given: use --catalog, --graph or --parametric")
+    return surface, None
 
 
 def _ranges(args, entry, full_chart=False):
@@ -157,7 +166,7 @@ def _ranges(args, entry, full_chart=False):
     return u_range, v_range
 
 
-def cmd_curve(args, config):
+def cmd_curve(args):
     rows = []
     columns = ["param", "x", "y", "Tx", "Ty", "Nx", "Ny", "kappa"]
     if args.implicit:
@@ -178,7 +187,7 @@ def cmd_curve(args, config):
                          "Tx": tangent[0], "Ty": tangent[1],
                          "Nx": normal[0], "Ny": normal[1],
                          "kappa": kappa.value})
-        _emit(config, columns, rows, {"n": len(rows)})
+        _emit(args, columns, rows, {"n": len(rows)})
         return
 
     if args.catalog:
@@ -218,41 +227,38 @@ def cmd_curve(args, config):
                      "Tx": frame.T[0], "Ty": frame.T[1],
                      "Nx": frame.N[0], "Ny": frame.N[1],
                      "kappa": kappa.value})
-    _emit(config, columns, rows, {"n": len(rows)})
+    _emit(args, columns, rows, {"n": len(rows)})
 
 
-def cmd_surface(args, config):
+def cmd_surface(args):
     surface, entry = _surface_from_args(args)
     u_range, v_range = _ranges(args, entry)
     nu, nv = _parse_grid(args.grid)
-    param = surfaces.as_parametric(surface)
     columns = ["p", "q", "x", "y", "z", "X", "Y", "Z", "E", "F", "G",
                "kappa", "k_min", "k_max", "mean"]
     rows = []
     for (p, q) in intrinsic.grid_points(u_range, v_range, nu, nv):
-        xj, yj, zj = surfaces.embedding_jets(param, p, q)
-        nd = surfaces.normal_parametric(param, p, q)
-        fff = surfaces.first_fundamental_form(param, p, q)
-        kappa = surfaces.gauss_curvature_parametric(param, p, q)
-        pc = surfaces.principal_curvatures(param, p, q)
+        comps = surfaces.embedding_jets(surface, p, q)
+        nd = surfaces.normal_from_jets(*comps)
+        fff = surfaces.fff_from_jets(*comps)
+        so = surfaces.second_order_from_jets(comps, nd)
+        kappa = surfaces.gauss_from_forms(fff, so)
+        pc = surfaces.principal_from_forms(fff, nd, so)
+        xj, yj, zj = comps
         rows.append({"p": p, "q": q, "x": xj.v, "y": yj.v, "z": zj.v,
                      "X": nd.X, "Y": nd.Y, "Z": nd.Z,
                      "E": fff.E, "F": fff.F, "G": fff.G,
                      "kappa": kappa, "k_min": pc.k_min, "k_max": pc.k_max,
                      "mean": pc.mean})
-    _emit(config, columns, rows, {"n": len(rows)})
+    _emit(args, columns, rows, {"n": len(rows)})
 
 
-def cmd_egregia(args, config):
-    metric, entry = _metric_from_args(args)
-    surface = None
-    if entry is not None and entry.kind == "surface":
-        surface = catalog.build_surface(entry, _overrides(args))
-    elif args.graph:
-        surface = surfaces.GraphSurface(exprlang.parse(args.graph))
-    elif args.parametric:
-        surface = surfaces.ParametricSurface(
-            *(exprlang.parse(t) for t in args.parametric))
+def cmd_egregia(args):
+    metric, entry, surface = _metric_from_args(args)
+    if surface is None:
+        # --metric input or a metric entry may still be checked against an
+        # embedding given by --graph or --parametric
+        surface = _expression_surface(args)
     u_range, v_range = _ranges(args, entry)
     nu, nv = _parse_grid(args.grid)
     rows = []
@@ -261,8 +267,7 @@ def cmd_egregia(args, config):
         k_int = intrinsic.formula_egregia(metric, u, v)
         row = {"u": u, "v": v, "kappa_intrinsic": k_int}
         if surface is not None:
-            k_ext = surfaces.gauss_curvature_parametric(
-                surfaces.as_parametric(surface), u, v)
+            k_ext = surfaces.gauss_curvature_parametric(surface, u, v)
             row["kappa_extrinsic"] = k_ext
             row["defect"] = abs(k_int - k_ext)
             max_defect = max(max_defect, row["defect"])
@@ -272,7 +277,7 @@ def cmd_egregia(args, config):
     if surface is not None:
         columns += ["kappa_extrinsic", "defect"]
         summary["max_defect"] = max_defect
-    _emit(config, columns, rows, summary)
+    _emit(args, columns, rows, summary)
 
 
 def _require_positive(value, name):
@@ -281,8 +286,8 @@ def _require_positive(value, name):
     return value
 
 
-def cmd_flatness(args, config):
-    metric, entry = _metric_from_args(args)
+def cmd_flatness(args):
+    metric, entry, _ = _metric_from_args(args)
     _require_positive(args.tol, "--tol")
     u_range, v_range = _ranges(args, entry)
     nu, nv = _parse_grid(args.grid)
@@ -293,12 +298,12 @@ def cmd_flatness(args, config):
         worst = max(worst, abs(res))
         rows.append({"u": u, "v": v, "residual": res})
     verdict = "FLAT" if worst <= args.tol else "NOT FLAT"
-    _emit(config, ["u", "v", "residual"], rows,
+    _emit(args, ["u", "v", "residual"], rows,
           {"max_residual": worst, "verdict": verdict})
 
 
-def cmd_gaussbonnet(args, config):
-    metric, entry = _metric_from_args(args)
+def cmd_gaussbonnet(args):
+    metric, entry, _ = _metric_from_args(args)
     u_range, v_range = _ranges(args, entry, full_chart=True)
     cutoff = args.pole_cutoff
     if cutoff is None:
@@ -309,12 +314,12 @@ def cmd_gaussbonnet(args, config):
         metric, lambda u, v: intrinsic.formula_egregia(metric, u, v),
         region, order=args.order)
     rows = [{"total": result.value, "error": result.error}]
-    _emit(config, ["total", "error"], rows,
+    _emit(args, ["total", "error"], rows,
           {"total": result.value, "error": result.error})
 
 
-def cmd_triangle(args, config):
-    metric, _ = _metric_from_args(args)
+def cmd_triangle(args):
+    metric, _, _ = _metric_from_args(args)
     _require_positive(args.tol, "--tol")
     parts = args.vertices.split(";")
     if len(parts) != 3:
@@ -325,13 +330,13 @@ def cmd_triangle(args, config):
     excess, integral = geodesics.excess_from_triangle(metric, triangle)
     rows = [{"vertex_u": vert[0], "vertex_v": vert[1], "angle": ang}
             for vert, ang in zip(triangle.vertices, triangle.angles)]
-    _emit(config, ["vertex_u", "vertex_v", "angle"], rows,
+    _emit(args, ["vertex_u", "vertex_v", "angle"], rows,
           {"excess": excess, "integral": integral,
            "difference": abs(excess - integral)})
 
 
-def cmd_geodesic(args, config):
-    metric, _ = _metric_from_args(args)
+def cmd_geodesic(args):
+    metric, _, _ = _metric_from_args(args)
     u, v, pu, pv = _parse_point(args.start, 4, "--start")
     path = geodesics.integrate_geodesic(
         metric, geodesics.GeodesicState(u, v, pu, pv), args.length, args.step)
@@ -342,18 +347,18 @@ def cmd_geodesic(args, config):
         rows.append({"s": path.s[i], "u": st.u, "v": st.v,
                      "pu": st.pu, "pv": st.pv})
     drift = geodesics.energy_drift(metric, path)
-    _emit(config, ["s", "u", "v", "pu", "pv"], rows,
+    _emit(args, ["s", "u", "v", "pu", "pv"], rows,
           {"energy_drift": drift, "n_steps": len(path.states) - 1})
 
 
-def cmd_catalog(args, config):
+def cmd_catalog(args):
     rows = []
     for name in sorted(catalog.ENTRIES):
         entry = catalog.ENTRIES[name]
         params = " ".join(f"{k}={v}" for k, v in sorted(entry.params.items()))
         rows.append({"name": name, "kind": entry.kind,
                      "params": params or "-", "kappa": entry.kappa_note})
-    _emit(config, ["name", "kind", "params", "kappa"], rows, {"n": len(rows)})
+    _emit(args, ["name", "kind", "params", "kappa"], rows, {"n": len(rows)})
 
 
 def _add_common(parser):
@@ -474,7 +479,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(_merge_value_flags(argv))
     try:
-        args.func(args, args)
+        args.func(args)
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -60,10 +60,10 @@ def _graph_jet(f, x):
                        jets.Jet2_1)
 
 
-def _param_jets(curve, t):
+def _param_jets(x_ast, y_ast, t):
     tj = jets.Jet2_1.variable(t)
-    return (jets.coerce(exprlang.evaluate(curve.x, {"t": tj}), jets.Jet2_1),
-            jets.coerce(exprlang.evaluate(curve.y, {"t": tj}), jets.Jet2_1))
+    return (jets.coerce(exprlang.evaluate(x_ast, {"t": tj}), jets.Jet2_1),
+            jets.coerce(exprlang.evaluate(y_ast, {"t": tj}), jets.Jet2_1))
 
 
 def _implicit_jet(w, x, y):
@@ -102,9 +102,7 @@ def frame_graph(f, x):
 
 def frame_parametric(x_ast, y_ast, t):
     """Unit tangent along increasing t, with N the tangent rotated +pi/2."""
-    tj = jets.Jet2_1.variable(t)
-    xj = jets.coerce(exprlang.evaluate(x_ast, {"t": tj}), jets.Jet2_1)
-    yj = jets.coerce(exprlang.evaluate(y_ast, {"t": tj}), jets.Jet2_1)
+    xj, yj = _param_jets(x_ast, y_ast, t)
     speed = math.hypot(xj.d1, yj.d1)
     if speed < EPS_REG:
         raise SingularPoint(f"velocity vanishes at t={t!r}")
@@ -114,26 +112,31 @@ def frame_parametric(x_ast, y_ast, t):
 
 def curvature_graph(f, x):
     """c = f'' / (1 + f'^2)^(3/2)."""
-    fj = _graph_jet(f, x)
+    return SignedCurvature(_graph_curvature(_graph_jet(f, x)), CCW_NORMAL)
+
+
+def _graph_curvature(fj):
     w = 1.0 + fj.d1 * fj.d1
-    return SignedCurvature(fj.d2 / (w * math.sqrt(w)), CCW_NORMAL)
+    return fj.d2 / (w * math.sqrt(w))
 
 
 def curvature_parametric(x_ast, y_ast, t):
     """c = (x' y'' - y' x'') / (x'^2 + y'^2)^(3/2); reversing t flips it."""
-    tj = jets.Jet2_1.variable(t)
-    xj = exprlang.evaluate(x_ast, {"t": tj})
-    yj = exprlang.evaluate(y_ast, {"t": tj})
+    xj, yj = _param_jets(x_ast, y_ast, t)
+    return SignedCurvature(_param_curvature(xj, yj, t), CCW_NORMAL)
+
+
+def _param_curvature(xj, yj, t):
     speed2 = xj.d1 * xj.d1 + yj.d1 * yj.d1
     if speed2 < EPS_REG * EPS_REG:
         raise SingularPoint(f"velocity vanishes at t={t!r}")
     num = xj.d1 * yj.d2 - yj.d1 * xj.d2
-    return SignedCurvature(num / (speed2 * math.sqrt(speed2)), CCW_NORMAL)
+    return num / (speed2 * math.sqrt(speed2))
 
 
-def curvature_implicit(w, x, y):
-    """|c| = |W_xx W_y^2 - 2 W_xy W_x W_y + W_yy W_x^2| / |grad W|^3
-    at an on-curve regular point."""
+def _implicit_parts(w, x, y):
+    """W's jet, |grad W|^2, |grad W| and the curvature numerator
+    W_xx W_y^2 - 2 W_xy W_x W_y + W_yy W_x^2 at an on-curve regular point."""
     wj = _implicit_jet(w, x, y)
     grad2 = wj.du * wj.du + wj.dv * wj.dv
     grad_norm = math.sqrt(grad2)
@@ -144,6 +147,13 @@ def curvature_implicit(w, x, y):
             f"|W({x}, {y})| = {abs(wj.v)!r} exceeds the membership tolerance")
     num = (wj.duu * wj.dv * wj.dv - 2.0 * wj.duv * wj.du * wj.dv
            + wj.dvv * wj.du * wj.du)
+    return wj, grad2, grad_norm, num
+
+
+def curvature_implicit(w, x, y):
+    """|c| = |W_xx W_y^2 - 2 W_xy W_x W_y + W_yy W_x^2| / |grad W|^3
+    at an on-curve regular point."""
+    _, grad2, grad_norm, num = _implicit_parts(w, x, y)
     return SignedCurvature(abs(num) / (grad2 * grad_norm), GRADIENT_SIDE)
 
 
@@ -169,7 +179,7 @@ def osculating_circle(curve, at):
     """
     if isinstance(curve, GraphCurve):
         fj = _graph_jet(curve.f, at)
-        c = curvature_graph(curve.f, at).value
+        c = _graph_curvature(fj)
         if abs(c) < EPS_REG:
             raise ZeroCurvature(f"curvature vanishes at {at!r}")
         point = (at, fj.v)
@@ -179,8 +189,8 @@ def osculating_circle(curve, at):
         center = (point[0] + normal[0] / c, point[1] + normal[1] / c)
         return center, radius
     if isinstance(curve, ParametricCurve):
-        xj, yj = _param_jets(curve, at)
-        c = curvature_parametric(curve.x, curve.y, at).value
+        xj, yj = _param_jets(curve.x, curve.y, at)
+        c = _param_curvature(xj, yj, at)
         if abs(c) < EPS_REG:
             raise ZeroCurvature(f"curvature vanishes at t={at!r}")
         speed = math.hypot(xj.d1, yj.d1)
@@ -189,17 +199,7 @@ def osculating_circle(curve, at):
         return center, 1.0 / abs(c)
     if isinstance(curve, ImplicitCurve):
         x, y = at
-        wj = _implicit_jet(curve.w, x, y)
-        grad2 = wj.du * wj.du + wj.dv * wj.dv
-        grad_norm = math.sqrt(grad2)
-        if grad_norm < EPS_REG:
-            raise SingularGradient(f"gradient vanishes at ({x}, {y})")
-        if abs(wj.v) > 1e-9 * (1.0 + grad_norm):
-            raise NotOnCurve(
-                f"|W({x}, {y})| = {abs(wj.v)!r} exceeds the membership "
-                f"tolerance")
-        num = (wj.duu * wj.dv * wj.dv - 2.0 * wj.duv * wj.du * wj.dv
-               + wj.dvv * wj.du * wj.du)
+        wj, grad2, grad_norm, num = _implicit_parts(curve.w, x, y)
         if abs(num) < EPS_REG * grad2 * grad_norm:
             raise ZeroCurvature(f"curvature vanishes at ({x}, {y})")
         # center sits opposite the gradient scaled by |grad|^2 / numerator,
@@ -223,7 +223,7 @@ def arclength_reparametrize(curve, t0, t1, samples, order=16):
     nodes, weights = quad.gauss_legendre(order)
 
     def speed(t):
-        xj, yj = _param_jets(curve, t)
+        xj, yj = _param_jets(curve.x, curve.y, t)
         sp = math.hypot(xj.d1, yj.d1)
         if sp < EPS_REG:
             raise SingularPoint(f"velocity vanishes at t={t!r}")

@@ -80,6 +80,19 @@ def _rhs(metric, state):
     return pu, pv, au, av
 
 
+def _rk4_step(metric, y, dt):
+    """One classical RK4 step of the geodesic system from state y."""
+    k1 = _rhs(metric, y)
+    y2 = tuple(y[i] + 0.5 * dt * k1[i] for i in range(4))
+    k2 = _rhs(metric, y2)
+    y3 = tuple(y[i] + 0.5 * dt * k2[i] for i in range(4))
+    k3 = _rhs(metric, y3)
+    y4 = tuple(y[i] + dt * k3[i] for i in range(4))
+    k4 = _rhs(metric, y4)
+    return tuple(y[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+                 for i in range(4))
+
+
 def _metric_speed2(metric, u, v, pu, pv):
     E, F, G = metric.values(u, v)
     return E * pu * pu + 2.0 * F * pu * pv + G * pv * pv
@@ -102,15 +115,7 @@ def integrate_geodesic(metric, start, length, step):
     s_values = [0.0]
     states = [start]
     for k in range(n_steps):
-        k1 = _rhs(metric, y)
-        y2 = tuple(y[i] + 0.5 * dt * k1[i] for i in range(4))
-        k2 = _rhs(metric, y2)
-        y3 = tuple(y[i] + 0.5 * dt * k2[i] for i in range(4))
-        k3 = _rhs(metric, y3)
-        y4 = tuple(y[i] + dt * k3[i] for i in range(4))
-        k4 = _rhs(metric, y4)
-        y = tuple(y[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-                  for i in range(4))
+        y = _rk4_step(metric, y, dt)
         if k % 8 == 0 or k == n_steps - 1:
             energy = _metric_speed2(metric, *y)
             if abs(energy - energy0) > ENERGY_DRIFT_LIMIT * energy0:
@@ -214,23 +219,13 @@ def connect_geodesic(metric, a, b, tol=1e-6, step=None, max_iter=50):
         step = max(length / 800.0, 1e-4)
     phi0 = math.atan2(chord[1], chord[0])
 
-    def lateral_miss(angle):
-        path = _shoot(metric, a, angle, length, step)
-        i, _ = _closest_approach(path, b)
-        st = path.states[i]
-        # signed perpendicular deviation at closest approach; the
-        # along-track gap is discretization residue and is fixed later
-        speed = math.hypot(st.pu, st.pv)
-        lateral = (st.pu * (b[1] - st.v) - st.pv * (b[0] - st.u)) / speed
-        return lateral, path, i
-
     goal = 0.5 * tol
     bracket = math.pi / 3.0
     phi_lo, phi_hi = phi0 - bracket, phi0 + bracket
     x0, x1 = phi0, phi0 + 0.05 * bracket
-    f0, path0, i0 = lateral_miss(x0)
+    f0, path0, i0 = _lateral_miss(metric, a, b, x0, length, step)
     best = (abs(f0), x0, path0, i0)
-    f1, path1, i1 = lateral_miss(x1)
+    f1, path1, i1 = _lateral_miss(metric, a, b, x1, length, step)
     if abs(f1) < best[0]:
         best = (abs(f1), x1, path1, i1)
     for _ in range(max_iter):
@@ -243,7 +238,7 @@ def connect_geodesic(metric, a, b, tol=1e-6, step=None, max_iter=50):
                 best_residual=best[0])
         x2 = x1 - f1 * (x1 - x0) / denom
         x2 = min(max(x2, phi_lo), phi_hi)
-        f2, path2, i2 = lateral_miss(x2)
+        f2, path2, i2 = _lateral_miss(metric, a, b, x2, length, step)
         if abs(f2) < best[0]:
             best = (abs(f2), x2, path2, i2)
         x0, f0, x1, f1 = x1, f1, x2, f2
@@ -258,15 +253,23 @@ def connect_geodesic(metric, a, b, tol=1e-6, step=None, max_iter=50):
     return _refine_endpoint(metric, truncated, b)
 
 
+def _lateral_miss(metric, a, b, angle, length, step):
+    """Shot from a at the given angle: signed perpendicular deviation from b
+    at closest approach, the path, and the closest sample's index."""
+    path = _shoot(metric, a, angle, length, step)
+    i, _ = _closest_approach(path, b)
+    st = path.states[i]
+    # the along-track gap is discretization residue and is fixed later
+    speed = math.hypot(st.pu, st.pv)
+    lateral = (st.pu * (b[1] - st.v) - st.pv * (b[0] - st.u)) / speed
+    return lateral, path, i
+
+
 def _reject_conjugate(metric, a, b, angle, length, step, tol):
     # near a conjugate point every nearby angle still hits the target, so
     # the lateral deviation stops responding to the direction
     probe = 1e-3
-    path = _shoot(metric, a, angle + probe, length, step)
-    i, _ = _closest_approach(path, b)
-    st = path.states[i]
-    speed = math.hypot(st.pu, st.pv)
-    lateral = abs(st.pu * (b[1] - st.v) - st.pv * (b[0] - st.u)) / speed
+    lateral = abs(_lateral_miss(metric, a, b, angle + probe, length, step)[0])
     if lateral < 0.05 * probe * length:
         raise NoConvergence(
             "endpoint insensitive to shooting angle (conjugate locus)",
@@ -281,16 +284,7 @@ def _refine_endpoint(metric, path, b):
     if speed2 == 0.0:
         return path
     dt = (gap[0] * st.pu + gap[1] * st.pv) / speed2
-    y = (st.u, st.v, st.pu, st.pv)
-    k1 = _rhs(metric, y)
-    y2 = tuple(y[i] + 0.5 * dt * k1[i] for i in range(4))
-    k2 = _rhs(metric, y2)
-    y3 = tuple(y[i] + 0.5 * dt * k2[i] for i in range(4))
-    k3 = _rhs(metric, y3)
-    y4 = tuple(y[i] + dt * k3[i] for i in range(4))
-    k4 = _rhs(metric, y4)
-    y = tuple(y[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-              for i in range(4))
+    y = _rk4_step(metric, (st.u, st.v, st.pu, st.pv), dt)
     ds = math.sqrt(_metric_speed2(metric, *y)) * abs(dt)
     return GeodesicPath(path.s + (path.s[-1] + ds,),
                         path.states + (GeodesicState(*y),))

@@ -4,7 +4,7 @@ A MetricField supplies E, F, G with the derivative data the closed-form
 curvature expression consumes: the six first partials plus the single
 second-order combination (-E_vv + 2 F_uv - G_uu).  Metrics come either
 from text expressions in (u, v) (the (p, q) spelling is accepted too) or
-induced from a parametric embedding, in which case all partials are
+induced from a graph or parametric embedding, in which case all partials are
 obtained by differentiating through the composition with jet arithmetic;
 no symbolic differentiation is performed anywhere.
 """
@@ -56,7 +56,7 @@ class MetricField:
     @classmethod
     def from_surface(cls, surface):
         m = cls(None, None, None)
-        m._surface = surfaces.as_parametric(surface)
+        m._surface = surface
         return m
 
     def at(self, u, v):
@@ -69,9 +69,9 @@ class MetricField:
             uj = jets.Jet2_2.variable_u(u)
             vj = jets.Jet2_2.variable_v(v)
             bindings = {"u": uj, "v": vj, "p": uj, "q": vj}
-            ej = _as_jet(exprlang.evaluate(self._e, bindings))
-            fj = _as_jet(exprlang.evaluate(self._f, bindings))
-            gj = _as_jet(exprlang.evaluate(self._g, bindings))
+            ej = jets.coerce(exprlang.evaluate(self._e, bindings), jets.Jet2_2)
+            fj = jets.coerce(exprlang.evaluate(self._f, bindings), jets.Jet2_2)
+            gj = jets.coerce(exprlang.evaluate(self._g, bindings), jets.Jet2_2)
             bracket = -ej.dvv + 2.0 * fj.duv - gj.duu
             mj = MetricJet(ej.v, fj.v, gj.v, ej.du, ej.dv, fj.du, fj.dv,
                            gj.du, gj.dv, bracket)
@@ -96,10 +96,14 @@ class MetricField:
         return math.sqrt(mj.disc)
 
 
-def _as_jet(value):
-    if jets.is_jet(value):
-        return value
-    return jets.Jet2_2.constant(value)
+def _bracket(m):
+    """E [...] + F [...] + G [...] + 2 (EG - F^2) [-E_vv + 2 F_uv - G_uu]."""
+    e_term = m.Ev * m.Gv - 2.0 * m.Fu * m.Gv + m.Gu * m.Gu
+    f_term = (m.Eu * m.Gv - m.Ev * m.Gu - 2.0 * m.Ev * m.Fv
+              + 4.0 * m.Fu * m.Fv - 2.0 * m.Fu * m.Gu)
+    g_term = m.Eu * m.Gu - 2.0 * m.Eu * m.Fv + m.Ev * m.Ev
+    second = 2.0 * (m.E * m.G - m.F * m.F) * m.bracket
+    return m.E * e_term + m.F * f_term + m.G * g_term + second
 
 
 def formula_egregia(metric, u, v):
@@ -110,25 +114,14 @@ def formula_egregia(metric, u, v):
     """
     m = metric.at(u, v)
     disc = m.disc
-    num = (m.E * (m.Ev * m.Gv - 2.0 * m.Fu * m.Gv + m.Gu * m.Gu)
-           + m.F * (m.Eu * m.Gv - m.Ev * m.Gu - 2.0 * m.Ev * m.Fv
-                    + 4.0 * m.Fu * m.Fv - 2.0 * m.Fu * m.Gu)
-           + m.G * (m.Eu * m.Gu - 2.0 * m.Eu * m.Fv + m.Ev * m.Ev)
-           + 2.0 * disc * m.bracket)
-    return num / (4.0 * disc * disc)
+    return _bracket(m) / (4.0 * disc * disc)
 
 
 def flatness_residual(metric, u, v):
     """Second-order differential expression whose vanishing characterizes
     local isometry to the Euclidean plane; numerically it equals
     4 (EG - F^2)^2 times the curvature."""
-    m = metric.at(u, v)
-    e_term = m.Ev * m.Gv - 2.0 * m.Fu * m.Gv + m.Gu * m.Gu
-    f_term = (m.Eu * m.Gv - m.Ev * m.Gu - 2.0 * m.Ev * m.Fv
-              + 4.0 * m.Fu * m.Fv - 2.0 * m.Fu * m.Gu)
-    g_term = m.Eu * m.Gu - 2.0 * m.Eu * m.Fv + m.Ev * m.Ev
-    second = 2.0 * (m.E * m.G - m.F * m.F) * m.bracket
-    return m.E * e_term + m.F * f_term + m.G * g_term + second
+    return _bracket(metric.at(u, v))
 
 
 def curvature_isothermal(lam_ast, u, v):
@@ -136,7 +129,8 @@ def curvature_isothermal(lam_ast, u, v):
     for the conformal metric ds^2 = lambda^2 (du^2 + dv^2)."""
     uj = jets.Jet2_2.variable_u(u)
     vj = jets.Jet2_2.variable_v(v)
-    lam = _as_jet(exprlang.evaluate(lam_ast, {"u": uj, "v": vj, "p": uj, "q": vj}))
+    lam = jets.coerce(exprlang.evaluate(
+        lam_ast, {"u": uj, "v": vj, "p": uj, "q": vj}), jets.Jet2_2)
     if lam.v <= 0.0:
         raise DomainError(f"conformal factor must be positive, got {lam.v!r}")
     loglam = jets.log(lam)
@@ -147,7 +141,8 @@ def curvature_geodesic_polar(g_ast, p, q):
     """kappa = -(1/sqrt(G)) d^2 sqrt(G) / dp^2 for ds^2 = dp^2 + G dq^2."""
     pj = jets.Jet2_2.variable_u(p)
     qj = jets.Jet2_2.variable_v(q)
-    gj = _as_jet(exprlang.evaluate(g_ast, {"p": pj, "q": qj, "u": pj, "v": qj}))
+    gj = jets.coerce(exprlang.evaluate(
+        g_ast, {"p": pj, "q": qj, "u": pj, "v": qj}), jets.Jet2_2)
     if gj.v <= 0.0:
         raise DomainError(f"G must be positive, got {gj.v!r}")
     root = jets.sqrt(gj)

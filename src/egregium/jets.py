@@ -7,6 +7,9 @@ propagate the truncated Taylor coefficients exactly (to floating point).
 The mixed partial occupies a single slot, so symmetry of second derivatives
 is structural.
 
+Division, powers and the repr do not depend on the arity and live in one
+shared base class; the slot arithmetic stays unrolled per shape for speed.
+
 All values are plain floats and every operation is pure, so jets are safe
 to share across threads.
 """
@@ -26,7 +29,54 @@ def _as_float(x):
     return None
 
 
-class Jet2_1:
+class _JetBase:
+    """Methods that read the same for every arity; each subclass supplies
+    __slots__, the unrolled arithmetic and `_compose`."""
+
+    __slots__ = ()
+
+    @classmethod
+    def constant(cls, value):
+        return cls(value)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __truediv__(self, other):
+        c = _as_float(other)
+        if c is not None:
+            if c == 0.0:
+                raise DivisionByZero("jet divided by zero constant")
+            return self * (1.0 / c)
+        if type(other) is type(self):
+            return self * other._recip()
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        c = _as_float(other)
+        if c is not None:
+            return self._recip() * c
+        return NotImplemented
+
+    def _recip(self):
+        if self.v == 0.0:
+            raise DivisionByZero("jet divided by jet with zero value")
+        w = 1.0 / self.v
+        return self._compose(w, -w * w, 2.0 * w * w * w)
+
+    def __pow__(self, other):
+        return _pow(self, other)
+
+    def __rpow__(self, other):
+        c = _as_float(other)
+        if c is not None:
+            return _pow_base_const(c, self)
+        return NotImplemented
+
+
+class Jet2_1(_JetBase):
     """Univariate 2-jet: value, first and second derivative."""
 
     __slots__ = ("v", "d1", "d2")
@@ -38,15 +88,8 @@ class Jet2_1:
         self.d2 = float(d2)
 
     @classmethod
-    def constant(cls, value):
-        return cls(value)
-
-    @classmethod
     def variable(cls, value):
         return cls(value, 1.0)
-
-    def __repr__(self):
-        return f"Jet2_1(v={self.v!r}, d1={self.d1!r}, d2={self.d2!r})"
 
     def __add__(self, other):
         c = _as_float(other)
@@ -89,28 +132,6 @@ class Jet2_1:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        c = _as_float(other)
-        if c is not None:
-            if c == 0.0:
-                raise DivisionByZero("jet divided by zero constant")
-            return self * (1.0 / c)
-        if isinstance(other, Jet2_1):
-            return self * other._recip()
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        c = _as_float(other)
-        if c is not None:
-            return self._recip() * c
-        return NotImplemented
-
-    def _recip(self):
-        if self.v == 0.0:
-            raise DivisionByZero("jet divided by jet with zero value")
-        w = 1.0 / self.v
-        return self._compose(w, -w * w, 2.0 * w * w * w)
-
     def _compose(self, f0, f1, f2):
         # second-order chain rule for a univariate outer function
         return Jet2_1(
@@ -119,17 +140,8 @@ class Jet2_1:
             f2 * self.d1 * self.d1 + f1 * self.d2,
         )
 
-    def __pow__(self, other):
-        return _pow(self, other)
 
-    def __rpow__(self, other):
-        c = _as_float(other)
-        if c is not None:
-            return _pow_base_const(c, self)
-        return NotImplemented
-
-
-class Jet2_2:
+class Jet2_2(_JetBase):
     """Bivariate 2-jet; one slot for the mixed partial."""
 
     __slots__ = ("v", "du", "dv", "duu", "duv", "dvv")
@@ -144,22 +156,12 @@ class Jet2_2:
         self.dvv = float(dvv)
 
     @classmethod
-    def constant(cls, value):
-        return cls(value)
-
-    @classmethod
     def variable_u(cls, value):
         return cls(value, du=1.0)
 
     @classmethod
     def variable_v(cls, value):
         return cls(value, dv=1.0)
-
-    def __repr__(self):
-        return (
-            f"Jet2_2(v={self.v!r}, du={self.du!r}, dv={self.dv!r}, "
-            f"duu={self.duu!r}, duv={self.duv!r}, dvv={self.dvv!r})"
-        )
 
     def __add__(self, other):
         c = _as_float(other)
@@ -221,28 +223,6 @@ class Jet2_2:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        c = _as_float(other)
-        if c is not None:
-            if c == 0.0:
-                raise DivisionByZero("jet divided by zero constant")
-            return self * (1.0 / c)
-        if isinstance(other, Jet2_2):
-            return self * other._recip()
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        c = _as_float(other)
-        if c is not None:
-            return self._recip() * c
-        return NotImplemented
-
-    def _recip(self):
-        if self.v == 0.0:
-            raise DivisionByZero("jet divided by jet with zero value")
-        w = 1.0 / self.v
-        return self._compose(w, -w * w, 2.0 * w * w * w)
-
     def _compose(self, f0, f1, f2):
         return Jet2_2(
             f0,
@@ -253,17 +233,8 @@ class Jet2_2:
             f2 * self.dv * self.dv + f1 * self.dvv,
         )
 
-    def __pow__(self, other):
-        return _pow(self, other)
 
-    def __rpow__(self, other):
-        c = _as_float(other)
-        if c is not None:
-            return _pow_base_const(c, self)
-        return NotImplemented
-
-
-class Jet2_3:
+class Jet2_3(_JetBase):
     """Trivariate 2-jet."""
 
     __slots__ = ("v", "dx", "dy", "dz", "dxx", "dxy", "dxz", "dyy", "dyz", "dzz")
@@ -283,10 +254,6 @@ class Jet2_3:
         self.dzz = float(dzz)
 
     @classmethod
-    def constant(cls, value):
-        return cls(value)
-
-    @classmethod
     def variable_x(cls, value):
         return cls(value, dx=1.0)
 
@@ -297,13 +264,6 @@ class Jet2_3:
     @classmethod
     def variable_z(cls, value):
         return cls(value, dz=1.0)
-
-    def __repr__(self):
-        return (
-            f"Jet2_3(v={self.v!r}, dx={self.dx!r}, dy={self.dy!r}, dz={self.dz!r}, "
-            f"dxx={self.dxx!r}, dxy={self.dxy!r}, dxz={self.dxz!r}, "
-            f"dyy={self.dyy!r}, dyz={self.dyz!r}, dzz={self.dzz!r})"
-        )
 
     def __add__(self, other):
         c = _as_float(other)
@@ -355,28 +315,6 @@ class Jet2_3:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        c = _as_float(other)
-        if c is not None:
-            if c == 0.0:
-                raise DivisionByZero("jet divided by zero constant")
-            return self * (1.0 / c)
-        if isinstance(other, Jet2_3):
-            return self * other._recip()
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        c = _as_float(other)
-        if c is not None:
-            return self._recip() * c
-        return NotImplemented
-
-    def _recip(self):
-        if self.v == 0.0:
-            raise DivisionByZero("jet divided by jet with zero value")
-        w = 1.0 / self.v
-        return self._compose(w, -w * w, 2.0 * w * w * w)
-
     def _compose(self, f0, f1, f2):
         return Jet2_3(
             f0,
@@ -391,21 +329,9 @@ class Jet2_3:
             f2 * self.dz * self.dz + f1 * self.dzz,
         )
 
-    def __pow__(self, other):
-        return _pow(self, other)
-
-    def __rpow__(self, other):
-        c = _as_float(other)
-        if c is not None:
-            return _pow_base_const(c, self)
-        return NotImplemented
-
-
-JET_CLASSES = (Jet2_1, Jet2_2, Jet2_3)
-
 
 def is_jet(x):
-    return isinstance(x, JET_CLASSES)
+    return isinstance(x, _JetBase)
 
 
 def coerce(value, cls):
@@ -434,10 +360,6 @@ def seed_variable(index, value, arity):
             return Jet2_3.variable_z(value)
         raise IndexError(f"variable index {index} out of range for arity 3")
     raise ValueError(f"arity must be 1, 2 or 3, got {arity}")
-
-
-def constant(value, arity):
-    return JET_CLASSES[arity - 1].constant(value)
 
 
 def _pow_const(a, e):

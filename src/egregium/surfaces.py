@@ -6,6 +6,10 @@ second-order scalars, and Gaussian curvature in the three representations
 and oblique sections, and the area-quotient evaluation of curvature through
 the normal map onto the auxiliary unit sphere.
 
+Each per-point quantity is computed from one `embedding_jets` result by a
+`*_from_jets` or `*_from_forms` function; the public per-point functions
+evaluate the embedding once and delegate to them.
+
 Orientation convention: parametric normal is (x_p x x_q) / |x_p x x_q|;
 graph surfaces use the normal with positive third component.  Gaussian
 curvature itself is orientation-independent.
@@ -112,45 +116,26 @@ class PrincipalCurvatures:
         return 0.5 * (self.k_min + self.k_max)
 
 
-def as_parametric(surface):
-    """View a graph or parametric surface as a parametric one."""
-    if isinstance(surface, ParametricSurface):
-        return surface
+def embedding_jets(surface, p, q):
+    """2-jets of the three embedding components at (p, q); a graph z = f(x, y)
+    is embedded as (p, q, f(p, q))."""
+    pj = jets.Jet2_2.variable_u(p)
+    qj = jets.Jet2_2.variable_v(q)
     if isinstance(surface, GraphSurface):
-        graph_f = _rename_xy_to_pq(surface.f)
-        return ParametricSurface(exprlang.Variable("p"), exprlang.Variable("q"),
-                                 graph_f)
+        # a graph may name its chart coordinates x, y or p, q
+        bindings = {"x": pj, "y": qj, "p": pj, "q": qj}
+        return pj, qj, jets.coerce(exprlang.evaluate(surface.f, bindings),
+                                   jets.Jet2_2)
+    if isinstance(surface, ParametricSurface):
+        bindings = {"p": pj, "q": qj}
+        return tuple(
+            jets.coerce(exprlang.evaluate(component, bindings), jets.Jet2_2)
+            for component in (surface.x, surface.y, surface.z))
     raise TypeError(f"cannot view {type(surface).__name__} as parametric")
 
 
-def _rename_xy_to_pq(ast):
-    if isinstance(ast, exprlang.Constant):
-        return ast
-    if isinstance(ast, exprlang.Variable):
-        if ast.name == "x":
-            return exprlang.Variable("p")
-        if ast.name == "y":
-            return exprlang.Variable("q")
-        return ast
-    if isinstance(ast, exprlang.Unary):
-        return exprlang.Unary(ast.op, _rename_xy_to_pq(ast.child))
-    return exprlang.Binary(ast.op, _rename_xy_to_pq(ast.left),
-                           _rename_xy_to_pq(ast.right))
-
-
-def embedding_jets(surface, p, q):
-    """2-jets of the three embedding components at (p, q)."""
-    surface = as_parametric(surface)
-    bindings = {
-        "p": jets.Jet2_2.variable_u(p),
-        "q": jets.Jet2_2.variable_v(q),
-    }
-    return tuple(
-        jets.coerce(exprlang.evaluate(component, bindings), jets.Jet2_2)
-        for component in (surface.x, surface.y, surface.z))
-
-
-def _normal_from_jets(xj, yj, zj):
+def normal_from_jets(xj, yj, zj):
+    """Normal data from the embedding's 2-jets."""
     a, a1 = xj.du, xj.dv
     b, b1 = yj.du, yj.dv
     c, c1 = zj.du, zj.dv
@@ -166,8 +151,7 @@ def _normal_from_jets(xj, yj, zj):
 
 def normal_parametric(surface, p, q):
     """Unit normal (x_p x x_q) / delta with the unnormalized components."""
-    xj, yj, zj = embedding_jets(surface, p, q)
-    return _normal_from_jets(xj, yj, zj)
+    return normal_from_jets(*embedding_jets(surface, p, q))
 
 
 def normal_graph(f, x, y):
@@ -183,11 +167,11 @@ def first_fundamental_form(surface, p, q):
     third-derivative terms cancel, to 2 (x_pp . x_qq - |x_pq|^2), so 2-jets
     of the embedding determine everything returned here.
     """
-    xj, yj, zj = embedding_jets(surface, p, q)
-    return _fff_from_jets(xj, yj, zj)
+    return fff_from_jets(*embedding_jets(surface, p, q))
 
 
-def _fff_from_jets(xj, yj, zj):
+def fff_from_jets(xj, yj, zj):
+    """First fundamental form from the embedding's 2-jets."""
     comps = (xj, yj, zj)
     E = sum(c.du * c.du for c in comps)
     F = sum(c.du * c.dv for c in comps)
@@ -209,9 +193,12 @@ def _fff_from_jets(xj, yj, zj):
 def second_order_scalars(surface, p, q):
     """D, D', D'' against the unnormalized normal, and m..n'' from tangent
     projections of the second derivatives."""
-    xj, yj, zj = embedding_jets(surface, p, q)
-    nd = _normal_from_jets(xj, yj, zj)
-    comps = (xj, yj, zj)
+    comps = embedding_jets(surface, p, q)
+    return second_order_from_jets(comps, normal_from_jets(*comps))
+
+
+def second_order_from_jets(comps, nd):
+    """Second-order scalars from the embedding's 2-jets and their normal."""
     ABC = (nd.A, nd.B, nd.C)
     tp = tuple(c.du for c in comps)
     tq = tuple(c.dv for c in comps)
@@ -231,11 +218,7 @@ def second_order_scalars(surface, p, q):
 
 def gauss_curvature_graph(f, x, y):
     """kappa = (T V - U^2) / (1 + t^2 + u^2)^2 for z = f(x, y)."""
-    bindings = {
-        "x": jets.Jet2_2.variable_u(x),
-        "y": jets.Jet2_2.variable_v(y),
-    }
-    fj = jets.coerce(exprlang.evaluate(f, bindings), jets.Jet2_2)
+    _, _, fj = embedding_jets(GraphSurface(f), x, y)
     t, u = fj.du, fj.dv
     T, U, V = fj.duu, fj.duv, fj.dvv
     w = 1.0 + t * t + u * u
@@ -244,9 +227,14 @@ def gauss_curvature_graph(f, x, y):
 
 def gauss_curvature_parametric(surface, p, q):
     """kappa = (D D'' - D'^2) / (E G - F^2)^2."""
-    xj, yj, zj = embedding_jets(surface, p, q)
-    fff = _fff_from_jets(xj, yj, zj)
-    so = second_order_scalars(surface, p, q)
+    comps = embedding_jets(surface, p, q)
+    fff = fff_from_jets(*comps)
+    nd = normal_from_jets(*comps)
+    return gauss_from_forms(fff, second_order_from_jets(comps, nd))
+
+
+def gauss_from_forms(fff, so):
+    """Parametric curvature from the first form and the second-order scalars."""
     disc = fff.E * fff.G - fff.F * fff.F
     return (so.D * so.D2 - so.D1 * so.D1) / (disc * disc)
 
@@ -286,10 +274,15 @@ def gauss_curvature_implicit(w, x, y, z):
 def principal_curvatures(surface, p, q):
     """Roots of the characteristic polynomial of the second form against
     the first form, with metric-unit principal directions."""
-    xj, yj, zj = embedding_jets(surface, p, q)
-    fff = _fff_from_jets(xj, yj, zj)
-    nd = _normal_from_jets(xj, yj, zj)
-    so = second_order_scalars(surface, p, q)
+    comps = embedding_jets(surface, p, q)
+    fff = fff_from_jets(*comps)
+    nd = normal_from_jets(*comps)
+    return principal_from_forms(fff, nd, second_order_from_jets(comps, nd))
+
+
+def principal_from_forms(fff, nd, so):
+    """Principal curvatures from the first form, normal and second-order
+    scalars."""
     e = so.D / nd.delta
     f = so.D1 / nd.delta
     g = so.D2 / nd.delta
@@ -365,11 +358,9 @@ def gauss_map_quotient(surface, p, q, eps, fan=12):
     Converges to the parametric curvature as eps -> 0; the sign records
     whether the normal map preserves or reverses orientation.
     """
-    surface = as_parametric(surface)
-
     def sample(pp, qq):
         xj, yj, zj = embedding_jets(surface, pp, qq)
-        nd = _normal_from_jets(xj, yj, zj)
+        nd = normal_from_jets(xj, yj, zj)
         return (xj.v, yj.v, zj.v), (nd.X, nd.Y, nd.Z)
 
     x0, n0 = sample(p, q)

@@ -30,8 +30,7 @@ def test_entry_evaluates_on_declared_range(name):
         surf = catalog.build_surface(entry)
         for u in _axis_samples(ulo, uhi):
             for v in _axis_samples(vlo, vhi):
-                surfaces.gauss_curvature_parametric(
-                    surfaces.as_parametric(surf), u, v)
+                surfaces.gauss_curvature_parametric(surf, u, v)
         return
     metric = catalog.build_metric(entry)
     for u in _axis_samples(ulo, uhi):

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from egregium import catalog, exprlang, surfaces
 from egregium.cli import main
 
 
@@ -289,3 +290,89 @@ class TestOutputFormats:
         code, _, err = run_cli(capsys, "surface", "--catalog", "klein")
         assert code == 2
         assert "unknown catalog entry" in err
+
+
+class TestSurfaceKernel:
+    """Every surface column comes from one jet evaluation per point, and
+    matches the public per-quantity functions bit for bit."""
+
+    @pytest.fixture
+    def embedding_calls(self, monkeypatch):
+        calls = []
+        original = surfaces.embedding_jets
+
+        def counting(surface, p, q):
+            calls.append((p, q))
+            return original(surface, p, q)
+
+        monkeypatch.setattr(surfaces, "embedding_jets", counting)
+        return calls
+
+    def test_surface_evaluates_embedding_once_per_point(
+            self, capsys, embedding_calls):
+        code, _, _ = run_cli(capsys, "surface", "--catalog", "torus",
+                             "--grid", "4x5")
+        assert code == 0
+        assert len(embedding_calls) == 20
+
+    def test_egregia_evaluates_embedding_twice_per_point(
+            self, capsys, embedding_calls):
+        code, _, _ = run_cli(capsys, "egregia", "--catalog", "torus",
+                             "--grid", "4x5")
+        assert code == 0
+        assert len(embedding_calls) == 40
+
+    @pytest.mark.parametrize("argv, surface", [
+        (("--catalog", "torus"),
+         lambda: catalog.build_surface(catalog.lookup("torus"))),
+        (("--graph", "x^2 - x*y + sin(y)/3"),
+         lambda: surfaces.GraphSurface(exprlang.parse("x^2 - x*y + sin(y)/3"))),
+    ])
+    def test_rows_match_public_functions(self, capsys, argv, surface):
+        code, out, _ = run_cli(capsys, "surface", *argv, "--grid", "5x4",
+                               "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 20
+        surf = surface()
+        for row in rows:
+            p, q = row["p"], row["q"]
+            xj, yj, zj = surfaces.embedding_jets(surf, p, q)
+            nd = surfaces.normal_parametric(surf, p, q)
+            fff = surfaces.first_fundamental_form(surf, p, q)
+            pc = surfaces.principal_curvatures(surf, p, q)
+            expected = {
+                "p": p, "q": q, "x": xj.v, "y": yj.v, "z": zj.v,
+                "X": nd.X, "Y": nd.Y, "Z": nd.Z,
+                "E": fff.E, "F": fff.F, "G": fff.G,
+                "kappa": surfaces.gauss_curvature_parametric(surf, p, q),
+                "k_min": pc.k_min, "k_max": pc.k_max, "mean": pc.mean,
+            }
+            assert row == expected
+
+    def test_parametric_surface_rejects_x(self, capsys):
+        code, out, err = run_cli(capsys, "surface", "--parametric",
+                                 "x", "q", "0", "--grid", "2x2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: unbound variable 'x'\n"
+
+    def test_metric_input_still_compares_against_graph(self, capsys):
+        code, out, _ = run_cli(capsys, "egregia", "--metric", "1,0,1",
+                               "--graph", "x*y", "--grid", "2x2")
+        assert code == 0
+        rows = csv_rows(out)
+        assert len(rows) == 4
+        for row in rows:
+            assert float(row["kappa_intrinsic"]) == 0.0
+            assert float(row["kappa_extrinsic"]) == pytest.approx(-1.0 / 9.0)
+
+
+def test_parametric_curve_with_constant_component(capsys):
+    # a constant component evaluates to a plain float, not a jet
+    code, out, err = run_cli(capsys, "curve", "--parametric", "1", "t",
+                             "--n", "3")
+    assert code == 0, err
+    for row in csv_rows(out):
+        assert float(row["kappa"]) == 0.0
+        assert (float(row["Tx"]), float(row["Ty"])) == (0.0, 1.0)

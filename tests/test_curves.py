@@ -225,6 +225,14 @@ class TestOsculatingCircle:
         with pytest.raises(ZeroCurvature):
             osculating_circle(GraphCurve(parse("1+2*x")), 0.3)
 
+    def test_implicit_line_degenerates(self):
+        with pytest.raises(ZeroCurvature):
+            osculating_circle(ImplicitCurve(parse("x+y-1")), (0.25, 0.75))
+
+    def test_implicit_off_curve_point(self):
+        with pytest.raises(NotOnCurve):
+            osculating_circle(ImplicitCurve(parse("x^2+y^2-4")), (1.0, 1.0))
+
     def test_menger_of_bracketing_samples_converges(self):
         curve = GraphCurve(parse("sin(x)"))
         x0 = 0.8

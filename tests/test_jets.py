@@ -73,6 +73,24 @@ class TestArithmetic:
         with pytest.raises(TypeError):
             jets.Jet2_1.variable(1.0) + jets.Jet2_2.variable_u(1.0)
 
+    def test_mixed_shapes_rejected_by_division_and_power(self):
+        u = jets.Jet2_2.variable_u(2.0)
+        for other in (jets.Jet2_1.variable(1.0), jets.Jet2_3.variable_x(1.0)):
+            with pytest.raises(TypeError):
+                u / other
+            with pytest.raises(TypeError):
+                other / u
+            with pytest.raises(TypeError):
+                u ** other
+
+    def test_repr_lists_every_slot(self):
+        assert repr(jets.Jet2_1(1.0, 2.0, 3.0)) == "Jet2_1(v=1.0, d1=2.0, d2=3.0)"
+        assert repr(jets.Jet2_2.variable_v(0.5)) == (
+            "Jet2_2(v=0.5, du=0.0, dv=1.0, duu=0.0, duv=0.0, dvv=0.0)")
+        assert repr(jets.Jet2_3.constant(-1.0)) == (
+            "Jet2_3(v=-1.0, dx=0.0, dy=0.0, dz=0.0, dxx=0.0, dxy=0.0, "
+            "dxz=0.0, dyy=0.0, dyz=0.0, dzz=0.0)")
+
     def test_polynomial_exactness_4ulp(self, rng):
         # degree <= 2 polynomials propagate exactly, up to 4 ulp
         for _ in range(200):

@@ -97,7 +97,7 @@ class TestNormalParametric:
         for _ in range(20):
             x, y = rng.uniform(-2, 2), rng.uniform(-2, 2)
             nd_g = normal_graph(f, x, y)
-            nd_p = normal_parametric(surfaces.as_parametric(graph), x, y)
+            nd_p = normal_parametric(graph, x, y)
             assert (nd_g.X, nd_g.Y, nd_g.Z) == pytest.approx(
                 (nd_p.X, nd_p.Y, nd_p.Z), abs=1e-12)
 
@@ -228,8 +228,7 @@ class TestGaussCurvatureGraph:
         kappa = gauss_curvature_graph(parse("(x^2+y^2)/2"), 0.0, 0.0)
         assert kappa == pytest.approx(1.0, abs=1e-14)
         pc = principal_curvatures(
-            surfaces.as_parametric(GraphSurface(parse("(x^2+y^2)/2"))),
-            0.0, 0.0)
+            GraphSurface(parse("(x^2+y^2)/2")), 0.0, 0.0)
         assert pc.gaussian == pytest.approx(kappa, abs=1e-12)
 
     def test_monkey_saddle_origin(self):
@@ -337,7 +336,7 @@ class TestTripleAgreement:
         # a lopsided graph exercises every term of all three formulas
         f = parse("sin(x)*cos(y) + x^2/4")
         w = parse("z - (sin(x)*cos(y) + x^2/4)")
-        param = surfaces.as_parametric(GraphSurface(f))
+        param = GraphSurface(f)
         for _ in range(25):
             x, y = rng.uniform(-2, 2), rng.uniform(-2, 2)
             z = evaluate(f, {"x": x, "y": y})
@@ -350,7 +349,7 @@ class TestTripleAgreement:
     def test_gradient_square_identity(self, rng):
         # (1 + z_x^2 + z_y^2) C^2 = A^2 + B^2 + C^2 for graph surfaces
         f = parse("sin(x)*cos(y) + x^2/4")
-        graph = surfaces.as_parametric(GraphSurface(f))
+        graph = GraphSurface(f)
         for _ in range(20):
             x, y = rng.uniform(-2, 2), rng.uniform(-2, 2)
             fj = evaluate(f, {"x": jets.Jet2_2.variable_u(x),
