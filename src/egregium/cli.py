@@ -304,6 +304,7 @@ def cmd_flatness(args):
 
 def cmd_gaussbonnet(args):
     metric, entry, _ = _metric_from_args(args)
+    _require_positive(args.order, "--order")
     u_range, v_range = _ranges(args, entry, full_chart=True)
     cutoff = args.pole_cutoff
     if cutoff is None:
@@ -337,6 +338,7 @@ def cmd_triangle(args):
 
 def cmd_geodesic(args):
     metric, _, _ = _metric_from_args(args)
+    _require_positive(args.max_rows, "--max-rows")
     u, v, pu, pv = _parse_point(args.start, 4, "--start")
     path = geodesics.integrate_geodesic(
         metric, geodesics.GeodesicState(u, v, pu, pv), args.length, args.step)

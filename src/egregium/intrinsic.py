@@ -13,15 +13,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import exprlang, jets, surfaces
 from .errors import DegenerateMetric, DomainError, NotIsometric
 
 EPS_REG = 1e-12
 
+# a metric may name its coordinates u, v or p, q
+_SEEDS = {"u": "u", "v": "v", "p": "u", "q": "v"}
 
-@dataclass(frozen=True)
-class MetricJet:
+
+class MetricJet(NamedTuple):
     """E, F, G, their first partials, and bracket = -E_vv + 2F_uv - G_uu."""
     E: float
     F: float
@@ -40,12 +43,14 @@ class MetricJet:
 
 
 class MetricField:
-    """Positive-definite coefficient field ds^2 = E du^2 + 2F du dv + G dv^2."""
+    """Positive-definite coefficient field ds^2 = E du^2 + 2F du dv + G dv^2.
+
+    Expression metrics are lowered once, at construction, by
+    `exprlang.lower_jet2`; every `at` call runs the lowered programs.
+    """
 
     def __init__(self, e_ast, f_ast, g_ast):
-        self._e = e_ast
-        self._f = f_ast
-        self._g = g_ast
+        self._jets = exprlang.lower_jet2((e_ast, f_ast, g_ast), _SEEDS)
         self._surface = None
 
     @classmethod
@@ -55,7 +60,8 @@ class MetricField:
 
     @classmethod
     def from_surface(cls, surface):
-        m = cls(None, None, None)
+        m = cls.__new__(cls)
+        m._jets = None
         m._surface = surface
         return m
 
@@ -63,23 +69,10 @@ class MetricField:
         """Metric data at (u, v); raises DegenerateMetric off the cone."""
         if self._surface is not None:
             fff = surfaces.first_fundamental_form(self._surface, u, v)
-            mj = MetricJet(fff.E, fff.F, fff.G, fff.E_p, fff.E_q,
-                           fff.F_p, fff.F_q, fff.G_p, fff.G_q, fff.bracket)
-        else:
-            uj = jets.Jet2_2.variable_u(u)
-            vj = jets.Jet2_2.variable_v(v)
-            bindings = {"u": uj, "v": vj, "p": uj, "q": vj}
-            ej = jets.coerce(exprlang.evaluate(self._e, bindings), jets.Jet2_2)
-            fj = jets.coerce(exprlang.evaluate(self._f, bindings), jets.Jet2_2)
-            gj = jets.coerce(exprlang.evaluate(self._g, bindings), jets.Jet2_2)
-            bracket = -ej.dvv + 2.0 * fj.duv - gj.duu
-            mj = MetricJet(ej.v, fj.v, gj.v, ej.du, ej.dv, fj.du, fj.dv,
-                           gj.du, gj.dv, bracket)
-        if mj.E <= 0.0 or mj.G <= 0.0 or mj.disc <= EPS_REG:
-            raise DegenerateMetric(
-                f"metric not positive definite at ({u}, {v}): "
-                f"E={mj.E!r}, F={mj.F!r}, G={mj.G!r}")
-        return mj
+            return _checked(_metric_from_fff(fff), u, v)
+        e, f, g = self._jets(u, v)
+        return _checked(MetricJet(e[0], f[0], g[0], e[1], e[2], f[1], f[2],
+                                  g[1], g[2], -e[5] + 2.0 * f[4] - g[3]), u, v)
 
     def values(self, u, v):
         mj = self.at(u, v)
@@ -94,6 +87,19 @@ class MetricField:
     def area_element(self, u, v):
         mj = self.at(u, v)
         return math.sqrt(mj.disc)
+
+
+def _metric_from_fff(fff):
+    return MetricJet(fff.E, fff.F, fff.G, fff.E_p, fff.E_q, fff.F_p, fff.F_q,
+                     fff.G_p, fff.G_q, fff.bracket)
+
+
+def _checked(mj, u, v):
+    if mj.E <= 0.0 or mj.G <= 0.0 or mj.disc <= EPS_REG:
+        raise DegenerateMetric(
+            f"metric not positive definite at ({u}, {v}): "
+            f"E={mj.E!r}, F={mj.F!r}, G={mj.G!r}")
+    return mj
 
 
 def _bracket(m):
@@ -112,7 +118,10 @@ def formula_egregia(metric, u, v):
     kappa = 1 / (4 (EG - F^2)^2) * { E [...] + F [...] + G [...]
             + 2 (EG - F^2) [-E_vv + 2 F_uv - G_uu] }.
     """
-    m = metric.at(u, v)
+    return _kappa(metric.at(u, v))
+
+
+def _kappa(m):
     disc = m.disc
     return _bracket(m) / (4.0 * disc * disc)
 
@@ -163,10 +172,14 @@ class MetricResiduals:
 def verify_isometry(surface_a, surface_b, grid):
     """Max mismatch of the two induced metrics over a shared (p, q) grid,
     the identity map being the correspondence."""
+    return _residuals(
+        (surfaces.first_fundamental_form(surface_a, p, q),
+         surfaces.first_fundamental_form(surface_b, p, q)) for (p, q) in grid)
+
+
+def _residuals(form_pairs):
     de = df = dg = 0.0
-    for (p, q) in grid:
-        fa = surfaces.first_fundamental_form(surface_a, p, q)
-        fb = surfaces.first_fundamental_form(surface_b, p, q)
+    for fa, fb in form_pairs:
         de = max(de, abs(fa.E - fb.E))
         df = max(df, abs(fa.F - fb.F))
         dg = max(dg, abs(fa.G - fb.G))
@@ -191,20 +204,26 @@ def egregium_check(surface_a, surface_b, grid, tol_metric=1e-8,
     otherwise reports intrinsic and extrinsic curvature at every grid point
     with the maximal pairwise defect across both surfaces.
     """
-    grid = tuple(grid)
-    residuals = verify_isometry(surface_a, surface_b, grid)
+    # one embedding evaluation per surface and point serves the isometry
+    # check and, once it has passed over the whole grid, both curvatures
+    points = []
+    for (p, q) in grid:
+        comps_a = surfaces.embedding_jets(surface_a, p, q)
+        fff_a = surfaces.fff_from_jets(*comps_a)
+        comps_b = surfaces.embedding_jets(surface_b, p, q)
+        fff_b = surfaces.fff_from_jets(*comps_b)
+        points.append((p, q, comps_a, fff_a, comps_b, fff_b))
+    residuals = _residuals((pt[3], pt[5]) for pt in points)
     if residuals.max > tol_metric:
         raise NotIsometric(
             f"metric residuals {residuals} exceed tolerance {tol_metric!r}")
-    metric_a = MetricField.from_surface(surface_a)
-    metric_b = MetricField.from_surface(surface_b)
     rows = []
     max_defect = 0.0
-    for (u, v) in grid:
-        k_int = formula_egregia(metric_a, u, v)
-        k_int_b = formula_egregia(metric_b, u, v)
-        k_ext_a = surfaces.gauss_curvature_parametric(surface_a, u, v)
-        k_ext_b = surfaces.gauss_curvature_parametric(surface_b, u, v)
+    for (u, v, comps_a, fff_a, comps_b, fff_b) in points:
+        k_int = _kappa(_checked(_metric_from_fff(fff_a), u, v))
+        k_int_b = _kappa(_checked(_metric_from_fff(fff_b), u, v))
+        k_ext_a = surfaces.gauss_from_jets(comps_a, fff_a)
+        k_ext_b = surfaces.gauss_from_jets(comps_b, fff_b)
         ks = (k_int, k_int_b, k_ext_a, k_ext_b)
         defect = max(ks) - min(ks)
         max_defect = max(max_defect, defect)

@@ -9,6 +9,9 @@ is structural.
 
 Division, powers and the repr do not depend on the arity and live in one
 shared base class; the slot arithmetic stays unrolled per shape for speed.
+The bivariate product and chain rule are module-level functions over
+6-float slot tuples (`mul_slots`, `compose_slots`), which `Jet2_2` and the
+expression lowering in `exprlang` both call.
 
 All values are plain floats and every operation is pure, so jets are safe
 to share across threads.
@@ -20,7 +23,7 @@ import math
 
 from .errors import DivisionByZero, DomainError
 
-_INT_EXP_LIMIT = 64  # larger integer exponents fall through to the pow rule
+INT_EXP_LIMIT = 64  # larger integer exponents fall through to the pow rule
 
 
 def _as_float(x):
@@ -61,10 +64,7 @@ class _JetBase:
         return NotImplemented
 
     def _recip(self):
-        if self.v == 0.0:
-            raise DivisionByZero("jet divided by jet with zero value")
-        w = 1.0 / self.v
-        return self._compose(w, -w * w, 2.0 * w * w * w)
+        return self._compose(*_recip_t(self.v))
 
     def __pow__(self, other):
         return _pow(self, other)
@@ -163,6 +163,11 @@ class Jet2_2(_JetBase):
     def variable_v(cls, value):
         return cls(value, dv=1.0)
 
+    @property
+    def slots(self):
+        """(v, du, dv, duu, duv, dvv) as a tuple."""
+        return (self.v, self.du, self.dv, self.duu, self.duv, self.dvv)
+
     def __add__(self, other):
         c = _as_float(other)
         if c is not None:
@@ -210,28 +215,45 @@ class Jet2_2(_JetBase):
             return Jet2_2(self.v * c, self.du * c, self.dv * c,
                           self.duu * c, self.duv * c, self.dvv * c)
         if isinstance(other, Jet2_2):
-            a, b = self, other
-            return Jet2_2(
-                a.v * b.v,
-                a.du * b.v + a.v * b.du,
-                a.dv * b.v + a.v * b.dv,
-                a.duu * b.v + 2.0 * a.du * b.du + a.v * b.duu,
-                a.duv * b.v + a.du * b.dv + a.dv * b.du + a.v * b.duv,
-                a.dvv * b.v + 2.0 * a.dv * b.dv + a.v * b.dvv,
-            )
+            return Jet2_2(*mul_slots(self.slots, other.slots))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def _compose(self, f0, f1, f2):
-        return Jet2_2(
-            f0,
-            f1 * self.du,
-            f1 * self.dv,
-            f2 * self.du * self.du + f1 * self.duu,
-            f2 * self.du * self.dv + f1 * self.duv,
-            f2 * self.dv * self.dv + f1 * self.dvv,
-        )
+        return Jet2_2(*compose_slots(self.slots, f0, f1, f2))
+
+
+def mul_slots(a, b):
+    """Product rule on two bivariate slot tuples (v, du, dv, duu, duv, dvv)."""
+    av, adu, adv, aduu, aduv, advv = a
+    bv, bdu, bdv, bduu, bduv, bdvv = b
+    return (
+        av * bv,
+        adu * bv + av * bdu,
+        adv * bv + av * bdv,
+        aduu * bv + 2.0 * adu * bdu + av * bduu,
+        aduv * bv + adu * bdv + adv * bdu + av * bduv,
+        advv * bv + 2.0 * adv * bdv + av * bdvv,
+    )
+
+
+def compose_slots(a, f0, f1, f2):
+    """Second-order chain rule: slots of f(a) from f, f', f'' at a's value."""
+    _, du, dv, duu, duv, dvv = a
+    return (
+        f0,
+        f1 * du,
+        f1 * dv,
+        f2 * du * du + f1 * duu,
+        f2 * du * dv + f1 * duv,
+        f2 * dv * dv + f1 * dvv,
+    )
+
+
+def recip_slots(a):
+    """Slots of 1/a; DivisionByZero when a's value is zero."""
+    return compose_slots(a, *_recip_t(a[0]))
 
 
 class Jet2_3(_JetBase):
@@ -369,7 +391,7 @@ def _pow_const(a, e):
     if e == 1.0:
         return a
     try:
-        if float(e).is_integer() and abs(e) <= _INT_EXP_LIMIT:
+        if float(e).is_integer() and abs(e) <= INT_EXP_LIMIT:
             n = int(e)
             if n < 0 and a.v == 0.0:
                 raise DivisionByZero("negative power of jet with zero value")
@@ -406,6 +428,13 @@ def _pow_base_const(c, b):
 
 
 # f -> (f, f', f'') value tables for the second-order chain rule
+def _recip_t(v):
+    if v == 0.0:
+        raise DivisionByZero("jet divided by jet with zero value")
+    w = 1.0 / v
+    return w, -w * w, 2.0 * w * w * w
+
+
 def _sin_t(v):
     return math.sin(v), math.cos(v), -math.sin(v)
 
@@ -472,17 +501,19 @@ FUNCTION_TABLES = {
 }
 
 
-def apply_function(name, x):
-    """Apply a named elementary function to a jet or a plain float."""
-    table = FUNCTION_TABLES[name]
+def function_table(name, v):
+    """(f, f', f'') of a named elementary function at the float v."""
     try:
-        if is_jet(x):
-            f0, f1, f2 = table(x.v)
-            return x._compose(f0, f1, f2)
-        f0, _, _ = table(float(x))
-        return f0
+        return FUNCTION_TABLES[name](v)
     except OverflowError:
         raise DomainError(f"{name} overflows at this argument") from None
+
+
+def apply_function(name, x):
+    """Apply a named elementary function to a jet or a plain float."""
+    if is_jet(x):
+        return x._compose(*function_table(name, x.v))
+    return function_table(name, float(x))[0]
 
 
 def sin(x):

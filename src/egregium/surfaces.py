@@ -18,7 +18,7 @@ curvature itself is orientation-independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import exprlang, jets
 from .errors import (DegenerateAngle, DegenerateParametrization, NotOnSurface,
@@ -28,10 +28,21 @@ EPS_REG = 1e-12
 UMBILIC_REL_TOL = 1e-8
 
 
+# a graph may name its chart coordinates x, y or p, q
+_GRAPH_SEEDS = {"x": "u", "y": "v", "p": "u", "q": "v"}
+_PARAMETRIC_SEEDS = {"p": "u", "q": "v"}
+
+
 @dataclass(frozen=True)
 class GraphSurface:
     """z = f(x, y); the expression uses variables x, y."""
     f: exprlang.ExprAst
+    # f lowered once by exprlang.lower_jet2; (p, q) -> [slots of f]
+    lowered: object = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lowered",
+                           exprlang.lower_jet2((self.f,), _GRAPH_SEEDS))
 
 
 @dataclass(frozen=True)
@@ -40,6 +51,12 @@ class ParametricSurface:
     x: exprlang.ExprAst
     y: exprlang.ExprAst
     z: exprlang.ExprAst
+    # the components lowered once; (p, q) -> [slots of x, y, z]
+    lowered: object = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lowered", exprlang.lower_jet2(
+            (self.x, self.y, self.z), _PARAMETRIC_SEEDS))
 
 
 @dataclass(frozen=True)
@@ -119,18 +136,12 @@ class PrincipalCurvatures:
 def embedding_jets(surface, p, q):
     """2-jets of the three embedding components at (p, q); a graph z = f(x, y)
     is embedded as (p, q, f(p, q))."""
-    pj = jets.Jet2_2.variable_u(p)
-    qj = jets.Jet2_2.variable_v(q)
     if isinstance(surface, GraphSurface):
-        # a graph may name its chart coordinates x, y or p, q
-        bindings = {"x": pj, "y": qj, "p": pj, "q": qj}
-        return pj, qj, jets.coerce(exprlang.evaluate(surface.f, bindings),
-                                   jets.Jet2_2)
+        (f,) = surface.lowered(p, q)
+        return (jets.Jet2_2.variable_u(p), jets.Jet2_2.variable_v(q),
+                jets.Jet2_2(*f))
     if isinstance(surface, ParametricSurface):
-        bindings = {"p": pj, "q": qj}
-        return tuple(
-            jets.coerce(exprlang.evaluate(component, bindings), jets.Jet2_2)
-            for component in (surface.x, surface.y, surface.z))
+        return tuple(jets.Jet2_2(*slots) for slots in surface.lowered(p, q))
     raise TypeError(f"cannot view {type(surface).__name__} as parametric")
 
 
@@ -228,7 +239,11 @@ def gauss_curvature_graph(f, x, y):
 def gauss_curvature_parametric(surface, p, q):
     """kappa = (D D'' - D'^2) / (E G - F^2)^2."""
     comps = embedding_jets(surface, p, q)
-    fff = fff_from_jets(*comps)
+    return gauss_from_jets(comps, fff_from_jets(*comps))
+
+
+def gauss_from_jets(comps, fff):
+    """Parametric curvature from the embedding's 2-jets and their first form."""
     nd = normal_from_jets(*comps)
     return gauss_from_forms(fff, second_order_from_jets(comps, nd))
 

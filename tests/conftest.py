@@ -5,8 +5,14 @@ import math
 import random
 
 import pytest
+from hypothesis import settings
 
 from egregium import exprlang, jets
+
+# property tests draw the same examples on every run and machine; no
+# per-example deadline, because a shared VM's timing is not the property
+settings.register_profile("egregium", derandomize=True, deadline=None)
+settings.load_profile("egregium")
 
 # (expression, sample box per variable); domains keep every elementary
 # function well inside its real domain

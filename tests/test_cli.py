@@ -169,6 +169,12 @@ class TestGaussBonnetCommand:
         assert code == 0
         assert abs(float(csv_summary(out)["total"])) <= 1e-12
 
+    def test_zero_order_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "gaussbonnet", "--catalog",
+                                 "sphere_metric", "--order", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: --order must be positive, got 0\n"
+
 
 class TestTriangleCommand:
     def test_sphere_octant(self, capsys):
@@ -222,6 +228,13 @@ class TestGeodesicCommand:
                                "--length", "1.0", "--step", "0.005")
         assert code == 0
         assert float(csv_summary(out)["energy_drift"]) <= 1e-7
+
+    def test_zero_max_rows_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "geodesic", "--catalog",
+                                 "sphere_metric", "--start", "1.5,0,0,1",
+                                 "--max-rows", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: --max-rows must be positive, got 0\n"
 
 
 class TestOutputFormats:
