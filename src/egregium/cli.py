@@ -14,6 +14,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import (catalog, curves, exprlang, geodesics, intrinsic, jets, quad,
                surfaces)
 from .errors import InputError, NumericError
@@ -43,7 +45,13 @@ def _fmt(value):
     return str(value)
 
 
+# how the CSV writer and json print a non-finite float
+_NONFINITE_TEXT = ("inf", "nan", "Infinity", "NaN")
+
+
 def _emit(args, columns, rows, summary):
+    """Write the rows and summary as CSV or JSON; NumericError, and nothing
+    written, if any of their floats is non-finite."""
     lines = []
     if args.format == "csv":
         lines.append(CSV_SCHEMA)
@@ -56,11 +64,48 @@ def _emit(args, columns, rows, summary):
     else:
         payload = {"rows": [dict(r) for r in rows], "summary": summary}
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # scanning the floats costs about a tenth of formatting them, so scan
+    # only when the text shows a non-finite spelling (a string may too)
+    if any(word in text for word in _NONFINITE_TEXT):
+        _require_finite(columns, rows, summary)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _require_finite(columns, rows, summary):
+    """NumericError naming the first non-finite float, in row order and
+    then in the summary, with the leading coordinates of its row."""
+    for row in rows:
+        for name in columns:
+            value = row[name]
+            if isinstance(value, float) and not math.isfinite(value):
+                at = ", ".join(f"{c}={row[c]!r}" for c in columns[:2])
+                raise NumericError(f"non-finite {name}={value!r} at {at}")
+    for key in sorted(summary):
+        value = summary[key]
+        if isinstance(value, float) and not math.isfinite(value):
+            raise NumericError(f"non-finite summary {key}={value!r}")
+
+
+def _grid_rows(points, names, grid, point):
+    """Row dicts over grid points: the two coordinates, then the columns
+    `grid(u, v)` returns as arrays over all points at once.  Where `grid`
+    returns None, because some point fails, the rows come from
+    `point(u, v)` at each point in grid order instead, so that the first
+    failing point raises its own error."""
+    us = [pt[0] for pt in points]
+    vs = [pt[1] for pt in points]
+    with np.errstate(all="ignore"):
+        columns = grid(np.array(us), np.array(vs))
+    if columns is None:
+        return [point(u, v) for u, v in points]
+    # lists of floats first, so the arrays are freed before the rows exist
+    values = [column.tolist() for column in columns]
+    del columns
+    return [dict(zip(names, row)) for row in zip(us, vs, *values)]
 
 
 def _parse_pair(text, what, sep=":"):
@@ -236,48 +281,80 @@ def cmd_surface(args):
     nu, nv = _parse_grid(args.grid)
     columns = ["p", "q", "x", "y", "z", "X", "Y", "Z", "E", "F", "G",
                "kappa", "k_min", "k_max", "mean"]
-    rows = []
-    for (p, q) in intrinsic.grid_points(u_range, v_range, nu, nv):
-        comps = surfaces.embedding_jets(surface, p, q)
-        nd = surfaces.normal_from_jets(*comps)
-        fff = surfaces.fff_from_jets(*comps)
-        so = surfaces.second_order_from_jets(comps, nd)
-        kappa = surfaces.gauss_from_forms(fff, so)
-        pc = surfaces.principal_from_forms(fff, nd, so)
-        xj, yj, zj = comps
-        rows.append({"p": p, "q": q, "x": xj.v, "y": yj.v, "z": zj.v,
-                     "X": nd.X, "Y": nd.Y, "Z": nd.Z,
-                     "E": fff.E, "F": fff.F, "G": fff.G,
-                     "kappa": kappa, "k_min": pc.k_min, "k_max": pc.k_max,
-                     "mean": pc.mean})
+
+    def grid(p, q):
+        sg = surfaces.surface_grid(surface, p, q)
+        if sg is None:
+            return None
+        return (sg.x, sg.y, sg.z, sg.X, sg.Y, sg.Z, sg.fff.E, sg.fff.F,
+                sg.fff.G, sg.kappa, sg.k_min, sg.k_max, sg.mean)
+
+    rows = _grid_rows(intrinsic.grid_points(u_range, v_range, nu, nv),
+                      columns, grid, lambda p, q: _surface_row(surface, p, q))
     _emit(args, columns, rows, {"n": len(rows)})
+
+
+def _surface_row(surface, p, q):
+    """One `surface` row from the per-point functions."""
+    comps = surfaces.embedding_jets(surface, p, q)
+    nd = surfaces.normal_from_jets(*comps)
+    fff = surfaces.fff_from_jets(*comps)
+    so = surfaces.second_order_from_jets(comps, nd)
+    k_min, k_max = surfaces.principal_values(fff, nd, so)
+    xj, yj, zj = comps
+    return {"p": p, "q": q, "x": xj.v, "y": yj.v, "z": zj.v,
+            "X": nd.X, "Y": nd.Y, "Z": nd.Z,
+            "E": fff.E, "F": fff.F, "G": fff.G,
+            "kappa": surfaces.gauss_from_forms(fff, so),
+            "k_min": k_min, "k_max": k_max, "mean": 0.5 * (k_min + k_max)}
 
 
 def cmd_egregia(args):
     metric, entry, surface = _metric_from_args(args)
+    induced = surface is not None
     if surface is None:
         # --metric input or a metric entry may still be checked against an
         # embedding given by --graph or --parametric
         surface = _expression_surface(args)
     u_range, v_range = _ranges(args, entry)
     nu, nv = _parse_grid(args.grid)
-    rows = []
-    max_defect = 0.0
-    for (u, v) in intrinsic.grid_points(u_range, v_range, nu, nv):
-        k_int = intrinsic.formula_egregia(metric, u, v)
-        row = {"u": u, "v": v, "kappa_intrinsic": k_int}
-        if surface is not None:
-            k_ext = surfaces.gauss_curvature_parametric(surface, u, v)
-            row["kappa_extrinsic"] = k_ext
-            row["defect"] = abs(k_int - k_ext)
-            max_defect = max(max_defect, row["defect"])
-        rows.append(row)
     columns = ["u", "v", "kappa_intrinsic"]
-    summary = {"n": len(rows)}
     if surface is not None:
         columns += ["kappa_extrinsic", "defect"]
-        summary["max_defect"] = max_defect
+
+    def grid(u, v):
+        sg = None if surface is None else surfaces.surface_grid(surface, u, v)
+        if induced:
+            # the surface kernel's first form: one embedding evaluation
+            # serves both curvatures
+            mj = None if sg is None else intrinsic.metric_from_fff(sg.fff)
+        else:
+            mj = metric.grid(u, v)
+        if mj is None or (surface is not None and sg is None):
+            return None
+        k_int = intrinsic.kappa_from_metric(mj)
+        if surface is None:
+            return (k_int,)
+        return k_int, sg.kappa, np.abs(k_int - sg.kappa)
+
+    rows = _grid_rows(intrinsic.grid_points(u_range, v_range, nu, nv),
+                      columns, grid,
+                      lambda u, v: _egregia_row(metric, surface, u, v))
+    summary = {"n": len(rows)}
+    if surface is not None:
+        summary["max_defect"] = max([0.0] + [row["defect"] for row in rows])
     _emit(args, columns, rows, summary)
+
+
+def _egregia_row(metric, surface, u, v):
+    """One `egregia` row from the per-point functions."""
+    k_int = intrinsic.formula_egregia(metric, u, v)
+    row = {"u": u, "v": v, "kappa_intrinsic": k_int}
+    if surface is not None:
+        k_ext = surfaces.gauss_curvature_parametric(surface, u, v)
+        row["kappa_extrinsic"] = k_ext
+        row["defect"] = abs(k_int - k_ext)
+    return row
 
 
 def _require_positive(value, name):
@@ -291,12 +368,16 @@ def cmd_flatness(args):
     _require_positive(args.tol, "--tol")
     u_range, v_range = _ranges(args, entry)
     nu, nv = _parse_grid(args.grid)
-    rows = []
-    worst = 0.0
-    for (u, v) in intrinsic.grid_points(u_range, v_range, nu, nv):
-        res = intrinsic.flatness_residual(metric, u, v)
-        worst = max(worst, abs(res))
-        rows.append({"u": u, "v": v, "residual": res})
+
+    def grid(u, v):
+        mj = metric.grid(u, v)
+        return None if mj is None else (intrinsic.residual_from_metric(mj),)
+
+    rows = _grid_rows(intrinsic.grid_points(u_range, v_range, nu, nv),
+                      ["u", "v", "residual"], grid,
+                      lambda u, v: {"u": u, "v": v, "residual":
+                                    intrinsic.flatness_residual(metric, u, v)})
+    worst = max([0.0] + [abs(row["residual"]) for row in rows])
     verdict = "FLAT" if worst <= args.tol else "NOT FLAT"
     _emit(args, ["u", "v", "residual"], rows,
           {"max_residual": worst, "verdict": verdict})

@@ -98,3 +98,9 @@ class RegionNotSimple(NumericError):
 
 class NotRevolution(NumericError):
     pass
+
+
+# what evaluating an expression at a point can raise: the errors above, a
+# bare ArithmeticError, and ValueError from libm outside its domain
+# (math.sin(inf))
+EVALUATION_ERRORS = (GeometryError, ArithmeticError, ValueError)

@@ -19,13 +19,18 @@ tree is immutable and can be shared freely.
 `evaluate` walks a tree over plain floats or any jet shape.  Trees that are
 evaluated as bivariate 2-jets at many points are lowered once by
 `lower_jet2` into closures over slot tuples, which replay the same float
-operations without the walk; `evaluate` remains their reference.
+operations without the walk; `evaluate` remains their reference.  Over a
+grid, the same trees run once on float64 arrays of the points' coordinates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
+from numpy import ndarray
 
 from . import jets
 from .errors import DivisionByZero, DomainError, InputError, NumericError, \
@@ -341,18 +346,34 @@ def lower_jet2(asts, seeds):
     along; any other name raises UnboundVariable when evaluated.  A tree that
     equals an earlier one is lowered and evaluated once.  Results are those
     of `evaluate` over `jets.Jet2_2` bindings, bit for bit.
+
+    u and v may also be two 1-D float64 arrays of one length, the points of
+    a grid; every slot is then an array, and element i holds the bits of
+    the scalar call at (u[i], v[i]).  If any point fails, some error is
+    raised, not necessarily the one of the first failing point.  Each kind
+    of call lowers the trees at its first use.
     """
-    programs, order, index = [], [], {}
+    trees, order, index = [], [], {}
     for ast in asts:
         if ast not in index:
-            index[ast] = len(programs)
-            programs.append(_program(_lower(ast, seeds)))
+            index[ast] = len(trees)
+            trees.append(ast)
         order.append(index[ast])
+    programs = columns = None
 
     def run(u, v):
-        U = (float(u), 1.0, 0.0, 0.0, 0.0, 0.0)
-        V = (float(v), 0.0, 1.0, 0.0, 0.0, 0.0)
-        values = [program(U, V) for program in programs]
+        nonlocal programs, columns
+        if type(u) is ndarray:
+            if columns is None:
+                columns = [_program(_lower_columns(ast, seeds))
+                           for ast in trees]
+            values = _run_columns(columns, u, v)
+        else:
+            if programs is None:
+                programs = [_program(_lower(ast, seeds)) for ast in trees]
+            U = (float(u), 1.0, 0.0, 0.0, 0.0, 0.0)
+            V = (float(v), 0.0, 1.0, 0.0, 0.0, 0.0)
+            values = [program(U, V) for program in programs]
         return [values[i] for i in order]
 
     return run
@@ -367,26 +388,31 @@ def _program(node):
 
 
 def _lower(ast, seeds):
+    """A tree lowered to closures over float slots."""
+    return _lower_with(ast, seeds, _SCALAR_NODES)
+
+
+def _lower_with(ast, seeds, nodes):
     if isinstance(ast, Constant):
         return ast.value
     if isinstance(ast, Variable):
         return _lower_variable(ast.name, seeds.get(ast.name))
     if isinstance(ast, Unary):
-        child = _lower(ast.child, seeds)
+        child = _lower_with(ast.child, seeds, nodes)
         if not callable(child):
             return _fold(Unary(ast.op, Constant(child)))
         if ast.op == "neg":
             return _lower_neg(child)
-        return _lower_function(ast.op, child)
-    left = _lower(ast.left, seeds)
-    right = _lower(ast.right, seeds)
+        return nodes.function(ast.op, child)
+    left = _lower_with(ast.left, seeds, nodes)
+    right = _lower_with(ast.right, seeds, nodes)
     if not callable(left) and not callable(right):
         return _fold(Binary(ast.op, Constant(left), Constant(right)))
     if not callable(right):
-        return _JET_CONST[ast.op](left, float(right))
+        return nodes.jet_const[ast.op](left, float(right))
     if not callable(left):
-        return _CONST_JET[ast.op](float(left), right)
-    return _JET_JET[ast.op](left, right)
+        return nodes.const_jet[ast.op](float(left), right)
+    return nodes.jet_jet[ast.op](left, right)
 
 
 def _fold(ast):
@@ -420,11 +446,11 @@ def _lower_neg(a):
 
 
 def _lower_function(name, a):
-    table, compose = jets.function_table, jets.compose_slots
+    table, compose = jets.FUNCTION_TABLES[name], jets.compose_slots
 
     def function(U, V):
         x = a(U, V)
-        return compose(x, *table(name, x[0]))
+        return compose(x, *table(x[0]))
     return function
 
 
@@ -556,7 +582,8 @@ def _pow_cj(c, b):
 
 def _pow_jj(a, b):
     """a^b as exp(b * log a), as `jets._pow`."""
-    table, compose, mul = jets.function_table, jets.compose_slots, jets.mul_slots
+    log, exp = jets.FUNCTION_TABLES["log"], jets.FUNCTION_TABLES["exp"]
+    compose, mul = jets.compose_slots, jets.mul_slots
 
     def power(U, V):
         x = a(U, V)
@@ -564,18 +591,117 @@ def _pow_jj(a, b):
         v = x[0]
         if v <= 0.0:
             raise DomainError(f"jet power with non-positive base {v!r}")
-        z = mul(y, compose(x, *table("log", v)))
-        return compose(z, *table("exp", z[0]))
+        z = mul(y, compose(x, *log(v)))
+        return compose(z, *exp(z[0]))
     return power
 
 
-_JET_JET = {"+": _add_jj, "-": _sub_jj, "*": _mul_jj, "/": _div_jj,
-            "^": _pow_jj}
-_JET_CONST = {"+": _add_jc, "-": _sub_jc, "*": _scale, "/": _div_jc,
-              "^": _pow_jc}
-# constant on the left: + and * commute slot by slot, as in Jet2_2.__radd__
-_CONST_JET = {"+": lambda c, b: _add_jc(b, c), "-": _sub_cj,
-              "*": lambda c, b: _scale(b, c), "/": _div_cj, "^": _pow_cj}
+class _Nodes(NamedTuple):
+    """Node builders by kind: a named function of a closure, and operators
+    with closures or constants (c) on each side."""
+    function: object
+    jet_jet: dict
+    jet_const: dict
+    const_jet: dict
+
+
+_SCALAR_NODES = _Nodes(
+    _lower_function,
+    {"+": _add_jj, "-": _sub_jj, "*": _mul_jj, "/": _div_jj, "^": _pow_jj},
+    {"+": _add_jc, "-": _sub_jc, "*": _scale, "/": _div_jc, "^": _pow_jc},
+    # constant on the left: + and * commute slot by slot, as in
+    # Jet2_2.__radd__
+    {"+": lambda c, b: _add_jc(b, c), "-": _sub_cj,
+     "*": lambda c, b: _scale(b, c), "/": _div_cj, "^": _pow_cj})
+
+
+# --- the same trees over arrays of grid points -------------------------------
+#
+# Over a grid each slot is a float64 array, or a float where it does not
+# depend on the point.  + - * / run in numpy, which rounds them as Python
+# does, so the arithmetic closures above serve both.  A node that takes
+# f, f', f'' from a table (elementary function, reciprocal, power) gets its
+# own closure here, which runs the scalar table at each element
+# (`jets.tabulate`), never numpy's exp, log or power, whose last bits differ
+# from libm's.  The scalar closures stay free of the test for arrays, which
+# cost 1-5 % of MetricField.at when every table node made it.
+
+def _lower_columns(ast, seeds):
+    """A tree lowered to closures over float64 array slots."""
+    return _lower_with(ast, seeds, _GRID_NODES)
+
+
+def _run_columns(programs, u, v):
+    """The programs over arrays of points, with every slot an array (a slot
+    that does not depend on the point stays a float until here)."""
+    U = (u, 1.0, 0.0, 0.0, 0.0, 0.0)
+    V = (v, 0.0, 1.0, 0.0, 0.0, 0.0)
+    with np.errstate(all="ignore"):
+        values = [program(U, V) for program in programs]
+    return [tuple(slot if type(slot) is ndarray else np.full(u.shape, slot)
+                  for slot in slots)
+            for slots in values]
+
+
+def _chain(x, table):
+    """Slots of f(x) by the chain rule, table(v) giving f, f', f'' at a
+    float v; at each element when x's value is an array."""
+    v = x[0]
+    return jets.compose_slots(
+        x, *(jets.tabulate(table, v) if type(v) is ndarray else table(v)))
+
+
+def _lower_table(a, table):
+    return lambda U, V: _chain(a(U, V), table)
+
+
+def _grid_function(name, a):
+    return _lower_table(a, jets.FUNCTION_TABLES[name])
+
+
+def _grid_div_jj(a, b):
+    return _mul_jj(a, _lower_table(b, jets.recip_table))
+
+
+def _grid_div_cj(c, b):
+    return _scale(_lower_table(b, jets.recip_table), c)
+
+
+def _grid_pow_jc(a, e):
+    if e == 0.0 or e == 1.0:
+        return _pow_jc(a, e)
+    terms = jets.power_terms
+    return _lower_table(a, lambda v: terms(v, e))
+
+
+def _grid_pow_cj(c, b):
+    if c <= 0.0:
+        return _pow_cj(c, b)
+    return _grid_function("exp", _scale(b, math.log(c)))
+
+
+def _grid_pow_jj(a, b):
+    log, exp = jets.FUNCTION_TABLES["log"], jets.FUNCTION_TABLES["exp"]
+    mul = jets.mul_slots
+
+    def log_base(v):
+        if v <= 0.0:
+            raise DomainError(f"jet power with non-positive base {v!r}")
+        return log(v)
+
+    def power(U, V):
+        # both operands first, then the base's check, as in _pow_jj
+        x = a(U, V)
+        y = b(U, V)
+        return _chain(mul(y, _chain(x, log_base)), exp)
+    return power
+
+
+_GRID_NODES = _Nodes(
+    _grid_function,
+    {**_SCALAR_NODES.jet_jet, "/": _grid_div_jj, "^": _grid_pow_jj},
+    {**_SCALAR_NODES.jet_const, "^": _grid_pow_jc},
+    {**_SCALAR_NODES.const_jet, "/": _grid_div_cj, "^": _grid_pow_cj})
 
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}

@@ -6,7 +6,8 @@ second-order combination (-E_vv + 2 F_uv - G_uu).  Metrics come either
 from text expressions in (u, v) (the (p, q) spelling is accepted too) or
 induced from a graph or parametric embedding, in which case all partials are
 obtained by differentiating through the composition with jet arithmetic;
-no symbolic differentiation is performed anywhere.
+no symbolic differentiation is performed anywhere.  `MetricField.grid`
+evaluates a whole grid of points at once, bit for bit the values of `at`.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from . import exprlang, jets, surfaces
-from .errors import DegenerateMetric, DomainError, NotIsometric
+from .errors import (EVALUATION_ERRORS, DegenerateMetric, DomainError,
+                     NotIsometric)
 
 EPS_REG = 1e-12
 
@@ -46,7 +50,8 @@ class MetricField:
     """Positive-definite coefficient field ds^2 = E du^2 + 2F du dv + G dv^2.
 
     Expression metrics are lowered once, at construction, by
-    `exprlang.lower_jet2`; every `at` call runs the lowered programs.
+    `exprlang.lower_jet2`; every `at` call runs the lowered programs, and
+    `grid` runs them once over arrays of points.
     """
 
     def __init__(self, e_ast, f_ast, g_ast):
@@ -66,13 +71,37 @@ class MetricField:
         return m
 
     def at(self, u, v):
-        """Metric data at (u, v); raises DegenerateMetric off the cone."""
+        """Metric data at (u, v); raises DegenerateMetric off the cone, or
+        for a surface DegenerateParametrization."""
         if self._surface is not None:
-            fff = surfaces.first_fundamental_form(self._surface, u, v)
-            return _checked(_metric_from_fff(fff), u, v)
+            return metric_from_fff(
+                surfaces.first_fundamental_form(self._surface, u, v))
         e, f, g = self._jets(u, v)
         return _checked(MetricJet(e[0], f[0], g[0], e[1], e[2], f[1], f[2],
                                   g[1], g[2], -e[5] + 2.0 * f[4] - g[3]), u, v)
+
+    def grid(self, u, v):
+        """`at` at every point (u[i], v[i]) of two 1-D float64 arrays: a
+        MetricJet of arrays whose element i has the bits of at(u[i], v[i]).
+
+        Returns None if `at` raises at some point, and for a surface also
+        where its normal degenerates; the caller then calls `at` per point
+        in grid order, so that the first failing point raises its own error.
+        """
+        if self._surface is not None:
+            grid = surfaces.surface_grid(self._surface, u, v)
+            return None if grid is None else metric_from_fff(grid.fff)
+        try:
+            e, f, g = self._jets(u, v)
+        except EVALUATION_ERRORS:
+            return None
+        with np.errstate(all="ignore"):
+            # the arithmetic and comparisons of `at` and _checked
+            mj = MetricJet(e[0], f[0], g[0], e[1], e[2], f[1], f[2], g[1],
+                           g[2], -e[5] + 2.0 * f[4] - g[3])
+            if np.any((mj.E <= 0.0) | (mj.G <= 0.0) | (mj.disc <= EPS_REG)):
+                return None
+        return mj
 
     def values(self, u, v):
         mj = self.at(u, v)
@@ -89,7 +118,9 @@ class MetricField:
         return math.sqrt(mj.disc)
 
 
-def _metric_from_fff(fff):
+def metric_from_fff(fff):
+    """Metric data of the first fundamental form of a surface; floats, or
+    arrays over a grid."""
     return MetricJet(fff.E, fff.F, fff.G, fff.E_p, fff.E_q, fff.F_p, fff.F_q,
                      fff.G_p, fff.G_q, fff.bracket)
 
@@ -102,8 +133,9 @@ def _checked(mj, u, v):
     return mj
 
 
-def _bracket(m):
-    """E [...] + F [...] + G [...] + 2 (EG - F^2) [-E_vv + 2 F_uv - G_uu]."""
+def residual_from_metric(m):
+    """E [...] + F [...] + G [...] + 2 (EG - F^2) [-E_vv + 2 F_uv - G_uu],
+    from metric data of floats or arrays."""
     e_term = m.Ev * m.Gv - 2.0 * m.Fu * m.Gv + m.Gu * m.Gu
     f_term = (m.Eu * m.Gv - m.Ev * m.Gu - 2.0 * m.Ev * m.Fv
               + 4.0 * m.Fu * m.Fv - 2.0 * m.Fu * m.Gu)
@@ -118,19 +150,20 @@ def formula_egregia(metric, u, v):
     kappa = 1 / (4 (EG - F^2)^2) * { E [...] + F [...] + G [...]
             + 2 (EG - F^2) [-E_vv + 2 F_uv - G_uu] }.
     """
-    return _kappa(metric.at(u, v))
+    return kappa_from_metric(metric.at(u, v))
 
 
-def _kappa(m):
+def kappa_from_metric(m):
+    """`formula_egregia` from metric data of floats or arrays."""
     disc = m.disc
-    return _bracket(m) / (4.0 * disc * disc)
+    return residual_from_metric(m) / (4.0 * disc * disc)
 
 
 def flatness_residual(metric, u, v):
     """Second-order differential expression whose vanishing characterizes
     local isometry to the Euclidean plane; numerically it equals
     4 (EG - F^2)^2 times the curvature."""
-    return _bracket(metric.at(u, v))
+    return residual_from_metric(metric.at(u, v))
 
 
 def curvature_isothermal(lam_ast, u, v):
@@ -220,8 +253,8 @@ def egregium_check(surface_a, surface_b, grid, tol_metric=1e-8,
     rows = []
     max_defect = 0.0
     for (u, v, comps_a, fff_a, comps_b, fff_b) in points:
-        k_int = _kappa(_checked(_metric_from_fff(fff_a), u, v))
-        k_int_b = _kappa(_checked(_metric_from_fff(fff_b), u, v))
+        k_int = kappa_from_metric(metric_from_fff(fff_a))
+        k_int_b = kappa_from_metric(metric_from_fff(fff_b))
         k_ext_a = surfaces.gauss_from_jets(comps_a, fff_a)
         k_ext_b = surfaces.gauss_from_jets(comps_b, fff_b)
         ks = (k_int, k_int_b, k_ext_a, k_ext_b)

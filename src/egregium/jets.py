@@ -10,16 +10,22 @@ is structural.
 Division, powers and the repr do not depend on the arity and live in one
 shared base class; the slot arithmetic stays unrolled per shape for speed.
 The bivariate product and chain rule are module-level functions over
-6-float slot tuples (`mul_slots`, `compose_slots`), which `Jet2_2` and the
+6-slot tuples (`mul_slots`, `compose_slots`), which `Jet2_2` and the
 expression lowering in `exprlang` both call.
 
-All values are plain floats and every operation is pure, so jets are safe
-to share across threads.
+Jet values are plain floats and every operation is pure, so jets are safe
+to share across threads.  `mul_slots` and `compose_slots` also take
+float64 arrays, one element per point of a grid, since numpy rounds
+`+ - *` as Python does; the tables of f, f', f'' (`FUNCTION_TABLES`,
+`recip_table`, `power_terms`) stay scalar code, which `tabulate` runs at
+each element, so an element carries the bits of a scalar evaluation.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import DivisionByZero, DomainError
 
@@ -64,7 +70,7 @@ class _JetBase:
         return NotImplemented
 
     def _recip(self):
-        return self._compose(*_recip_t(self.v))
+        return self._compose(*recip_table(self.v))
 
     def __pow__(self, other):
         return _pow(self, other)
@@ -253,7 +259,16 @@ def compose_slots(a, f0, f1, f2):
 
 def recip_slots(a):
     """Slots of 1/a; DivisionByZero when a's value is zero."""
-    return compose_slots(a, *_recip_t(a[0]))
+    return compose_slots(a, *recip_table(a[0]))
+
+
+def tabulate(table, values):
+    """`table` (float -> tuple of floats) at each element of a 1-D float64
+    array, as a tuple of arrays.  The table runs as Python scalar code, so
+    each element has the bits of a scalar call, and the first element that
+    raises raises."""
+    return tuple(np.array(column)
+                 for column in zip(*map(table, values.tolist())))
 
 
 class Jet2_3(_JetBase):
@@ -390,22 +405,24 @@ def _pow_const(a, e):
         return type(a).constant(1.0)
     if e == 1.0:
         return a
+    return a._compose(*power_terms(a.v, e))
+
+
+def power_terms(v, e):
+    """(v^e, e v^(e-1), e (e-1) v^(e-2)) for a real exponent e other than
+    0 and 1: integers up to INT_EXP_LIMIT take any base but a zero one when
+    negative, other exponents only a positive base."""
     try:
         if float(e).is_integer() and abs(e) <= INT_EXP_LIMIT:
             n = int(e)
-            if n < 0 and a.v == 0.0:
+            if n < 0 and v == 0.0:
                 raise DivisionByZero("negative power of jet with zero value")
-            v = a.v
-            return a._compose(v ** n, n * v ** (n - 1),
-                              n * (n - 1) * v ** (n - 2))
-        if a.v <= 0.0:
-            raise DomainError(
-                f"fractional power of non-positive base {a.v!r}")
-        v = a.v
-        return a._compose(v ** e, e * v ** (e - 1.0),
-                          e * (e - 1.0) * v ** (e - 2.0))
+            return v ** n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2)
+        if v <= 0.0:
+            raise DomainError(f"fractional power of non-positive base {v!r}")
+        return v ** e, e * v ** (e - 1.0), e * (e - 1.0) * v ** (e - 2.0)
     except OverflowError:
-        raise DomainError(f"power {a.v!r}**{e!r} overflows") from None
+        raise DomainError(f"power {v!r}**{e!r} overflows") from None
 
 
 def _pow(a, b):
@@ -428,7 +445,7 @@ def _pow_base_const(c, b):
 
 
 # f -> (f, f', f'') value tables for the second-order chain rule
-def _recip_t(v):
+def recip_table(v):
     if v == 0.0:
         raise DivisionByZero("jet divided by jet with zero value")
     w = 1.0 / v
@@ -479,7 +496,12 @@ def _sqrt_t(v):
     if v <= 0.0:
         raise DomainError(f"sqrt of non-positive value {v!r}")
     s = math.sqrt(v)
-    return s, 0.5 / s, -0.25 / (v * s)
+    vs = v * s
+    if vs == 0.0:
+        # v below about 2e-216: v * s underflows to 0, so -0.25 / (v s)
+        # is beyond the float range
+        raise DomainError(f"sqrt second derivative overflows at {v!r}")
+    return s, 0.5 / s, -0.25 / vs
 
 
 def _atan_t(v):
@@ -487,33 +509,36 @@ def _atan_t(v):
     return math.atan(v), w, -2.0 * v * w * w
 
 
-FUNCTION_TABLES = {
-    "sin": _sin_t,
-    "cos": _cos_t,
-    "tan": _tan_t,
-    "sinh": _sinh_t,
-    "cosh": _cosh_t,
-    "tanh": _tanh_t,
-    "exp": _exp_t,
-    "log": _log_t,
-    "sqrt": _sqrt_t,
-    "atan": _atan_t,
-}
+def _overflow_checked(name, table):
+    def checked(v):
+        try:
+            return table(v)
+        except OverflowError:
+            raise DomainError(f"{name} overflows at this argument") from None
+    return checked
 
 
-def function_table(name, v):
-    """(f, f', f'') of a named elementary function at the float v."""
-    try:
-        return FUNCTION_TABLES[name](v)
-    except OverflowError:
-        raise DomainError(f"{name} overflows at this argument") from None
+# name -> the table v -> (f, f', f'') of the elementary function at a float,
+# with overflow raised as DomainError
+FUNCTION_TABLES = {name: _overflow_checked(name, table) for name, table in (
+    ("sin", _sin_t),
+    ("cos", _cos_t),
+    ("tan", _tan_t),
+    ("sinh", _sinh_t),
+    ("cosh", _cosh_t),
+    ("tanh", _tanh_t),
+    ("exp", _exp_t),
+    ("log", _log_t),
+    ("sqrt", _sqrt_t),
+    ("atan", _atan_t),
+)}
 
 
 def apply_function(name, x):
     """Apply a named elementary function to a jet or a plain float."""
     if is_jet(x):
-        return x._compose(*function_table(name, x.v))
-    return function_table(name, float(x))[0]
+        return x._compose(*FUNCTION_TABLES[name](x.v))
+    return FUNCTION_TABLES[name](float(x))[0]
 
 
 def sin(x):

@@ -8,7 +8,9 @@ the normal map onto the auxiliary unit sphere.
 
 Each per-point quantity is computed from one `embedding_jets` result by a
 `*_from_jets` or `*_from_forms` function; the public per-point functions
-evaluate the embedding once and delegate to them.
+evaluate the embedding once and delegate to them.  `surface_grid` is the
+same kernel over a whole grid at once, on float64 arrays with one element
+per point, bit for bit the per-point values.
 
 Orientation convention: parametric normal is (x_p x x_q) / |x_p x x_q|;
 graph surfaces use the normal with positive third component.  Gaussian
@@ -19,10 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
+from numpy import ndarray
 
 from . import exprlang, jets
-from .errors import (DegenerateAngle, DegenerateParametrization, NotOnSurface,
-                     SingularGradient)
+from .errors import (EVALUATION_ERRORS, DegenerateAngle,
+                     DegenerateParametrization, NotOnSurface, SingularGradient)
 
 EPS_REG = 1e-12
 UMBILIC_REL_TOL = 1e-8
@@ -133,6 +139,34 @@ class PrincipalCurvatures:
         return 0.5 * (self.k_min + self.k_max)
 
 
+class GridJet(NamedTuple):
+    """A bivariate 2-jet over a grid: each slot a float64 array with one
+    element per point; it reads like `jets.Jet2_2`."""
+    v: ndarray
+    du: ndarray
+    dv: ndarray
+    duu: ndarray
+    duv: ndarray
+    dvv: ndarray
+
+
+class SurfaceGrid(NamedTuple):
+    """The per-point kernel's columns over a grid, float64 arrays with one
+    element per point: position, unit normal, first form (its fields are
+    arrays), parametric curvature and the principal curvatures."""
+    x: ndarray
+    y: ndarray
+    z: ndarray
+    X: ndarray
+    Y: ndarray
+    Z: ndarray
+    fff: FirstFundamentalForm
+    kappa: ndarray
+    k_min: ndarray
+    k_max: ndarray
+    mean: ndarray
+
+
 def embedding_jets(surface, p, q):
     """2-jets of the three embedding components at (p, q); a graph z = f(x, y)
     is embedded as (p, q, f(p, q))."""
@@ -145,14 +179,17 @@ def embedding_jets(surface, p, q):
     raise TypeError(f"cannot view {type(surface).__name__} as parametric")
 
 
-def normal_from_jets(xj, yj, zj):
-    """Normal data from the embedding's 2-jets."""
+def _cross(xj, yj, zj):
+    """x_p x x_q from the embedding's 2-jets, floats or arrays."""
     a, a1 = xj.du, xj.dv
     b, b1 = yj.du, yj.dv
     c, c1 = zj.du, zj.dv
-    A = b * c1 - c * b1
-    B = c * a1 - a * c1
-    C = a * b1 - b * a1
+    return b * c1 - c * b1, c * a1 - a * c1, a * b1 - b * a1
+
+
+def normal_from_jets(xj, yj, zj):
+    """Normal data from the embedding's 2-jets."""
+    A, B, C = _cross(xj, yj, zj)
     delta = math.sqrt(A * A + B * B + C * C)
     if delta < EPS_REG:
         raise DegenerateParametrization(
@@ -183,14 +220,21 @@ def first_fundamental_form(surface, p, q):
 
 def fff_from_jets(xj, yj, zj):
     """First fundamental form from the embedding's 2-jets."""
-    comps = (xj, yj, zj)
-    E = sum(c.du * c.du for c in comps)
-    F = sum(c.du * c.dv for c in comps)
-    G = sum(c.dv * c.dv for c in comps)
+    fff = _first_form(xj, yj, zj)
+    E, F, G = fff.E, fff.F, fff.G
     if E <= 0.0 or G <= 0.0 or E * G - F * F <= EPS_REG:
         raise DegenerateParametrization(
             f"first fundamental form not positive definite: "
             f"E={E!r}, F={F!r}, G={G!r}")
+    return fff
+
+
+def _first_form(xj, yj, zj):
+    """E, F, G and their partials, floats or arrays, unchecked."""
+    comps = (xj, yj, zj)
+    E = sum(c.du * c.du for c in comps)
+    F = sum(c.du * c.dv for c in comps)
+    G = sum(c.dv * c.dv for c in comps)
     E_p = 2.0 * sum(c.du * c.duu for c in comps)
     E_q = 2.0 * sum(c.du * c.duv for c in comps)
     F_p = sum(c.duu * c.dv + c.du * c.duv for c in comps)
@@ -295,9 +339,9 @@ def principal_curvatures(surface, p, q):
     return principal_from_forms(fff, nd, second_order_from_jets(comps, nd))
 
 
-def principal_from_forms(fff, nd, so):
-    """Principal curvatures from the first form, normal and second-order
-    scalars."""
+def principal_values(fff, nd, so):
+    """(k_min, k_max) from the first form, normal and second-order scalars,
+    without their directions; floats, or arrays over a grid."""
     e = so.D / nd.delta
     f = so.D1 / nd.delta
     g = so.D2 / nd.delta
@@ -305,11 +349,24 @@ def principal_from_forms(fff, nd, so):
     disc = E * G - F * F
     mean = (e * G - 2.0 * f * F + g * E) / (2.0 * disc)
     gauss = (e * g - f * f) / disc
-    radic = max(mean * mean - gauss, 0.0)
-    root = math.sqrt(radic)
-    k_min, k_max = mean - root, mean + root
+    radic = mean * mean - gauss
+    if type(radic) is ndarray:
+        root = np.sqrt(np.maximum(radic, 0.0))
+    else:
+        root = math.sqrt(max(radic, 0.0))
+    return mean - root, mean + root
+
+
+def principal_from_forms(fff, nd, so):
+    """Principal curvatures from the first form, normal and second-order
+    scalars."""
+    k_min, k_max = principal_values(fff, nd, so)
     if abs(k_max - k_min) <= UMBILIC_REL_TOL * (1.0 + abs(k_max)):
         return PrincipalCurvatures(k_min, k_max, None, None, True)
+    e = so.D / nd.delta
+    f = so.D1 / nd.delta
+    g = so.D2 / nd.delta
+    E, F, G = fff.E, fff.F, fff.G
 
     def direction(k):
         # null vector of (II - k I); pick the better conditioned row
@@ -323,6 +380,50 @@ def principal_from_forms(fff, nd, so):
 
     return PrincipalCurvatures(k_min, k_max, direction(k_min),
                                direction(k_max), False)
+
+
+def surface_grid(surface, p, q):
+    """The per-point kernel at every point (p[i], q[i]) of two 1-D float64
+    arrays, with one embedding evaluation for all of them.
+
+    Element i of each column holds the bits of the per-point functions at
+    (p[i], q[i]): `embedding_jets`, `normal_from_jets`, `fff_from_jets`,
+    `second_order_from_jets`, `gauss_from_forms` and `principal_values`.
+    Returns None if any of them would raise at some point; the caller then
+    evaluates per point in grid order, so that the first failing point
+    raises its own error.
+    """
+    try:
+        comps = _embedding_columns(surface, p, q)
+    except EVALUATION_ERRORS:
+        return None
+    with np.errstate(all="ignore"):
+        A, B, C = _cross(*comps)
+        delta = np.sqrt(A * A + B * B + C * C)
+        fff = _first_form(*comps)
+        E, F, G = fff.E, fff.F, fff.G
+        # the comparisons of normal_from_jets and fff_from_jets: NaN passes
+        if np.any((delta < EPS_REG) | (E <= 0.0) | (G <= 0.0)
+                  | (E * G - F * F <= EPS_REG)):
+            return None
+        nd = NormalData(A, B, C, delta, A / delta, B / delta, C / delta)
+        so = second_order_from_jets(comps, nd)
+        k_min, k_max = principal_values(fff, nd, so)
+        return SurfaceGrid(comps[0].v, comps[1].v, comps[2].v,
+                           nd.X, nd.Y, nd.Z, fff, gauss_from_forms(fff, so),
+                           k_min, k_max, 0.5 * (k_min + k_max))
+
+
+def _embedding_columns(surface, p, q):
+    """`embedding_jets` over arrays of points, as three GridJets."""
+    if isinstance(surface, GraphSurface):
+        (f,) = surface.lowered(p, q)
+        one, zero = np.ones(p.shape), np.zeros(p.shape)
+        return (GridJet(p, one, zero, zero, zero, zero),
+                GridJet(q, zero, one, zero, zero, zero), GridJet(*f))
+    if isinstance(surface, ParametricSurface):
+        return tuple(GridJet(*slots) for slots in surface.lowered(p, q))
+    raise TypeError(f"cannot view {type(surface).__name__} as parametric")
 
 
 def euler_normal_section(k_min_dirwise, k_max_dirwise, theta):

@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from egregium import catalog, exprlang, surfaces
+from egregium import catalog, cli, exprlang, surfaces
 from egregium.cli import main
+from egregium.errors import NumericError
 
 
 def run_cli(capsys, *argv):
@@ -306,34 +307,36 @@ class TestOutputFormats:
 
 
 class TestSurfaceKernel:
-    """Every surface column comes from one jet evaluation per point, and
-    matches the public per-quantity functions bit for bit."""
+    """Every surface column comes from one grid-kernel call per invocation,
+    with no per-point embedding evaluation, and matches the public
+    per-quantity functions bit for bit."""
 
     @pytest.fixture
-    def embedding_calls(self, monkeypatch):
-        calls = []
-        original = surfaces.embedding_jets
+    def kernel_calls(self, monkeypatch):
+        calls = {"embedding_jets": 0, "surface_grid": 0}
+        for name in calls:
+            original = getattr(surfaces, name)
 
-        def counting(surface, p, q):
-            calls.append((p, q))
-            return original(surface, p, q)
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
 
-        monkeypatch.setattr(surfaces, "embedding_jets", counting)
+            monkeypatch.setattr(surfaces, name, counting)
         return calls
 
-    def test_surface_evaluates_embedding_once_per_point(
-            self, capsys, embedding_calls):
+    def test_surface_evaluates_embedding_once_per_grid(
+            self, capsys, kernel_calls):
         code, _, _ = run_cli(capsys, "surface", "--catalog", "torus",
                              "--grid", "4x5")
         assert code == 0
-        assert len(embedding_calls) == 20
+        assert kernel_calls == {"embedding_jets": 0, "surface_grid": 1}
 
-    def test_egregia_evaluates_embedding_twice_per_point(
-            self, capsys, embedding_calls):
+    def test_egregia_evaluates_embedding_once_per_grid(
+            self, capsys, kernel_calls):
         code, _, _ = run_cli(capsys, "egregia", "--catalog", "torus",
                              "--grid", "4x5")
         assert code == 0
-        assert len(embedding_calls) == 40
+        assert kernel_calls == {"embedding_jets": 0, "surface_grid": 1}
 
     @pytest.mark.parametrize("argv, surface", [
         (("--catalog", "torus"),
@@ -389,3 +392,57 @@ def test_parametric_curve_with_constant_component(capsys):
     for row in csv_rows(out):
         assert float(row["kappa"]) == 0.0
         assert (float(row["Tx"]), float(row["Ty"])) == (0.0, 1.0)
+
+
+class TestNumericContract:
+    """No inf or nan is printed with exit 0, and no traceback or warning
+    reaches stderr."""
+
+    @pytest.mark.parametrize("argv, error", [
+        (("surface", "--graph", "1e200*x*y*1e200", "--grid", "2x2"),
+         "numeric failure: non-finite z=inf at p=-1.0, q=-1.0\n"),
+        (("surface", "--graph", "1e200*x*y*1e200", "--grid", "2x2",
+          "--format", "json"),
+         "numeric failure: non-finite z=inf at p=-1.0, q=-1.0\n"),
+        (("egregia", "--metric", "1,0,1e300*u^2*1e300+1", "--grid", "2x2"),
+         "numeric failure: non-finite kappa_intrinsic=nan at u=-1.0, "
+         "v=-1.0\n"),
+        (("curve", "--graph", "1e300*x^3*1e10", "--n", "3"),
+         "numeric failure: non-finite y=-inf at param=-1.0, x=-1.0\n"),
+    ])
+    def test_non_finite_output_is_a_numeric_failure(self, capsys, argv,
+                                                    error):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (3, "", error)
+
+    def test_non_finite_output_file_is_not_written(self, capsys, tmp_path):
+        target = tmp_path / "out.csv"
+        code, _, _ = run_cli(capsys, "surface", "--graph", "1e200*x*y*1e200",
+                             "--grid", "2x2", "--output", str(target))
+        assert code == 3
+        assert not target.exists()
+
+    def test_non_finite_summary_is_a_numeric_failure(self):
+        rows = [{"u": 0.0, "v": 1.0, "n": "text with inf and nan"}]
+        cli._require_finite(["u", "v", "n"], rows, {"n": 1, "ok": 2.0})
+        with pytest.raises(NumericError,
+                           match=r"^non-finite summary drift=nan$"):
+            cli._require_finite(["u", "v", "n"], rows,
+                                {"drift": math.nan, "n": 1})
+
+    def test_overflowing_grid_leaves_no_warning(self, capsys):
+        code, _, err = run_cli(capsys, "surface", "--graph",
+                               "1e200*x*y*1e200", "--grid", "3x3")
+        assert code == 3
+        assert "Warning" not in err
+        assert err.count("\n") == 1
+
+    def test_sqrt_of_subnormal_is_a_numeric_failure(self, capsys):
+        # the derivative of sqrt(u*1e-320) used to divide by an underflowed
+        # zero and end in a ZeroDivisionError traceback
+        code, out, err = run_cli(capsys, "egregia", "--metric",
+                                 "1,0,sqrt(u*1e-320)+1", "--urange", "0.5:1",
+                                 "--grid", "2x2")
+        assert (code, out) == (3, "")
+        assert err == ("numeric failure: sqrt second derivative overflows "
+                       "at 5e-321\n")

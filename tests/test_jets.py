@@ -1,7 +1,9 @@
 """Jet arithmetic against analytic values and the finite-difference oracle."""
 
 import math
+import struct
 
+import numpy as np
 import pytest
 
 from egregium import jets
@@ -143,6 +145,61 @@ class TestElementaryFunctions:
     def test_plain_float_passthrough(self):
         assert jets.sin(math.pi / 2) == pytest.approx(1.0)
         assert jets.sqrt(4.0) == 2.0
+
+    @pytest.mark.parametrize("v", [5e-321, 1e-300, 1e-217])
+    def test_sqrt_with_underflowing_second_derivative_is_domain_error(
+            self, v):
+        # v * sqrt(v) underflows to 0 below about 2e-216; -0.25 / 0 used
+        # to escape as a bare ZeroDivisionError
+        with pytest.raises(DomainError,
+                           match="sqrt second derivative overflows"):
+            jets.sqrt(jets.Jet2_1.variable(v))
+
+    @pytest.mark.parametrize("v", [3e-216, 1e-210, 1e-5, 0.5, 2.0, 3.0,
+                                   1e300])
+    def test_sqrt_table_keeps_its_formula(self, v):
+        s = math.sqrt(v)
+        want = (s, 0.5 / s, -0.25 / (v * s))
+        assert jets.FUNCTION_TABLES["sqrt"](v) == want
+
+
+def bits(values):
+    return [struct.pack("d", x) for x in values]
+
+
+class TestTabulate:
+    """Tables over float64 arrays run the scalar code at each element."""
+
+    @pytest.mark.parametrize("name", sorted(jets.FUNCTION_TABLES))
+    def test_elements_have_the_bits_of_scalar_calls(self, name):
+        values = [0.25, 0.5, 1.0, 1.5, 2.0, 0.1 + 0.2, 1e-3, 1.3]
+        table = jets.FUNCTION_TABLES[name]
+        columns = jets.tabulate(table, np.array(values))
+        for i, v in enumerate(values):
+            assert bits(column[i] for column in columns) == bits(table(v))
+
+    def test_first_failing_element_raises(self):
+        with pytest.raises(DomainError,
+                           match="log of non-positive value -2.0"):
+            jets.tabulate(jets.FUNCTION_TABLES["log"],
+                          np.array([1.0, -2.0, -3.0]))
+
+    def test_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="exp overflows"):
+            jets.tabulate(jets.FUNCTION_TABLES["exp"], np.array([1.0, 1000.0]))
+
+    def test_reciprocal_of_a_zero_element(self):
+        with pytest.raises(DivisionByZero):
+            jets.tabulate(jets.recip_table, np.array([2.0, 0.0, 4.0]))
+
+    @pytest.mark.parametrize("e", [2.0, 3.0, 7.0, -2.0, -5.0, 2.5, -0.5])
+    def test_power_elements_have_scalar_bits(self, e):
+        values = [0.3, 1.7, 2.0, 1e-3, 9.5]
+        columns = jets.tabulate(lambda v: jets.power_terms(v, e),
+                                np.array(values))
+        for i, v in enumerate(values):
+            assert bits(column[i] for column in columns) == \
+                bits(jets.power_terms(v, e))
 
 
 class TestFdOracle:
