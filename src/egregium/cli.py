@@ -13,11 +13,11 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
-from . import (catalog, curves, exprlang, geodesics, intrinsic, jets, quad,
-               surfaces)
+from . import catalog, curves, exprlang, geodesics, intrinsic, quad, surfaces
 from .errors import InputError, NumericError
 
 CSV_SCHEMA = "# egregium-csv v1"
@@ -35,14 +35,14 @@ _FULL_RANGES = {
     "torus_metric": ((0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi)),
 }
 
+# Grid points one invocation may plan.  The benchmark's largest grid has
+# 4,400 points and the README's examples 10,000.  10^6 points take tens of
+# seconds of surface kernel and several hundred MB of rows and text; a
+# larger grid is refused before any point list is built.
+MAX_GRID_POINTS = 10**6
+
 # charts that degenerate at the ends of their u-range need a cutoff
 _DEFAULT_CUTOFF = {"sphere": 1e-4, "sphere_metric": 1e-4}
-
-
-def _fmt(value):
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
 
 
 # how the CSV writer and json print a non-finite float
@@ -50,19 +50,14 @@ _NONFINITE_TEXT = ("inf", "nan", "Infinity", "NaN")
 
 
 def _emit(args, columns, rows, summary):
-    """Write the rows and summary as CSV or JSON; NumericError, and nothing
-    written, if any of their floats is non-finite."""
-    lines = []
+    """Write the rows (tuples in column order) and summary as CSV or JSON;
+    NumericError, and nothing written, if any of their floats is
+    non-finite."""
     if args.format == "csv":
-        lines.append(CSV_SCHEMA)
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(row[c]) for c in columns))
-        for key in sorted(summary):
-            lines.append(f"# {key}={_fmt(summary[key])}")
-        text = "\n".join(lines) + "\n"
+        text = _csv_text(columns, rows, summary)
     else:
-        payload = {"rows": [dict(r) for r in rows], "summary": summary}
+        payload = {"rows": [dict(zip(columns, row)) for row in rows],
+                   "summary": summary}
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     # scanning the floats costs about a tenth of formatting them, so scan
     # only when the text shows a non-finite spelling (a string may too)
@@ -75,14 +70,34 @@ def _emit(args, columns, rows, summary):
         sys.stdout.write(text)
 
 
+def _csv_text(columns, rows, summary):
+    """The CSV document: a float with 17 significant digits, any other
+    value (names, ints, bools) as str()."""
+    lines = [CSV_SCHEMA, ",".join(columns)]
+    if set(map(type, chain.from_iterable(rows))) == {float}:
+        fmt = _format_for(rows[0])
+        lines += [fmt % row for row in rows]
+    else:
+        lines += [_format_for(row) % row for row in rows]
+    lines += [f"# {key}=" + _format_for((value,)) % (value,)
+              for key, value in sorted(summary.items())]
+    return "\n".join(lines) + "\n"
+
+
+def _format_for(values):
+    """The %-format string that writes the tuple `values` as one CSV row;
+    %.17g and an f-string's .17g share one formatter."""
+    return ",".join("%.17g" if isinstance(value, float) else "%s"
+                    for value in values)
+
+
 def _require_finite(columns, rows, summary):
     """NumericError naming the first non-finite float, in row order and
     then in the summary, with the leading coordinates of its row."""
     for row in rows:
-        for name in columns:
-            value = row[name]
+        for name, value in zip(columns, row):
             if isinstance(value, float) and not math.isfinite(value):
-                at = ", ".join(f"{c}={row[c]!r}" for c in columns[:2])
+                at = ", ".join(f"{c}={v!r}" for c, v in zip(columns[:2], row))
                 raise NumericError(f"non-finite {name}={value!r} at {at}")
     for key in sorted(summary):
         value = summary[key]
@@ -90,8 +105,8 @@ def _require_finite(columns, rows, summary):
             raise NumericError(f"non-finite summary {key}={value!r}")
 
 
-def _grid_rows(points, names, grid, point):
-    """Row dicts over grid points: the two coordinates, then the columns
+def _grid_rows(points, grid, point):
+    """Row tuples over grid points: the two coordinates, then the columns
     `grid(u, v)` returns as arrays over all points at once.  Where `grid`
     returns None, because some point fails, the rows come from
     `point(u, v)` at each point in grid order instead, so that the first
@@ -105,7 +120,7 @@ def _grid_rows(points, names, grid, point):
     # lists of floats first, so the arrays are freed before the rows exist
     values = [column.tolist() for column in columns]
     del columns
-    return [dict(zip(names, row)) for row in zip(us, vs, *values)]
+    return list(zip(us, vs, *values))
 
 
 def _parse_pair(text, what, sep=":"):
@@ -128,6 +143,9 @@ def _parse_grid(text):
         raise InputError(f"non-integer grid {text!r}") from None
     if nu < 2 or nv < 2:
         raise InputError("grid resolution must be at least 2 per axis")
+    if nu * nv > MAX_GRID_POINTS:
+        raise InputError(f"grid {nu}x{nv} has {nu * nv} points, more than "
+                         f"the budget of {MAX_GRID_POINTS}")
     return nu, nv
 
 
@@ -220,18 +238,12 @@ def cmd_curve(args):
             raise InputError("--implicit needs at least one --at x,y point")
         for i, text in enumerate(args.at):
             x, y = _parse_point(text, 2, "--at")
-            kappa = curves.curvature_implicit(curve.w, x, y)
-            wj = exprlang.evaluate(curve.w, {
-                "x": jets.Jet2_2.variable_u(x),
-                "y": jets.Jet2_2.variable_v(y),
-            })
+            # one jet of W feeds both the curvature and the frame
+            wj, grad2, grad_norm, num = curves._implicit_parts(curve.w, x, y)
+            kappa = curves._implicit_curvature(grad2, grad_norm, num)
             norm = math.hypot(wj.du, wj.dv)
-            tangent = (-wj.dv / norm, wj.du / norm)
-            normal = (wj.du / norm, wj.dv / norm)
-            rows.append({"param": float(i), "x": x, "y": y,
-                         "Tx": tangent[0], "Ty": tangent[1],
-                         "Nx": normal[0], "Ny": normal[1],
-                         "kappa": kappa.value})
+            rows.append((float(i), x, y, -wj.dv / norm, wj.du / norm,
+                         wj.du / norm, wj.dv / norm, kappa))
         _emit(args, columns, rows, {"n": len(rows)})
         return
 
@@ -258,20 +270,22 @@ def cmd_curve(args):
         raise InputError(f"--n must be at least 1, got {n}")
     for i in range(n):
         t = lo + (hi - lo) * i / (n - 1) if n > 1 else lo
+        # one jet per expression feeds both the frame and the curvature;
+        # x and y are printed from float evaluations, whose bits a jet's
+        # value slot does not always share (jet / c multiplies by 1 / c)
         if isinstance(curve, curves.GraphCurve):
-            frame = curves.frame_graph(curve.f, t)
-            kappa = curves.curvature_graph(curve.f, t)
-            y = exprlang.evaluate(curve.f, {"x": t})
-            point = (t, y)
+            fj = curves._graph_jet(curve.f, t)
+            frame = curves._graph_frame(fj)
+            kappa = curves._graph_curvature(fj)
+            point = (t, exprlang.evaluate(curve.f, {"x": t}))
         else:
-            kappa = curves.curvature_parametric(curve.x, curve.y, t)
-            frame = curves.frame_parametric(curve.x, curve.y, t)
+            xj, yj = curves._param_jets(curve.x, curve.y, t)
+            kappa = curves._param_curvature(xj, yj, t)
+            frame = curves._param_frame(xj, yj, t)
             point = (exprlang.evaluate(curve.x, {"t": t}),
                      exprlang.evaluate(curve.y, {"t": t}))
-        rows.append({"param": t, "x": point[0], "y": point[1],
-                     "Tx": frame.T[0], "Ty": frame.T[1],
-                     "Nx": frame.N[0], "Ny": frame.N[1],
-                     "kappa": kappa.value})
+        rows.append((t, point[0], point[1], frame.T[0], frame.T[1],
+                     frame.N[0], frame.N[1], kappa))
     _emit(args, columns, rows, {"n": len(rows)})
 
 
@@ -290,7 +304,7 @@ def cmd_surface(args):
                 sg.fff.G, sg.kappa, sg.k_min, sg.k_max, sg.mean)
 
     rows = _grid_rows(intrinsic.grid_points(u_range, v_range, nu, nv),
-                      columns, grid, lambda p, q: _surface_row(surface, p, q))
+                      grid, lambda p, q: _surface_row(surface, p, q))
     _emit(args, columns, rows, {"n": len(rows)})
 
 
@@ -302,11 +316,9 @@ def _surface_row(surface, p, q):
     so = surfaces.second_order_from_jets(comps, nd)
     k_min, k_max = surfaces.principal_values(fff, nd, so)
     xj, yj, zj = comps
-    return {"p": p, "q": q, "x": xj.v, "y": yj.v, "z": zj.v,
-            "X": nd.X, "Y": nd.Y, "Z": nd.Z,
-            "E": fff.E, "F": fff.F, "G": fff.G,
-            "kappa": surfaces.gauss_from_forms(fff, so),
-            "k_min": k_min, "k_max": k_max, "mean": 0.5 * (k_min + k_max)}
+    return (p, q, xj.v, yj.v, zj.v, nd.X, nd.Y, nd.Z, fff.E, fff.F, fff.G,
+            surfaces.gauss_from_forms(fff, so), k_min, k_max,
+            0.5 * (k_min + k_max))
 
 
 def cmd_egregia(args):
@@ -338,23 +350,21 @@ def cmd_egregia(args):
         return k_int, sg.kappa, np.abs(k_int - sg.kappa)
 
     rows = _grid_rows(intrinsic.grid_points(u_range, v_range, nu, nv),
-                      columns, grid,
-                      lambda u, v: _egregia_row(metric, surface, u, v))
+                      grid, lambda u, v: _egregia_row(metric, surface, u, v))
     summary = {"n": len(rows)}
     if surface is not None:
-        summary["max_defect"] = max([0.0] + [row["defect"] for row in rows])
+        # the defect is the last column
+        summary["max_defect"] = max([0.0] + [row[-1] for row in rows])
     _emit(args, columns, rows, summary)
 
 
 def _egregia_row(metric, surface, u, v):
     """One `egregia` row from the per-point functions."""
     k_int = intrinsic.formula_egregia(metric, u, v)
-    row = {"u": u, "v": v, "kappa_intrinsic": k_int}
-    if surface is not None:
-        k_ext = surfaces.gauss_curvature_parametric(surface, u, v)
-        row["kappa_extrinsic"] = k_ext
-        row["defect"] = abs(k_int - k_ext)
-    return row
+    if surface is None:
+        return u, v, k_int
+    k_ext = surfaces.gauss_curvature_parametric(surface, u, v)
+    return u, v, k_int, k_ext, abs(k_int - k_ext)
 
 
 def _require_positive(value, name):
@@ -373,11 +383,10 @@ def cmd_flatness(args):
         mj = metric.grid(u, v)
         return None if mj is None else (intrinsic.residual_from_metric(mj),)
 
-    rows = _grid_rows(intrinsic.grid_points(u_range, v_range, nu, nv),
-                      ["u", "v", "residual"], grid,
-                      lambda u, v: {"u": u, "v": v, "residual":
-                                    intrinsic.flatness_residual(metric, u, v)})
-    worst = max([0.0] + [abs(row["residual"]) for row in rows])
+    rows = _grid_rows(intrinsic.grid_points(u_range, v_range, nu, nv), grid,
+                      lambda u, v: (u, v,
+                                    intrinsic.flatness_residual(metric, u, v)))
+    worst = max([0.0] + [abs(row[2]) for row in rows])
     verdict = "FLAT" if worst <= args.tol else "NOT FLAT"
     _emit(args, ["u", "v", "residual"], rows,
           {"max_residual": worst, "verdict": verdict})
@@ -395,7 +404,7 @@ def cmd_gaussbonnet(args):
     result = quad.integrate(
         metric, lambda u, v: intrinsic.formula_egregia(metric, u, v),
         region, order=args.order)
-    rows = [{"total": result.value, "error": result.error}]
+    rows = [(result.value, result.error)]
     _emit(args, ["total", "error"], rows,
           {"total": result.value, "error": result.error})
 
@@ -410,7 +419,7 @@ def cmd_triangle(args):
     va, vb, vc = (_parse_point(p, 2, "vertex") for p in parts)
     triangle = geodesics.build_triangle(metric, va, vb, vc, tol=args.tol)
     excess, integral = geodesics.excess_from_triangle(metric, triangle)
-    rows = [{"vertex_u": vert[0], "vertex_v": vert[1], "angle": ang}
+    rows = [(vert[0], vert[1], ang)
             for vert, ang in zip(triangle.vertices, triangle.angles)]
     _emit(args, ["vertex_u", "vertex_v", "angle"], rows,
           {"excess": excess, "integral": integral,
@@ -427,8 +436,7 @@ def cmd_geodesic(args):
     rows = []
     for i in range(0, len(path.states), stride):
         st = path.states[i]
-        rows.append({"s": path.s[i], "u": st.u, "v": st.v,
-                     "pu": st.pu, "pv": st.pv})
+        rows.append((path.s[i], st.u, st.v, st.pu, st.pv))
     drift = geodesics.energy_drift(metric, path)
     _emit(args, ["s", "u", "v", "pu", "pv"], rows,
           {"energy_drift": drift, "n_steps": len(path.states) - 1})
@@ -439,8 +447,7 @@ def cmd_catalog(args):
     for name in sorted(catalog.ENTRIES):
         entry = catalog.ENTRIES[name]
         params = " ".join(f"{k}={v}" for k, v in sorted(entry.params.items()))
-        rows.append({"name": name, "kind": entry.kind,
-                     "params": params or "-", "kappa": entry.kappa_note})
+        rows.append((name, entry.kind, params or "-", entry.kappa_note))
     _emit(args, ["name", "kind", "params", "kappa"], rows, {"n": len(rows)})
 
 
@@ -461,14 +468,12 @@ def _add_input_flags(parser, metric=False):
         parser.add_argument(f"--{name}", type=float, default=None)
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="egregium",
-        description="curvature engine for plane curves, embedded surfaces "
-                    "and intrinsic metrics")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_range_flags(parser):
+    parser.add_argument("--urange", "--prange", dest="urange", default=None)
+    parser.add_argument("--vrange", "--qrange", dest="vrange", default=None)
 
-    p = sub.add_parser("curve", help="tangent, normal and curvature along a curve")
+
+def _curve_flags(p):
     p.add_argument("--catalog", default=None)
     p.add_argument("--graph", default=None)
     p.add_argument("--parametric", nargs=2, default=None, metavar=("X", "Y"))
@@ -479,65 +484,91 @@ def build_parser():
     p.add_argument("--n", type=int, default=50)
     for name in _PARAM_FLAGS:
         p.add_argument(f"--{name}", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_curve)
 
-    p = sub.add_parser("surface", help="normals, metric and curvatures on a grid")
-    _add_input_flags(p)
-    p.add_argument("--grid", default="10x10")
-    p.add_argument("--urange", "--prange", dest="urange", default=None)
-    p.add_argument("--vrange", "--qrange", dest="vrange", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_surface)
 
-    p = sub.add_parser("egregia", help="intrinsic curvature from E, F, G")
-    _add_input_flags(p, metric=True)
+def _grid_flags(p, metric=True):
+    _add_input_flags(p, metric)
     p.add_argument("--grid", default="10x10")
-    p.add_argument("--urange", "--prange", dest="urange", default=None)
-    p.add_argument("--vrange", "--qrange", dest="vrange", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_egregia)
+    _add_range_flags(p)
 
-    p = sub.add_parser("flatness", help="local-flatness residual and verdict")
-    _add_input_flags(p, metric=True)
-    p.add_argument("--grid", default="10x10")
-    p.add_argument("--urange", "--prange", dest="urange", default=None)
-    p.add_argument("--vrange", "--qrange", dest="vrange", default=None)
+
+def _flatness_flags(p):
+    _grid_flags(p)
     p.add_argument("--tol", type=float, default=1e-8)
-    _add_common(p)
-    p.set_defaults(func=cmd_flatness)
 
-    p = sub.add_parser("gaussbonnet", help="total curvature over a region")
+
+def _gaussbonnet_flags(p):
     _add_input_flags(p, metric=True)
-    p.add_argument("--urange", "--prange", dest="urange", default=None)
-    p.add_argument("--vrange", "--qrange", dest="vrange", default=None)
+    _add_range_flags(p)
     p.add_argument("--order", type=int, default=48)
     p.add_argument("--pole-cutoff", type=float, default=None,
                    help="shrink the u-range ends; defaults per catalog entry")
-    _add_common(p)
-    p.set_defaults(func=cmd_gaussbonnet)
 
-    p = sub.add_parser("triangle", help="geodesic triangle angle excess")
+
+def _triangle_flags(p):
     _add_input_flags(p, metric=True)
     p.add_argument("--vertices", required=True,
                    help="u1,v1;u2,v2;u3,v3")
     p.add_argument("--tol", type=float, default=1e-6)
-    _add_common(p)
-    p.set_defaults(func=cmd_triangle)
 
-    p = sub.add_parser("geodesic", help="integrate a geodesic")
+
+def _geodesic_flags(p):
     _add_input_flags(p, metric=True)
     p.add_argument("--start", required=True, help="u,v,pu,pv")
     p.add_argument("--length", type=float, default=1.0)
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--max-rows", type=int, default=200)
-    _add_common(p)
-    p.set_defaults(func=cmd_geodesic)
 
-    p = sub.add_parser("catalog", help="list catalog entries")
-    _add_common(p)
-    p.set_defaults(func=cmd_catalog)
 
+# subcommand -> (help line, flags before --format/--output, handler), in
+# the order the help lists them
+_COMMANDS = {
+    "curve": ("tangent, normal and curvature along a curve", _curve_flags,
+              cmd_curve),
+    "surface": ("normals, metric and curvatures on a grid",
+                lambda p: _grid_flags(p, metric=False), cmd_surface),
+    "egregia": ("intrinsic curvature from E, F, G", _grid_flags, cmd_egregia),
+    "flatness": ("local-flatness residual and verdict", _flatness_flags,
+                 cmd_flatness),
+    "gaussbonnet": ("total curvature over a region", _gaussbonnet_flags,
+                    cmd_gaussbonnet),
+    "triangle": ("geodesic triangle angle excess", _triangle_flags,
+                 cmd_triangle),
+    "geodesic": ("integrate a geodesic", _geodesic_flags, cmd_geodesic),
+    "catalog": ("list catalog entries", lambda p: None, cmd_catalog),
+}
+
+
+class _ParseError(Exception):
+    """An argparse error met by a single-subcommand parser."""
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """Raises _ParseError where argparse would print usage and exit, so the
+    caller can let the full parser report the error; `add_subparsers`
+    gives the subcommand parsers this class too."""
+
+    def error(self, message):
+        raise _ParseError(message)
+
+
+def build_parser(command=None):
+    """The argument parser with every subcommand, or with `command` given,
+    a _SubcommandParser that holds only that subcommand.  Every
+    `add_argument` constructs an argparse HelpFormatter: all eight
+    subcommands take about 3.5 ms to build, one about 0.5 ms."""
+    cls = argparse.ArgumentParser if command is None else _SubcommandParser
+    parser = cls(
+        prog="egregium",
+        description="curvature engine for plane curves, embedded surfaces "
+                    "and intrinsic metrics")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags, handler) in _COMMANDS.items():
+        if command is None or name == command:
+            p = sub.add_parser(name, help=help_text)
+            add_flags(p)
+            _add_common(p)
+            p.set_defaults(func=handler)
     return parser
 
 
@@ -558,9 +589,18 @@ def _merge_value_flags(argv):
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(_merge_value_flags(argv))
+    argv = _merge_value_flags(sys.argv[1:] if argv is None else list(argv))
+    args = None
+    if (argv and argv[0] in _COMMANDS and "-h" not in argv
+            and "--help" not in argv):
+        try:
+            args = build_parser(argv[0]).parse_args(argv)
+        except _ParseError:
+            pass  # the full parser prints the usage and message, exit 2
+    if args is None:
+        # help, and every error, come from the full parser, so their text
+        # lists every subcommand
+        args = build_parser().parse_args(argv)
     try:
         args.func(args)
     except (InputError, ValueError) as exc:

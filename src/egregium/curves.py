@@ -95,14 +95,20 @@ def arc_length(curve, x1, x2, order=8, panels=8):
 
 def frame_graph(f, x):
     """Unit tangent (1, f') and normal (-f', 1), both normalized."""
-    fj = _graph_jet(f, x)
+    return _graph_frame(_graph_jet(f, x))
+
+
+def _graph_frame(fj):
     s = math.sqrt(1.0 + fj.d1 * fj.d1)
     return UnitFrame((1.0 / s, fj.d1 / s), (-fj.d1 / s, 1.0 / s))
 
 
 def frame_parametric(x_ast, y_ast, t):
     """Unit tangent along increasing t, with N the tangent rotated +pi/2."""
-    xj, yj = _param_jets(x_ast, y_ast, t)
+    return _param_frame(*_param_jets(x_ast, y_ast, t), t)
+
+
+def _param_frame(xj, yj, t):
     speed = math.hypot(xj.d1, yj.d1)
     if speed < EPS_REG:
         raise SingularPoint(f"velocity vanishes at t={t!r}")
@@ -154,7 +160,12 @@ def curvature_implicit(w, x, y):
     """|c| = |W_xx W_y^2 - 2 W_xy W_x W_y + W_yy W_x^2| / |grad W|^3
     at an on-curve regular point."""
     _, grad2, grad_norm, num = _implicit_parts(w, x, y)
-    return SignedCurvature(abs(num) / (grad2 * grad_norm), GRADIENT_SIDE)
+    return SignedCurvature(_implicit_curvature(grad2, grad_norm, num),
+                           GRADIENT_SIDE)
+
+
+def _implicit_curvature(grad2, grad_norm, num):
+    return abs(num) / (grad2 * grad_norm)
 
 
 def menger_curvature(p1, p2, p3):

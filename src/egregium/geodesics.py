@@ -13,9 +13,15 @@ import math
 from dataclasses import dataclass
 
 from . import exprlang, intrinsic, quad, surfaces
-from .errors import NoConvergence, NotRevolution, RegionNotSimple, StepTooLarge
+from .errors import (InputError, NoConvergence, NotRevolution,
+                     RegionNotSimple, StepTooLarge)
 
 ENERGY_DRIFT_LIMIT = 1e-4
+
+# RK4 steps one integration may plan.  The benchmark's longest geodesic
+# takes 1,800 steps; 10^6 steps are about a minute of integration and keep
+# every state in memory, so a longer plan is refused before it starts.
+MAX_GEODESIC_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -103,6 +109,9 @@ def integrate_geodesic(metric, start, length, step):
     arclength; metric speed is conserved along the way (guarded)."""
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step!r}")
+    if abs(length) / step > MAX_GEODESIC_STEPS:
+        raise InputError(f"length {length!r} at step {step!r} needs more "
+                         f"than the budget of {MAX_GEODESIC_STEPS} steps")
     speed0 = math.sqrt(_metric_speed2(metric, start.u, start.v,
                                       start.pu, start.pv))
     if speed0 <= 0.0:

@@ -28,7 +28,8 @@ from numpy import ndarray
 
 from . import exprlang, jets
 from .errors import (EVALUATION_ERRORS, DegenerateAngle,
-                     DegenerateParametrization, NotOnSurface, SingularGradient)
+                     DegenerateParametrization, DomainError, NotOnSurface,
+                     SingularGradient)
 
 EPS_REG = 1e-12
 UMBILIC_REL_TOL = 1e-8
@@ -374,8 +375,13 @@ def principal_from_forms(fff, nd, so):
         r2 = (f - k * F, g - k * G)
         row = r1 if math.hypot(*r1) >= math.hypot(*r2) else r2
         vec = (-row[1], row[0])
-        norm = math.sqrt(E * vec[0] ** 2 + 2.0 * F * vec[0] * vec[1]
-                         + G * vec[1] ** 2)
+        try:
+            norm = math.sqrt(E * vec[0] ** 2 + 2.0 * F * vec[0] * vec[1]
+                             + G * vec[1] ** 2)
+        except OverflowError:
+            # float ** raises where * would give inf
+            raise DomainError(f"principal direction for k={k!r} overflows "
+                              f"in the first form") from None
         return (vec[0] / norm, vec[1] / norm)
 
     return PrincipalCurvatures(k_min, k_max, direction(k_min),

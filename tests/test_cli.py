@@ -3,9 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from egregium import catalog, cli, exprlang, surfaces
+from egregium import catalog, cli, exprlang, intrinsic, surfaces
 from egregium.cli import main
 from egregium.errors import NumericError
 
@@ -423,7 +426,7 @@ class TestNumericContract:
         assert not target.exists()
 
     def test_non_finite_summary_is_a_numeric_failure(self):
-        rows = [{"u": 0.0, "v": 1.0, "n": "text with inf and nan"}]
+        rows = [(0.0, 1.0, "text with inf and nan")]
         cli._require_finite(["u", "v", "n"], rows, {"n": 1, "ok": 2.0})
         with pytest.raises(NumericError,
                            match=r"^non-finite summary drift=nan$"):
@@ -446,3 +449,204 @@ class TestNumericContract:
         assert (code, out) == (3, "")
         assert err == ("numeric failure: sqrt second derivative overflows "
                        "at 5e-321\n")
+
+
+def _outcome(capsys, parse, argv):
+    """(exit code, stdout, stderr) of `parse(argv)`, which may exit."""
+    try:
+        code = parse(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParser:
+    """`main` builds only the selected subcommand's flags; help and every
+    argparse error still come from the full parser, byte for byte."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("argv", [
+        ("--help",),
+        *[(name, "--help") for name in ("curve", "surface", "egregia",
+                                        "flatness", "gaussbonnet",
+                                        "triangle", "geodesic", "catalog")],
+        ("curve", "--he"),
+        (),
+        ("klein",),
+        ("--format", "csv", "curve"),
+        ("triangle", "--catalog", "flat"),
+        ("curve", "--n", "x"),
+        ("curve", "--format", "xml"),
+        ("curve", "--graph", "x^2", "extra"),
+        ("curve", "--graph", "-h"),
+        ("egregia", "--parametric", "p", "q"),
+    ])
+    def test_help_and_errors_match_the_full_parser(self, capsys, argv):
+        expected = _outcome(capsys, cli.build_parser().parse_args, argv)
+        assert expected[0] in (0, 2)
+        assert _outcome(capsys, main, argv) == expected
+
+    def test_unrecognized_argument_lists_every_subcommand(self, capsys):
+        code, out, err = _outcome(capsys, main,
+                                  ("curve", "--graph", "x^2", "extra"))
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: egregium [-h]")
+        assert ("{curve,surface,egregia,flatness,gaussbonnet,triangle,"
+                "geodesic,catalog}") in err
+        assert err.endswith("error: unrecognized arguments: extra\n")
+
+    def test_abbreviated_flag_parses_as_in_the_full_parser(self, capsys):
+        argv = ["curve", "--cat", "circle2", "--n", "3"]
+        assert (vars(cli.build_parser("curve").parse_args(argv))
+                == vars(cli.build_parser().parse_args(argv)))
+        assert (_outcome(capsys, main, argv)
+                == _outcome(capsys, main, ["curve", "--catalog", "circle2",
+                                           "--n", "3"]))
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        commands = []
+        build = cli.build_parser
+
+        def recording(command=None):
+            commands.append(command)
+            return build(command)
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        return commands
+
+    def test_a_run_builds_only_its_subcommand(self, capsys, built):
+        code, _, _ = run_cli(capsys, "flatness", "--catalog", "flat",
+                             "--grid", "2x2")
+        assert code == 0
+        assert built == ["flatness"]
+        with pytest.raises(cli._ParseError, match="invalid choice: 'curve'"):
+            cli.build_parser("flatness").parse_args(["curve"])
+
+    def test_an_error_is_reported_by_the_full_parser(self, capsys, built):
+        code, _, err = _outcome(capsys, main, ["curve", "--n", "x"])
+        assert code == 2
+        assert "invalid int value: 'x'" in err
+        assert built == ["curve", None]
+
+
+def _fmt(value):
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def _csv_oracle(columns, rows, summary):
+    """The CSV writer as it was: one f-string or str() per value."""
+    lines = [cli.CSV_SCHEMA, ",".join(columns)]
+    lines += [",".join(_fmt(value) for value in row) for row in rows]
+    lines += [f"# {key}={_fmt(summary[key])}" for key in sorted(summary)]
+    return "\n".join(lines) + "\n"
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072e-308,
+                                1e308, -1e308, 1.7976931348623157e308,
+                                math.inf, -math.inf, math.nan, 0.1, 1e16,
+                                123456789012345680.0])
+_FLOATS = st.one_of(st.floats(), _EDGE_FLOATS)
+_VALUES = st.one_of(_FLOATS, _FLOATS.map(np.float64),
+                    st.integers(min_value=-10**40, max_value=10**40),
+                    st.sampled_from([10**17 + 1, -(2**63), 2**64]),
+                    st.booleans(), st.text(max_size=8),
+                    st.sampled_from(["FLAT", "NOT FLAT", "r=1 a=2", "%s",
+                                     "%.17g", "-"]))
+
+
+@st.composite
+def _tables(draw):
+    width = draw(st.integers(1, 6))
+    values = _FLOATS if draw(st.booleans()) else _VALUES
+    rows = draw(st.lists(st.tuples(*[values] * width), max_size=6))
+    summary = draw(st.dictionaries(st.text("abcdefgh_", min_size=1,
+                                           max_size=6), _VALUES, max_size=3))
+    return [f"c{i}" for i in range(width)], rows, summary
+
+
+@given(_tables())
+def test_csv_text_matches_per_value_formatting(table):
+    assert cli._csv_text(*table) == _csv_oracle(*table)
+
+
+class TestCurveEvaluations:
+    """The frame and the curvature of a curve point share one jet per
+    expression; x and y come from float evaluations."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        calls = []
+        evaluate = exprlang.evaluate
+
+        def counting(ast, bindings):
+            calls.append(ast)
+            return evaluate(ast, bindings)
+
+        monkeypatch.setattr(exprlang, "evaluate", counting)
+        return calls
+
+    @pytest.mark.parametrize("argv, per_point", [
+        (("--graph", "x^3 - x", "--n", "5"), 2),
+        (("--parametric", "2*cos(t)", "sin(t)", "--n", "5"), 4),
+        (("--implicit", "x^2 + y^2 - 4", "--at", "2,0", "--at", "0,2",
+          "--at", "-2,0", "--at", "0,-2", "--at", "1.2,1.6"), 1),
+    ])
+    def test_evaluations_per_point(self, capsys, evaluations, argv,
+                                   per_point):
+        code, out, err = run_cli(capsys, "curve", *argv)
+        assert code == 0, err
+        assert len(csv_rows(out)) == 5
+        assert len(evaluations) == 5 * per_point
+
+    @pytest.mark.parametrize("argv, error", [
+        (("--parametric", "t^2", "t^3", "--range", "0:1", "--n", "3"),
+         "numeric failure: velocity vanishes at t=0.0\n"),
+        (("--implicit", "x^2 + y^2", "--at", "0,0"),
+         "numeric failure: gradient vanishes at (0.0, 0.0)\n"),
+    ])
+    def test_singular_points_keep_their_messages(self, capsys, argv, error):
+        assert run_cli(capsys, "curve", *argv) == (3, "", error)
+
+
+class TestWorkBudgets:
+    """Planned work beyond a budget is bad input, refused before any of it
+    runs."""
+
+    def test_geodesic_step_budget(self, capsys, monkeypatch):
+        from egregium import geodesics
+
+        def no_step(*args):
+            raise AssertionError("integrated past the step budget")
+
+        monkeypatch.setattr(geodesics, "_rk4_step", no_step)
+        code, out, err = run_cli(capsys, "geodesic", "--catalog",
+                                 "sphere_metric", "--start", "1.5,0,0,1",
+                                 "--length", "1e12", "--step", "1e-9")
+        assert (code, out) == (2, "")
+        assert err == ("error: length 1000000000000.0 at step 1e-09 needs "
+                       "more than the budget of 1000000 steps\n")
+
+    def test_grid_budget(self, capsys, monkeypatch):
+        def no_points(*args):
+            raise AssertionError("built the points of a grid past the budget")
+
+        monkeypatch.setattr(intrinsic, "grid_points", no_points)
+        for command in ("surface", "egregia", "flatness"):
+            code, out, err = run_cli(capsys, command, "--catalog", "plane"
+                                     if command == "surface" else "flat",
+                                     "--grid", "100000x100000")
+            assert (code, out) == (2, "")
+            assert err == ("error: grid 100000x100000 has 10000000000 "
+                           "points, more than the budget of 1000000\n")
+
+    def test_grid_budget_boundary(self):
+        assert cli._parse_grid("1000x1000") == (1000, 1000)
+        with pytest.raises(cli.InputError, match="budget"):
+            cli._parse_grid("1000x1001")

@@ -6,7 +6,8 @@ import math
 import pytest
 
 from egregium import geodesics, intrinsic, surfaces
-from egregium.errors import NoConvergence, NotRevolution, StepTooLarge
+from egregium.errors import (InputError, NoConvergence, NotRevolution,
+                             StepTooLarge)
 from egregium.exprlang import parse
 from egregium.geodesics import (GeodesicState, RevolutionSurface,
                                 build_triangle, clairaut_drift,
@@ -90,6 +91,16 @@ class TestIntegrateGeodesic:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             integrate_geodesic(FLAT, GeodesicState(0, 0, 1, 0), 1.0, 0.0)
+
+    @pytest.mark.parametrize("length", [1e12, -1e12, math.inf])
+    def test_step_budget_refuses_before_integrating(self, monkeypatch,
+                                                    length):
+        def no_step(*args):
+            raise AssertionError("integrated past the step budget")
+
+        monkeypatch.setattr(geodesics, "_rk4_step", no_step)
+        with pytest.raises(InputError, match=r"budget of 1000000 steps$"):
+            integrate_geodesic(FLAT, GeodesicState(0, 0, 1, 0), length, 1e-9)
 
 
 class TestClairaut:

@@ -8,7 +8,7 @@ import pytest
 
 from egregium import jets, surfaces
 from egregium.errors import (DegenerateAngle, DegenerateParametrization,
-                             NotOnSurface, SingularGradient)
+                             DomainError, NotOnSurface, SingularGradient)
 from egregium.exprlang import evaluate, parse
 from egregium.surfaces import (GraphSurface, ParametricSurface,
                                euler_normal_section, first_fundamental_form,
@@ -361,6 +361,14 @@ class TestTripleAgreement:
 
 
 class TestPrincipalCurvatures:
+    def test_direction_overflow_is_a_domain_error(self):
+        # a row of II - kI near 1e154 used to overflow `vec[0] ** 2` into a
+        # bare OverflowError
+        surf = GraphSurface(parse("1e154*x^2+y^2"))
+        with pytest.raises(DomainError, match=r"^principal direction for "
+                                              r"k=.* overflows"):
+            principal_curvatures(surf, 1e-160, -1.0)
+
     def test_plane_umbilic_zero(self):
         pc = principal_curvatures(PLANE, 0.0, 0.0)
         assert (pc.k_min, pc.k_max) == (0.0, 0.0)
