@@ -239,7 +239,7 @@ def cmd_curve(args):
         for i, text in enumerate(args.at):
             x, y = _parse_point(text, 2, "--at")
             # one jet of W feeds both the curvature and the frame
-            wj, grad2, grad_norm, num = curves._implicit_parts(curve.w, x, y)
+            wj, grad2, grad_norm, num = curves._implicit_parts(curve, x, y)
             kappa = curves._implicit_curvature(grad2, grad_norm, num)
             norm = math.hypot(wj.du, wj.dv)
             rows.append((float(i), x, y, -wj.dv / norm, wj.du / norm,
@@ -274,12 +274,12 @@ def cmd_curve(args):
         # x and y are printed from float evaluations, whose bits a jet's
         # value slot does not always share (jet / c multiplies by 1 / c)
         if isinstance(curve, curves.GraphCurve):
-            fj = curves._graph_jet(curve.f, t)
+            (fj,) = curves._jets(curve, t)
             frame = curves._graph_frame(fj)
             kappa = curves._graph_curvature(fj)
             point = (t, exprlang.evaluate(curve.f, {"x": t}))
         else:
-            xj, yj = curves._param_jets(curve.x, curve.y, t)
+            xj, yj = curves._jets(curve, t)
             kappa = curves._param_curvature(xj, yj, t)
             frame = curves._param_frame(xj, yj, t)
             point = (exprlang.evaluate(curve.x, {"t": t}),

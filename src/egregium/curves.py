@@ -9,7 +9,7 @@ a gradient-side tag, since the implicit derivation pins only its square.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import exprlang, jets, quad
 from .errors import (CoincidentPoints, NotOnCurve, SingularGradient,
@@ -25,6 +25,12 @@ GRADIENT_SIDE = "gradient-side"
 class GraphCurve:
     """y = f(x); the expression uses variable x."""
     f: exprlang.ExprAst
+    # f lowered once by exprlang.lower_jet2; x -> [slots of f]
+    lowered: object = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lowered",
+                           exprlang.lower_jet2((self.f,), {"x": 0}))
 
 
 @dataclass(frozen=True)
@@ -32,12 +38,24 @@ class ParametricCurve:
     """t -> (x(t), y(t)); both expressions use variable t."""
     x: exprlang.ExprAst
     y: exprlang.ExprAst
+    # both lowered once; t -> [slots of x, y]
+    lowered: object = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lowered",
+                           exprlang.lower_jet2((self.x, self.y), {"t": 0}))
 
 
 @dataclass(frozen=True)
 class ImplicitCurve:
     """W(x, y) = 0 at regular points."""
     w: exprlang.ExprAst
+    # W lowered once; (x, y) -> [slots of W]
+    lowered: object = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lowered",
+                           exprlang.lower_jet2((self.w,), {"x": 0, "y": 1}))
 
 
 CurveDef = GraphCurve | ParametricCurve | ImplicitCurve
@@ -55,22 +73,10 @@ class UnitFrame:
     N: tuple[float, float]
 
 
-def _graph_jet(f, x):
-    return jets.coerce(exprlang.evaluate(f, {"x": jets.Jet2_1.variable(x)}),
-                       jets.Jet2_1)
-
-
-def _param_jets(x_ast, y_ast, t):
-    tj = jets.Jet2_1.variable(t)
-    return (jets.coerce(exprlang.evaluate(x_ast, {"t": tj}), jets.Jet2_1),
-            jets.coerce(exprlang.evaluate(y_ast, {"t": tj}), jets.Jet2_1))
-
-
-def _implicit_jet(w, x, y):
-    return jets.coerce(exprlang.evaluate(w, {
-        "x": jets.Jet2_2.variable_u(x),
-        "y": jets.Jet2_2.variable_v(y),
-    }), jets.Jet2_2)
+def _jets(curve, *coords):
+    """The slots of the curve's lowered expressions at a point; a function
+    of one variable reads its derivatives from du and duu."""
+    return tuple(map(jets.JetSlots._make, curve.lowered(*coords)))
 
 
 def arc_length(curve, x1, x2, order=8, panels=8):
@@ -88,62 +94,63 @@ def arc_length(curve, x1, x2, order=8, panels=8):
         mid = a + 0.5 * width
         half = 0.5 * width
         for xi, wi in zip(nodes, weights):
-            fj = _graph_jet(curve.f, mid + half * xi)
-            total += wi * math.sqrt(1.0 + fj.d1 * fj.d1) * half
+            (fj,) = _jets(curve, mid + half * xi)
+            total += wi * math.sqrt(1.0 + fj.du * fj.du) * half
     return total
 
 
 def frame_graph(f, x):
     """Unit tangent (1, f') and normal (-f', 1), both normalized."""
-    return _graph_frame(_graph_jet(f, x))
+    return _graph_frame(*_jets(GraphCurve(f), x))
 
 
 def _graph_frame(fj):
-    s = math.sqrt(1.0 + fj.d1 * fj.d1)
-    return UnitFrame((1.0 / s, fj.d1 / s), (-fj.d1 / s, 1.0 / s))
+    s = math.sqrt(1.0 + fj.du * fj.du)
+    return UnitFrame((1.0 / s, fj.du / s), (-fj.du / s, 1.0 / s))
 
 
 def frame_parametric(x_ast, y_ast, t):
     """Unit tangent along increasing t, with N the tangent rotated +pi/2."""
-    return _param_frame(*_param_jets(x_ast, y_ast, t), t)
+    return _param_frame(*_jets(ParametricCurve(x_ast, y_ast), t), t)
 
 
 def _param_frame(xj, yj, t):
-    speed = math.hypot(xj.d1, yj.d1)
+    speed = math.hypot(xj.du, yj.du)
     if speed < EPS_REG:
         raise SingularPoint(f"velocity vanishes at t={t!r}")
-    tangent = (xj.d1 / speed, yj.d1 / speed)
+    tangent = (xj.du / speed, yj.du / speed)
     return UnitFrame(tangent, (-tangent[1], tangent[0]))
 
 
 def curvature_graph(f, x):
     """c = f'' / (1 + f'^2)^(3/2)."""
-    return SignedCurvature(_graph_curvature(_graph_jet(f, x)), CCW_NORMAL)
+    return SignedCurvature(_graph_curvature(*_jets(GraphCurve(f), x)),
+                           CCW_NORMAL)
 
 
 def _graph_curvature(fj):
-    w = 1.0 + fj.d1 * fj.d1
-    return fj.d2 / (w * math.sqrt(w))
+    w = 1.0 + fj.du * fj.du
+    return fj.duu / (w * math.sqrt(w))
 
 
 def curvature_parametric(x_ast, y_ast, t):
     """c = (x' y'' - y' x'') / (x'^2 + y'^2)^(3/2); reversing t flips it."""
-    xj, yj = _param_jets(x_ast, y_ast, t)
+    xj, yj = _jets(ParametricCurve(x_ast, y_ast), t)
     return SignedCurvature(_param_curvature(xj, yj, t), CCW_NORMAL)
 
 
 def _param_curvature(xj, yj, t):
-    speed2 = xj.d1 * xj.d1 + yj.d1 * yj.d1
+    speed2 = xj.du * xj.du + yj.du * yj.du
     if speed2 < EPS_REG * EPS_REG:
         raise SingularPoint(f"velocity vanishes at t={t!r}")
-    num = xj.d1 * yj.d2 - yj.d1 * xj.d2
+    num = xj.du * yj.duu - yj.du * xj.duu
     return num / (speed2 * math.sqrt(speed2))
 
 
-def _implicit_parts(w, x, y):
+def _implicit_parts(curve, x, y):
     """W's jet, |grad W|^2, |grad W| and the curvature numerator
     W_xx W_y^2 - 2 W_xy W_x W_y + W_yy W_x^2 at an on-curve regular point."""
-    wj = _implicit_jet(w, x, y)
+    (wj,) = _jets(curve, x, y)
     grad2 = wj.du * wj.du + wj.dv * wj.dv
     grad_norm = math.sqrt(grad2)
     if grad_norm < EPS_REG:
@@ -159,7 +166,7 @@ def _implicit_parts(w, x, y):
 def curvature_implicit(w, x, y):
     """|c| = |W_xx W_y^2 - 2 W_xy W_x W_y + W_yy W_x^2| / |grad W|^3
     at an on-curve regular point."""
-    _, grad2, grad_norm, num = _implicit_parts(w, x, y)
+    _, grad2, grad_norm, num = _implicit_parts(ImplicitCurve(w), x, y)
     return SignedCurvature(_implicit_curvature(grad2, grad_norm, num),
                            GRADIENT_SIDE)
 
@@ -189,28 +196,28 @@ def osculating_circle(curve, at):
     and an (x, y) point for implicit curves.
     """
     if isinstance(curve, GraphCurve):
-        fj = _graph_jet(curve.f, at)
+        (fj,) = _jets(curve, at)
         c = _graph_curvature(fj)
         if abs(c) < EPS_REG:
             raise ZeroCurvature(f"curvature vanishes at {at!r}")
         point = (at, fj.v)
-        s = math.sqrt(1.0 + fj.d1 * fj.d1)
-        normal = (-fj.d1 / s, 1.0 / s)
+        s = math.sqrt(1.0 + fj.du * fj.du)
+        normal = (-fj.du / s, 1.0 / s)
         radius = 1.0 / abs(c)
         center = (point[0] + normal[0] / c, point[1] + normal[1] / c)
         return center, radius
     if isinstance(curve, ParametricCurve):
-        xj, yj = _param_jets(curve.x, curve.y, at)
+        xj, yj = _jets(curve, at)
         c = _param_curvature(xj, yj, at)
         if abs(c) < EPS_REG:
             raise ZeroCurvature(f"curvature vanishes at t={at!r}")
-        speed = math.hypot(xj.d1, yj.d1)
-        normal = (-yj.d1 / speed, xj.d1 / speed)  # tangent rotated +pi/2
+        speed = math.hypot(xj.du, yj.du)
+        normal = (-yj.du / speed, xj.du / speed)  # tangent rotated +pi/2
         center = (xj.v + normal[0] / c, yj.v + normal[1] / c)
         return center, 1.0 / abs(c)
     if isinstance(curve, ImplicitCurve):
         x, y = at
-        wj, grad2, grad_norm, num = _implicit_parts(curve.w, x, y)
+        wj, grad2, grad_norm, num = _implicit_parts(curve, x, y)
         if abs(num) < EPS_REG * grad2 * grad_norm:
             raise ZeroCurvature(f"curvature vanishes at ({x}, {y})")
         # center sits opposite the gradient scaled by |grad|^2 / numerator,
@@ -234,8 +241,8 @@ def arclength_reparametrize(curve, t0, t1, samples, order=16):
     nodes, weights = quad.gauss_legendre(order)
 
     def speed(t):
-        xj, yj = _param_jets(curve.x, curve.y, t)
-        sp = math.hypot(xj.d1, yj.d1)
+        xj, yj = _jets(curve, t)
+        sp = math.hypot(xj.du, yj.du)
         if sp < EPS_REG:
             raise SingularPoint(f"velocity vanishes at t={t!r}")
         return sp

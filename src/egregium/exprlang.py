@@ -16,17 +16,19 @@ parsed expression is C^2 wherever it evaluates.  Implicit multiplication
 every recursive walk of a tree inside Python's recursion limit.  A parsed
 tree is immutable and can be shared freely.
 
-`evaluate` walks a tree over plain floats or any jet shape.  Trees that are
-evaluated as bivariate 2-jets at many points are lowered once by
-`lower_jet2` into closures over slot tuples, which replay the same float
-operations without the walk; `evaluate` remains their reference.  Over a
-grid, the same trees run once on float64 arrays of the points' coordinates.
+`evaluate` walks a tree over plain floats.  Every derivative comes from
+trees lowered once by `lower_jet2` into closures over 2-jet slot tuples,
+for functions of one, two or three variables; `evaluate` over the
+operator jets of `jets`, which performs the same float operations by
+walking the tree, is their reference.  Over a grid, the same trees run
+once on float64 arrays of the points' coordinates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -270,11 +272,8 @@ def free_variables(ast):
 
 
 def evaluate(ast, bindings):
-    """Evaluate over floats or jets; all bound jets must share one shape."""
-    shapes = {type(val) for val in bindings.values() if jets.is_jet(val)}
-    if len(shapes) > 1:
-        names = sorted(cls.__name__ for cls in shapes)
-        raise ValueError(f"mixed jet shapes in bindings: {names}")
+    """Evaluate over floats, or over the operator jets of `jets`, the
+    reference the lowered programs are checked against."""
     return _eval(ast, bindings)
 
 
@@ -301,7 +300,6 @@ def _eval(ast, bindings):
         return left * right
     if ast.op == "/":
         if not jets.is_jet(right) and float(right) == 0.0:
-            from .errors import DivisionByZero
             raise DivisionByZero("division by zero")
         return left / right
     if ast.op == "^":
@@ -312,7 +310,6 @@ def _eval(ast, bindings):
 
 
 def _float_pow(base, exponent):
-    from .errors import DivisionByZero, DomainError
     try:
         if float(exponent).is_integer():
             if base == 0.0 and exponent < 0:
@@ -326,30 +323,34 @@ def _float_pow(base, exponent):
         raise DomainError(f"power {base!r}**{exponent!r} overflows") from None
 
 
-# --- lowering to bivariate 2-jet slot closures --------------------------
+# --- lowering to 2-jet slot closures ------------------------------------
 #
 # A lowered node is either a float (a folded constant subtree) or a closure
-# (U, V) -> slots, where U and V are the slot tuples of the two seed
-# variables and slots is (v, du, dv, duu, duv, dvv).  Each closure performs
-# exactly the float operations `_eval` performs on `jets.Jet2_2` values, in
-# the same order, so results are bit-identical and the same exceptions are
-# raised with the same messages.
+# C -> slots, where C holds one slot tuple per coordinate and slots is
+# (v, du, dv, duu, duv, dvv).  Each closure performs exactly the float
+# operations `_eval` performs on the operator jets of `jets`, in the same
+# order, so results are bit-identical and the same exceptions are raised
+# with the same messages.
 
 _ONE = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def lower_jet2(asts, seeds):
-    """Compile trees once into a function (u, v) -> list of 2-jet slot
+    """Compile trees once into a function (*coords) -> list of 2-jet slot
     tuples (v, du, dv, duu, duv, dvv), one per tree in `asts`.
 
-    `seeds` maps variable names to "u" or "v", the direction each is seeded
-    along; any other name raises UnboundVariable when evaluated.  A tree that
-    equals an earlier one is lowered and evaluated once.  Results are those
-    of `evaluate` over `jets.Jet2_2` bindings, bit for bit.
+    `seeds` maps variable names to coordinate indices; any other name raises
+    UnboundVariable when evaluated.  The function seeds coordinate 0 along
+    u and coordinate 1 along v, and holds any later coordinate as a jet with
+    zero derivatives, so a function of one variable reads its derivatives
+    from du and duu, and one of three variables gives five of its partials
+    per pass.  A tree that equals an earlier one is lowered and evaluated
+    once.  Results are those of `evaluate` over operator-jet bindings with
+    the same seeding, bit for bit.
 
-    u and v may also be two 1-D float64 arrays of one length, the points of
-    a grid; every slot is then an array, and element i holds the bits of
-    the scalar call at (u[i], v[i]).  If any point fails, some error is
+    The coordinates may also be 1-D float64 arrays of one length, the points
+    of a grid; every slot is then an array, and element i holds the bits of
+    the scalar call at the i-th point.  If any point fails, some error is
     raised, not necessarily the one of the first failing point.  Each kind
     of call lowers the trees at its first use.
     """
@@ -361,22 +362,33 @@ def lower_jet2(asts, seeds):
         order.append(index[ast])
     programs = columns = None
 
-    def run(u, v):
+    def run(*coords):
         nonlocal programs, columns
-        if type(u) is ndarray:
+        if type(coords[0]) is ndarray:
             if columns is None:
                 columns = [_program(_lower_columns(ast, seeds))
                            for ast in trees]
-            values = _run_columns(columns, u, v)
+            values = _run_columns(columns, coords)
         else:
             if programs is None:
                 programs = [_program(_lower(ast, seeds)) for ast in trees]
-            U = (float(u), 1.0, 0.0, 0.0, 0.0, 0.0)
-            V = (float(v), 0.0, 1.0, 0.0, 0.0, 0.0)
-            values = [program(U, V) for program in programs]
+            C = _seeded(*coords)
+            values = [program(C) for program in programs]
         return [values[i] for i in order]
 
     return run
+
+
+def _seeded(u, v=None, *held):
+    """The slot tuples of scalar coordinates: u seeded along u, v along v,
+    and any later coordinate held with zero derivatives."""
+    U = (float(u), 1.0, 0.0, 0.0, 0.0, 0.0)
+    if v is None:
+        return (U,)
+    C = (U, (float(v), 0.0, 1.0, 0.0, 0.0, 0.0))
+    if held:
+        C += tuple((float(h), 0.0, 0.0, 0.0, 0.0, 0.0) for h in held)
+    return C
 
 
 def _program(node):
@@ -384,7 +396,7 @@ def _program(node):
     if callable(node):
         return node
     constant = (float(node), 0.0, 0.0, 0.0, 0.0, 0.0)
-    return lambda U, V: constant
+    return lambda C: constant
 
 
 def _lower(ast, seeds):
@@ -421,26 +433,24 @@ def _fold(ast):
     try:
         return _eval(ast, {})
     except (NumericError, ValueError):
-        def deferred(U, V):
+        def deferred(C):
             return _eval(ast, {})
         return deferred
 
 
-def _lower_variable(name, direction):
-    if direction == "u":
-        return lambda U, V: U
-    if direction == "v":
-        return lambda U, V: V
+def _lower_variable(name, coordinate):
+    if coordinate is not None:
+        return itemgetter(coordinate)
     message = f"unbound variable {name!r}"
 
-    def unbound(U, V):
+    def unbound(C):
         raise UnboundVariable(message)
     return unbound
 
 
 def _lower_neg(a):
-    def neg(U, V):
-        v, du, dv, duu, duv, dvv = a(U, V)
+    def neg(C):
+        v, du, dv, duu, duv, dvv = a(C)
         return (-v, -du, -dv, -duu, -duv, -dvv)
     return neg
 
@@ -448,59 +458,59 @@ def _lower_neg(a):
 def _lower_function(name, a):
     table, compose = jets.FUNCTION_TABLES[name], jets.compose_slots
 
-    def function(U, V):
-        x = a(U, V)
+    def function(C):
+        x = a(C)
         return compose(x, *table(x[0]))
     return function
 
 
 def _add_jj(a, b):
-    def add(U, V):
-        av, adu, adv, aduu, aduv, advv = a(U, V)
-        bv, bdu, bdv, bduu, bduv, bdvv = b(U, V)
+    def add(C):
+        av, adu, adv, aduu, aduv, advv = a(C)
+        bv, bdu, bdv, bduu, bduv, bdvv = b(C)
         return (av + bv, adu + bdu, adv + bdv,
                 aduu + bduu, aduv + bduv, advv + bdvv)
     return add
 
 
 def _add_jc(a, c):
-    def add(U, V):
-        v, du, dv, duu, duv, dvv = a(U, V)
+    def add(C):
+        v, du, dv, duu, duv, dvv = a(C)
         return (v + c, du, dv, duu, duv, dvv)
     return add
 
 
 def _sub_jj(a, b):
-    def sub(U, V):
-        av, adu, adv, aduu, aduv, advv = a(U, V)
-        bv, bdu, bdv, bduu, bduv, bdvv = b(U, V)
+    def sub(C):
+        av, adu, adv, aduu, aduv, advv = a(C)
+        bv, bdu, bdv, bduu, bduv, bdvv = b(C)
         return (av - bv, adu - bdu, adv - bdv,
                 aduu - bduu, aduv - bduv, advv - bdvv)
     return sub
 
 
 def _sub_jc(a, c):
-    def sub(U, V):
-        v, du, dv, duu, duv, dvv = a(U, V)
+    def sub(C):
+        v, du, dv, duu, duv, dvv = a(C)
         return (v - c, du, dv, duu, duv, dvv)
     return sub
 
 
 def _sub_cj(c, b):
-    def sub(U, V):
-        v, du, dv, duu, duv, dvv = b(U, V)
+    def sub(C):
+        v, du, dv, duu, duv, dvv = b(C)
         return (c - v, -du, -dv, -duu, -duv, -dvv)
     return sub
 
 
 def _mul_jj(a, b):
     mul = jets.mul_slots
-    return lambda U, V: mul(a(U, V), b(U, V))
+    return lambda C: mul(a(C), b(C))
 
 
 def _scale(a, c):
-    def scale(U, V):
-        v, du, dv, duu, duv, dvv = a(U, V)
+    def scale(C):
+        v, du, dv, duu, duv, dvv = a(C)
         return (v * c, du * c, dv * c, duu * c, duv * c, dvv * c)
     return scale
 
@@ -508,16 +518,16 @@ def _scale(a, c):
 def _div_jj(a, b):
     mul, recip = jets.mul_slots, jets.recip_slots
 
-    def div(U, V):
-        x = a(U, V)
-        return mul(x, recip(b(U, V)))
+    def div(C):
+        x = a(C)
+        return mul(x, recip(b(C)))
     return div
 
 
 def _div_jc(a, c):
     if c == 0.0:
-        def div(U, V):
-            a(U, V)
+        def div(C):
+            a(C)
             raise DivisionByZero("division by zero")
         return div
     return _scale(a, 1.0 / c)
@@ -526,18 +536,18 @@ def _div_jc(a, c):
 def _div_cj(c, b):
     recip = jets.recip_slots
 
-    def div(U, V):
-        v, du, dv, duu, duv, dvv = recip(b(U, V))
+    def div(C):
+        v, du, dv, duu, duv, dvv = recip(b(C))
         return (v * c, du * c, dv * c, duu * c, duv * c, dvv * c)
     return div
 
 
 def _pow_jc(a, e):
-    """a^e for a constant exponent, following `jets._pow_const`."""
+    """a^e for a constant exponent, following the operator jets' `**`."""
     compose = jets.compose_slots
     if e == 0.0:
-        def power(U, V):
-            a(U, V)
+        def power(C):
+            a(C)
             return _ONE
         return power
     if e == 1.0:
@@ -546,8 +556,8 @@ def _pow_jc(a, e):
         n = int(e)
         n1, n2, nn1 = n - 1, n - 2, n * (n - 1)
 
-        def power(U, V):
-            x = a(U, V)
+        def power(C):
+            x = a(C)
             v = x[0]
             if n < 0 and v == 0.0:
                 raise DivisionByZero("negative power of jet with zero value")
@@ -558,8 +568,8 @@ def _pow_jc(a, e):
         return power
     e1, e2, ee1 = e - 1.0, e - 2.0, e * (e - 1.0)
 
-    def power(U, V):
-        x = a(U, V)
+    def power(C):
+        x = a(C)
         v = x[0]
         if v <= 0.0:
             raise DomainError(f"fractional power of non-positive base {v!r}")
@@ -571,23 +581,23 @@ def _pow_jc(a, e):
 
 
 def _pow_cj(c, b):
-    """c^b for a constant base: exp(b * log c), as `jets._pow_base_const`."""
+    """c^b for a constant base: exp(b * log c), as the operator jets do."""
     if c <= 0.0:
-        def power(U, V):
-            b(U, V)
+        def power(C):
+            b(C)
             raise DomainError(f"power with non-positive base {c!r}")
         return power
     return _lower_function("exp", _scale(b, math.log(c)))
 
 
 def _pow_jj(a, b):
-    """a^b as exp(b * log a), as `jets._pow`."""
+    """a^b as exp(b * log a), as the operator jets do."""
     log, exp = jets.FUNCTION_TABLES["log"], jets.FUNCTION_TABLES["exp"]
     compose, mul = jets.compose_slots, jets.mul_slots
 
-    def power(U, V):
-        x = a(U, V)
-        y = b(U, V)
+    def power(C):
+        x = a(C)
+        y = b(C)
         v = x[0]
         if v <= 0.0:
             raise DomainError(f"jet power with non-positive base {v!r}")
@@ -610,7 +620,7 @@ _SCALAR_NODES = _Nodes(
     {"+": _add_jj, "-": _sub_jj, "*": _mul_jj, "/": _div_jj, "^": _pow_jj},
     {"+": _add_jc, "-": _sub_jc, "*": _scale, "/": _div_jc, "^": _pow_jc},
     # constant on the left: + and * commute slot by slot, as in
-    # Jet2_2.__radd__
+    # the operator jets' __radd__ and __rmul__
     {"+": lambda c, b: _add_jc(b, c), "-": _sub_cj,
      "*": lambda c, b: _scale(b, c), "/": _div_cj, "^": _pow_cj})
 
@@ -631,14 +641,16 @@ def _lower_columns(ast, seeds):
     return _lower_with(ast, seeds, _GRID_NODES)
 
 
-def _run_columns(programs, u, v):
+def _run_columns(programs, coords):
     """The programs over arrays of points, with every slot an array (a slot
     that does not depend on the point stays a float until here)."""
-    U = (u, 1.0, 0.0, 0.0, 0.0, 0.0)
-    V = (v, 0.0, 1.0, 0.0, 0.0, 0.0)
+    # seeded as `_seeded` seeds scalars, with the arrays as values
+    C = tuple((c,) + slots[1:]
+              for c, slots in zip(coords, _seeded(*[0.0] * len(coords))))
+    shape = coords[0].shape
     with np.errstate(all="ignore"):
-        values = [program(U, V) for program in programs]
-    return [tuple(slot if type(slot) is ndarray else np.full(u.shape, slot)
+        values = [program(C) for program in programs]
+    return [tuple(slot if type(slot) is ndarray else np.full(shape, slot)
                   for slot in slots)
             for slots in values]
 
@@ -652,7 +664,7 @@ def _chain(x, table):
 
 
 def _lower_table(a, table):
-    return lambda U, V: _chain(a(U, V), table)
+    return lambda C: _chain(a(C), table)
 
 
 def _grid_function(name, a):
@@ -689,10 +701,10 @@ def _grid_pow_jj(a, b):
             raise DomainError(f"jet power with non-positive base {v!r}")
         return log(v)
 
-    def power(U, V):
+    def power(C):
         # both operands first, then the base's check, as in _pow_jj
-        x = a(U, V)
-        y = b(U, V)
+        x = a(C)
+        y = b(C)
         return _chain(mul(y, _chain(x, log_base)), exp)
     return power
 

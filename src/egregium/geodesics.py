@@ -112,6 +112,10 @@ def integrate_geodesic(metric, start, length, step):
     if abs(length) / step > MAX_GEODESIC_STEPS:
         raise InputError(f"length {length!r} at step {step!r} needs more "
                          f"than the budget of {MAX_GEODESIC_STEPS} steps")
+    # an infinite length fails the budget above; NaN passes both comparisons
+    for flag, value in (("--length", length), ("--step", step)):
+        if not math.isfinite(value):
+            raise InputError(f"{flag} must be finite, got {value!r}")
     speed0 = math.sqrt(_metric_speed2(metric, start.u, start.v,
                                       start.pu, start.pv))
     if speed0 <= 0.0:

@@ -25,7 +25,7 @@ from .errors import (EVALUATION_ERRORS, DegenerateMetric, DomainError,
 EPS_REG = 1e-12
 
 # a metric may name its coordinates u, v or p, q
-_SEEDS = {"u": "u", "v": "v", "p": "u", "q": "v"}
+_SEEDS = {"u": 0, "v": 1, "p": 0, "q": 1}
 
 
 class MetricJet(NamedTuple):
@@ -169,26 +169,28 @@ def flatness_residual(metric, u, v):
 def curvature_isothermal(lam_ast, u, v):
     """kappa = -(1/lambda^2) (d^2 log lambda / du^2 + d^2 log lambda / dv^2)
     for the conformal metric ds^2 = lambda^2 (du^2 + dv^2)."""
-    uj = jets.Jet2_2.variable_u(u)
-    vj = jets.Jet2_2.variable_v(v)
-    lam = jets.coerce(exprlang.evaluate(
-        lam_ast, {"u": uj, "v": vj, "p": uj, "q": vj}), jets.Jet2_2)
+    lam = _slots(lam_ast, u, v)
     if lam.v <= 0.0:
         raise DomainError(f"conformal factor must be positive, got {lam.v!r}")
-    loglam = jets.log(lam)
-    return -(loglam.duu + loglam.dvv) / (lam.v * lam.v)
+    _, _, _, duu, _, dvv = jets.compose_slots(
+        lam, *jets.FUNCTION_TABLES["log"](lam.v))
+    return -(duu + dvv) / (lam.v * lam.v)
 
 
 def curvature_geodesic_polar(g_ast, p, q):
     """kappa = -(1/sqrt(G)) d^2 sqrt(G) / dp^2 for ds^2 = dp^2 + G dq^2."""
-    pj = jets.Jet2_2.variable_u(p)
-    qj = jets.Jet2_2.variable_v(q)
-    gj = jets.coerce(exprlang.evaluate(
-        g_ast, {"p": pj, "q": qj, "u": pj, "v": qj}), jets.Jet2_2)
+    gj = _slots(g_ast, p, q)
     if gj.v <= 0.0:
         raise DomainError(f"G must be positive, got {gj.v!r}")
-    root = jets.sqrt(gj)
-    return -root.duu / root.v
+    root, _, _, duu, _, _ = jets.compose_slots(
+        gj, *jets.FUNCTION_TABLES["sqrt"](gj.v))
+    return -duu / root
+
+
+def _slots(ast, u, v):
+    """The 2-jet of one expression in (u, v) or (p, q) at a point."""
+    (slots,) = exprlang.lower_jet2((ast,), _SEEDS)(u, v)
+    return jets.JetSlots._make(slots)
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,18 @@
 """Forward-mode automatic differentiation truncated at order 2.
 
-Three fixed jet shapes, one per arity (1, 2 or 3 variables).  A jet carries
-the value of a function together with every first and second partial
-derivative at a point; arithmetic and elementary-function composition
-propagate the truncated Taylor coefficients exactly (to floating point).
-The mixed partial occupies a single slot, so symmetry of second derivatives
-is structural.
+A 2-jet carries the value of a function of two coordinates together with
+its first and second partials at a point, as six slots (v, du, dv, duu,
+duv, dvv); the mixed partial occupies a single slot, so symmetry of second
+derivatives is structural.  The product and chain rule are module-level
+functions over slot tuples (`mul_slots`, `compose_slots`), which the
+expression lowering in `exprlang` calls, and `JetSlots` names the slots of
+one result.  A function of one variable is a 2-jet seeded along u alone;
+one of three variables takes three 2-jets, each with two coordinates
+seeded and the third held.
 
-Division, powers and the repr do not depend on the arity and live in one
-shared base class; the slot arithmetic stays unrolled per shape for speed.
-The bivariate product and chain rule are module-level functions over
-6-slot tuples (`mul_slots`, `compose_slots`), which `Jet2_2` and the
-expression lowering in `exprlang` both call.
+`Jet2_2` is the same algebra as a class with operators, which
+`exprlang.evaluate` walks a tree over: the bitwise reference the lowered
+programs are checked against.
 
 Jet values are plain floats and every operation is pure, so jets are safe
 to share across threads.  `mul_slots` and `compose_slots` also take
@@ -24,6 +25,7 @@ each element, so an element carries the bits of a scalar evaluation.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,126 +34,27 @@ from .errors import DivisionByZero, DomainError
 INT_EXP_LIMIT = 64  # larger integer exponents fall through to the pow rule
 
 
+class JetSlots(NamedTuple):
+    """The slots of one 2-jet by name: floats, or float64 arrays with one
+    element per point of a grid."""
+    v: float
+    du: float
+    dv: float
+    duu: float
+    duv: float
+    dvv: float
+
+
 def _as_float(x):
     if isinstance(x, (int, float)):
         return float(x)
     return None
 
 
-class _JetBase:
-    """Methods that read the same for every arity; each subclass supplies
-    __slots__, the unrolled arithmetic and `_compose`."""
-
-    __slots__ = ()
-
-    @classmethod
-    def constant(cls, value):
-        return cls(value)
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __truediv__(self, other):
-        c = _as_float(other)
-        if c is not None:
-            if c == 0.0:
-                raise DivisionByZero("jet divided by zero constant")
-            return self * (1.0 / c)
-        if type(other) is type(self):
-            return self * other._recip()
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        c = _as_float(other)
-        if c is not None:
-            return self._recip() * c
-        return NotImplemented
-
-    def _recip(self):
-        return self._compose(*recip_table(self.v))
-
-    def __pow__(self, other):
-        return _pow(self, other)
-
-    def __rpow__(self, other):
-        c = _as_float(other)
-        if c is not None:
-            return _pow_base_const(c, self)
-        return NotImplemented
-
-
-class Jet2_1(_JetBase):
-    """Univariate 2-jet: value, first and second derivative."""
-
-    __slots__ = ("v", "d1", "d2")
-    arity = 1
-
-    def __init__(self, v, d1=0.0, d2=0.0):
-        self.v = float(v)
-        self.d1 = float(d1)
-        self.d2 = float(d2)
-
-    @classmethod
-    def variable(cls, value):
-        return cls(value, 1.0)
-
-    def __add__(self, other):
-        c = _as_float(other)
-        if c is not None:
-            return Jet2_1(self.v + c, self.d1, self.d2)
-        if isinstance(other, Jet2_1):
-            return Jet2_1(self.v + other.v, self.d1 + other.d1, self.d2 + other.d2)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = _as_float(other)
-        if c is not None:
-            return Jet2_1(self.v - c, self.d1, self.d2)
-        if isinstance(other, Jet2_1):
-            return Jet2_1(self.v - other.v, self.d1 - other.d1, self.d2 - other.d2)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        c = _as_float(other)
-        if c is not None:
-            return Jet2_1(c - self.v, -self.d1, -self.d2)
-        return NotImplemented
-
-    def __neg__(self):
-        return Jet2_1(-self.v, -self.d1, -self.d2)
-
-    def __mul__(self, other):
-        c = _as_float(other)
-        if c is not None:
-            return Jet2_1(self.v * c, self.d1 * c, self.d2 * c)
-        if isinstance(other, Jet2_1):
-            return Jet2_1(
-                self.v * other.v,
-                self.d1 * other.v + self.v * other.d1,
-                self.d2 * other.v + 2.0 * self.d1 * other.d1 + self.v * other.d2,
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def _compose(self, f0, f1, f2):
-        # second-order chain rule for a univariate outer function
-        return Jet2_1(
-            f0,
-            f1 * self.d1,
-            f2 * self.d1 * self.d1 + f1 * self.d2,
-        )
-
-
-class Jet2_2(_JetBase):
-    """Bivariate 2-jet; one slot for the mixed partial."""
+class Jet2_2:
+    """Bivariate 2-jet with operators; one slot for the mixed partial."""
 
     __slots__ = ("v", "du", "dv", "duu", "duv", "dvv")
-    arity = 2
 
     def __init__(self, v, du=0.0, dv=0.0, duu=0.0, duv=0.0, dvv=0.0):
         self.v = float(v)
@@ -173,6 +76,11 @@ class Jet2_2(_JetBase):
     def slots(self):
         """(v, du, dv, duu, duv, dvv) as a tuple."""
         return (self.v, self.du, self.dv, self.duu, self.duv, self.dvv)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"Jet2_2({fields})"
 
     def __add__(self, other):
         c = _as_float(other)
@@ -226,8 +134,56 @@ class Jet2_2(_JetBase):
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        c = _as_float(other)
+        if c is not None:
+            if c == 0.0:
+                raise DivisionByZero("jet divided by zero constant")
+            return self * (1.0 / c)
+        if isinstance(other, Jet2_2):
+            return self * other._recip()
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        c = _as_float(other)
+        if c is not None:
+            return self._recip() * c
+        return NotImplemented
+
+    def _recip(self):
+        return self._compose(*recip_table(self.v))
+
+    def __pow__(self, other):
+        c = _as_float(other)
+        if c is not None:
+            if c == 0.0:
+                return Jet2_2(1.0)
+            if c == 1.0:
+                return self
+            return self._compose(*power_terms(self.v, c))
+        if isinstance(other, Jet2_2):
+            # general a**b via exp(b * log a)
+            if self.v <= 0.0:
+                raise DomainError(
+                    f"jet power with non-positive base {self.v!r}")
+            return apply_function("exp", other * apply_function("log", self))
+        return NotImplemented
+
+    def __rpow__(self, other):
+        c = _as_float(other)
+        if c is not None:
+            # c**b for a real base: exp(b log c)
+            if c <= 0.0:
+                raise DomainError(f"power with non-positive base {c!r}")
+            return apply_function("exp", self * math.log(c))
+        return NotImplemented
+
     def _compose(self, f0, f1, f2):
         return Jet2_2(*compose_slots(self.slots, f0, f1, f2))
+
+
+def is_jet(x):
+    return isinstance(x, Jet2_2)
 
 
 def mul_slots(a, b):
@@ -271,143 +227,6 @@ def tabulate(table, values):
                  for column in zip(*map(table, values.tolist())))
 
 
-class Jet2_3(_JetBase):
-    """Trivariate 2-jet."""
-
-    __slots__ = ("v", "dx", "dy", "dz", "dxx", "dxy", "dxz", "dyy", "dyz", "dzz")
-    arity = 3
-
-    def __init__(self, v, dx=0.0, dy=0.0, dz=0.0,
-                 dxx=0.0, dxy=0.0, dxz=0.0, dyy=0.0, dyz=0.0, dzz=0.0):
-        self.v = float(v)
-        self.dx = float(dx)
-        self.dy = float(dy)
-        self.dz = float(dz)
-        self.dxx = float(dxx)
-        self.dxy = float(dxy)
-        self.dxz = float(dxz)
-        self.dyy = float(dyy)
-        self.dyz = float(dyz)
-        self.dzz = float(dzz)
-
-    @classmethod
-    def variable_x(cls, value):
-        return cls(value, dx=1.0)
-
-    @classmethod
-    def variable_y(cls, value):
-        return cls(value, dy=1.0)
-
-    @classmethod
-    def variable_z(cls, value):
-        return cls(value, dz=1.0)
-
-    def __add__(self, other):
-        c = _as_float(other)
-        if c is not None:
-            return Jet2_3(self.v + c, self.dx, self.dy, self.dz,
-                          self.dxx, self.dxy, self.dxz, self.dyy, self.dyz, self.dzz)
-        if isinstance(other, Jet2_3):
-            a, b = self, other
-            return Jet2_3(
-                a.v + b.v, a.dx + b.dx, a.dy + b.dy, a.dz + b.dz,
-                a.dxx + b.dxx, a.dxy + b.dxy, a.dxz + b.dxz,
-                a.dyy + b.dyy, a.dyz + b.dyz, a.dzz + b.dzz,
-            )
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return Jet2_3(-self.v, -self.dx, -self.dy, -self.dz,
-                      -self.dxx, -self.dxy, -self.dxz, -self.dyy, -self.dyz, -self.dzz)
-
-    def __mul__(self, other):
-        c = _as_float(other)
-        if c is not None:
-            return Jet2_3(self.v * c, self.dx * c, self.dy * c, self.dz * c,
-                          self.dxx * c, self.dxy * c, self.dxz * c,
-                          self.dyy * c, self.dyz * c, self.dzz * c)
-        if isinstance(other, Jet2_3):
-            a, b = self, other
-            return Jet2_3(
-                a.v * b.v,
-                a.dx * b.v + a.v * b.dx,
-                a.dy * b.v + a.v * b.dy,
-                a.dz * b.v + a.v * b.dz,
-                a.dxx * b.v + 2.0 * a.dx * b.dx + a.v * b.dxx,
-                a.dxy * b.v + a.dx * b.dy + a.dy * b.dx + a.v * b.dxy,
-                a.dxz * b.v + a.dx * b.dz + a.dz * b.dx + a.v * b.dxz,
-                a.dyy * b.v + 2.0 * a.dy * b.dy + a.v * b.dyy,
-                a.dyz * b.v + a.dy * b.dz + a.dz * b.dy + a.v * b.dyz,
-                a.dzz * b.v + 2.0 * a.dz * b.dz + a.v * b.dzz,
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def _compose(self, f0, f1, f2):
-        return Jet2_3(
-            f0,
-            f1 * self.dx,
-            f1 * self.dy,
-            f1 * self.dz,
-            f2 * self.dx * self.dx + f1 * self.dxx,
-            f2 * self.dx * self.dy + f1 * self.dxy,
-            f2 * self.dx * self.dz + f1 * self.dxz,
-            f2 * self.dy * self.dy + f1 * self.dyy,
-            f2 * self.dy * self.dz + f1 * self.dyz,
-            f2 * self.dz * self.dz + f1 * self.dzz,
-        )
-
-
-def is_jet(x):
-    return isinstance(x, _JetBase)
-
-
-def coerce(value, cls):
-    """View a plain number as a constant jet of the given shape."""
-    return value if isinstance(value, cls) else cls.constant(value)
-
-
-def seed_variable(index, value, arity):
-    """Jet of the coordinate function x_index at `value`, for the given arity."""
-    if arity == 1:
-        if index != 0:
-            raise IndexError(f"variable index {index} out of range for arity 1")
-        return Jet2_1.variable(value)
-    if arity == 2:
-        if index == 0:
-            return Jet2_2.variable_u(value)
-        if index == 1:
-            return Jet2_2.variable_v(value)
-        raise IndexError(f"variable index {index} out of range for arity 2")
-    if arity == 3:
-        if index == 0:
-            return Jet2_3.variable_x(value)
-        if index == 1:
-            return Jet2_3.variable_y(value)
-        if index == 2:
-            return Jet2_3.variable_z(value)
-        raise IndexError(f"variable index {index} out of range for arity 3")
-    raise ValueError(f"arity must be 1, 2 or 3, got {arity}")
-
-
-def _pow_const(a, e):
-    """a**e for a jet base and a real exponent."""
-    if e == 0.0:
-        return type(a).constant(1.0)
-    if e == 1.0:
-        return a
-    return a._compose(*power_terms(a.v, e))
-
-
 def power_terms(v, e):
     """(v^e, e v^(e-1), e (e-1) v^(e-2)) for a real exponent e other than
     0 and 1: integers up to INT_EXP_LIMIT take any base but a zero one when
@@ -423,25 +242,6 @@ def power_terms(v, e):
         return v ** e, e * v ** (e - 1.0), e * (e - 1.0) * v ** (e - 2.0)
     except OverflowError:
         raise DomainError(f"power {v!r}**{e!r} overflows") from None
-
-
-def _pow(a, b):
-    c = _as_float(b)
-    if c is not None:
-        return _pow_const(a, c)
-    if isinstance(b, type(a)):
-        # general a**b via exp(b * log a)
-        if a.v <= 0.0:
-            raise DomainError(f"jet power with non-positive base {a.v!r}")
-        return exp(b * log(a))
-    return NotImplemented
-
-
-def _pow_base_const(c, b):
-    """c**b for a real base and a jet exponent."""
-    if c <= 0.0:
-        raise DomainError(f"power with non-positive base {c!r}")
-    return exp(b * math.log(c))
 
 
 # f -> (f, f', f'') value tables for the second-order chain rule
@@ -535,63 +335,26 @@ FUNCTION_TABLES = {name: _overflow_checked(name, table) for name, table in (
 
 
 def apply_function(name, x):
-    """Apply a named elementary function to a jet or a plain float."""
+    """Apply a named elementary function to a Jet2_2 or a plain float."""
     if is_jet(x):
         return x._compose(*FUNCTION_TABLES[name](x.v))
     return FUNCTION_TABLES[name](float(x))[0]
 
 
-def sin(x):
-    return apply_function("sin", x)
-
-
-def cos(x):
-    return apply_function("cos", x)
-
-
-def tan(x):
-    return apply_function("tan", x)
-
-
-def sinh(x):
-    return apply_function("sinh", x)
-
-
-def cosh(x):
-    return apply_function("cosh", x)
-
-
-def tanh(x):
-    return apply_function("tanh", x)
-
-
-def exp(x):
-    return apply_function("exp", x)
-
-
-def log(x):
-    return apply_function("log", x)
-
-
-def sqrt(x):
-    return apply_function("sqrt", x)
-
-
-def atan(x):
-    return apply_function("atan", x)
-
-
 def fd_oracle(f, point, h):
-    """Central-difference jet of a scalar function; the independent oracle.
+    """Central-difference partials of a scalar function; the independent
+    oracle.
 
     `f` takes 1, 2 or 3 float arguments matching `point` (a float or tuple).
-    All first and second partial estimates carry O(h^2) truncation error;
-    the caller owns the step choice.
+    The result is (v, d1, d2) for one variable, JetSlots for two, and
+    (v, dx, dy, dz, dxx, dxy, dxz, dyy, dyz, dzz) for three.  All first and
+    second partial estimates carry O(h^2) truncation error; the caller owns
+    the step choice.
     """
     if isinstance(point, (int, float)):
         x = float(point)
         fm, f0, fp = f(x - h), f(x), f(x + h)
-        return Jet2_1(f0, (fp - fm) / (2.0 * h), (fp - 2.0 * f0 + fm) / (h * h))
+        return f0, (fp - fm) / (2.0 * h), (fp - 2.0 * f0 + fm) / (h * h)
     point = tuple(float(c) for c in point)
     if len(point) == 2:
         u, v = point
@@ -600,7 +363,7 @@ def fd_oracle(f, point, h):
         fv_p, fv_m = f(u, v + h), f(u, v - h)
         fpp, fpm = f(u + h, v + h), f(u + h, v - h)
         fmp, fmm = f(u - h, v + h), f(u - h, v - h)
-        return Jet2_2(
+        return JetSlots(
             f0,
             (fu_p - fu_m) / (2.0 * h),
             (fv_p - fv_m) / (2.0 * h),
@@ -634,6 +397,6 @@ def fd_oracle(f, point, h):
             return s / (4.0 * h * h)
 
         (dx, dxx), (dy, dyy), (dz, dzz) = d1(0), d1(1), d1(2)
-        return Jet2_3(f0, dx, dy, dz,
-                      dxx, dmix(0, 1), dmix(0, 2), dyy, dmix(1, 2), dzz)
+        return (f0, dx, dy, dz,
+                dxx, dmix(0, 1), dmix(0, 2), dyy, dmix(1, 2), dzz)
     raise ValueError(f"point must have 1, 2 or 3 coordinates, got {len(point)}")

@@ -36,8 +36,10 @@ UMBILIC_REL_TOL = 1e-8
 
 
 # a graph may name its chart coordinates x, y or p, q
-_GRAPH_SEEDS = {"x": "u", "y": "v", "p": "u", "q": "v"}
-_PARAMETRIC_SEEDS = {"p": "u", "q": "v"}
+_GRAPH_SEEDS = {"x": 0, "y": 1, "p": 0, "q": 1}
+_PARAMETRIC_SEEDS = {"p": 0, "q": 1}
+_IMPLICIT_SEEDS = ({"x": 0, "y": 1, "z": 2}, {"x": 0, "z": 1, "y": 2},
+                   {"y": 0, "z": 1, "x": 2})
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,15 @@ class ParametricSurface:
 class ImplicitSurface:
     """W(x, y, z) = 0; regular points only."""
     w: exprlang.ExprAst
+    # W lowered once per pair of seeded coordinates, the third held:
+    # (x, y | z), (x, z | y) and (y, z | x); together they give all ten
+    # partials
+    lowered: object = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lowered", tuple(
+            exprlang.lower_jet2((self.w,), seeds)
+            for seeds in _IMPLICIT_SEEDS))
 
 
 SurfaceDef = GraphSurface | ParametricSurface | ImplicitSurface
@@ -140,17 +151,6 @@ class PrincipalCurvatures:
         return 0.5 * (self.k_min + self.k_max)
 
 
-class GridJet(NamedTuple):
-    """A bivariate 2-jet over a grid: each slot a float64 array with one
-    element per point; it reads like `jets.Jet2_2`."""
-    v: ndarray
-    du: ndarray
-    dv: ndarray
-    duu: ndarray
-    duv: ndarray
-    dvv: ndarray
-
-
 class SurfaceGrid(NamedTuple):
     """The per-point kernel's columns over a grid, float64 arrays with one
     element per point: position, unit normal, first form (its fields are
@@ -173,10 +173,11 @@ def embedding_jets(surface, p, q):
     is embedded as (p, q, f(p, q))."""
     if isinstance(surface, GraphSurface):
         (f,) = surface.lowered(p, q)
-        return (jets.Jet2_2.variable_u(p), jets.Jet2_2.variable_v(q),
-                jets.Jet2_2(*f))
+        return (jets.JetSlots(float(p), 1.0, 0.0, 0.0, 0.0, 0.0),
+                jets.JetSlots(float(q), 0.0, 1.0, 0.0, 0.0, 0.0),
+                jets.JetSlots._make(f))
     if isinstance(surface, ParametricSurface):
-        return tuple(jets.Jet2_2(*slots) for slots in surface.lowered(p, q))
+        return tuple(map(jets.JetSlots._make, surface.lowered(p, q)))
     raise TypeError(f"cannot view {type(surface).__name__} as parametric")
 
 
@@ -306,22 +307,31 @@ def point_tolerance(grad_norm):
 def gauss_curvature_implicit(w, x, y, z):
     """Nine-element symmetric formula over W's first and second partials,
     divided by |grad W|^4; invariant under W -> lambda W."""
-    bindings = {
-        "x": jets.Jet2_3.variable_x(x),
-        "y": jets.Jet2_3.variable_y(y),
-        "z": jets.Jet2_3.variable_z(z),
-    }
-    wj = jets.coerce(exprlang.evaluate(w, bindings), jets.Jet2_3)
-    P, Q, R = wj.dx, wj.dy, wj.dz
+    return gauss_from_implicit(ImplicitSurface(w), x, y, z)
+
+
+def implicit_partials(surface, x, y, z):
+    """W and its partials (v, dx, dy, dz, dxx, dxy, dxz, dyy, dyz, dzz) at
+    (x, y, z), from the three lowered passes."""
+    xy, xz, yz = surface.lowered
+    ((v, dx, dy, dxx, dxy, dyy),) = xy(x, y, z)
+    ((_, _, dz, _, dxz, dzz),) = xz(x, z, y)
+    ((_, _, _, _, dyz, _),) = yz(y, z, x)
+    return v, dx, dy, dz, dxx, dxy, dxz, dyy, dyz, dzz
+
+
+def gauss_from_implicit(surface, x, y, z):
+    """`gauss_curvature_implicit` of an ImplicitSurface."""
+    v, P, Q, R, P1, R2, Q2, Q1, P2, R1 = implicit_partials(surface, x, y, z)
     grad2 = P * P + Q * Q + R * R
     grad_norm = math.sqrt(grad2)
     if grad_norm < EPS_REG:
         raise SingularGradient(f"gradient vanishes at ({x}, {y}, {z})")
-    if abs(wj.v) > point_tolerance(grad_norm):
+    if abs(v) > point_tolerance(grad_norm):
         raise NotOnSurface(
-            f"|W({x}, {y}, {z})| = {abs(wj.v)!r} exceeds the membership tolerance")
-    P1, Q1, R1 = wj.dxx, wj.dyy, wj.dzz     # single-prime family
-    P2, Q2, R2 = wj.dyz, wj.dxz, wj.dxy     # double-prime family
+            f"|W({x}, {y}, {z})| = {abs(v)!r} exceeds the membership tolerance")
+    # single-prime family P1, Q1, R1 = W_xx, W_yy, W_zz; double-prime
+    # family P2, Q2, R2 = W_yz, W_xz, W_xy
     num = (P * P * (Q1 * R1 - P2 * P2)
            + Q * Q * (P1 * R1 - Q2 * Q2)
            + R * R * (P1 * Q1 - R2 * R2)
@@ -421,14 +431,15 @@ def surface_grid(surface, p, q):
 
 
 def _embedding_columns(surface, p, q):
-    """`embedding_jets` over arrays of points, as three GridJets."""
+    """`embedding_jets` over arrays of points."""
     if isinstance(surface, GraphSurface):
         (f,) = surface.lowered(p, q)
         one, zero = np.ones(p.shape), np.zeros(p.shape)
-        return (GridJet(p, one, zero, zero, zero, zero),
-                GridJet(q, zero, one, zero, zero, zero), GridJet(*f))
+        return (jets.JetSlots(p, one, zero, zero, zero, zero),
+                jets.JetSlots(q, zero, one, zero, zero, zero),
+                jets.JetSlots._make(f))
     if isinstance(surface, ParametricSurface):
-        return tuple(GridJet(*slots) for slots in surface.lowered(p, q))
+        return tuple(map(jets.JetSlots._make, surface.lowered(p, q)))
     raise TypeError(f"cannot view {type(surface).__name__} as parametric")
 
 

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import settings
 
-from egregium import exprlang, jets
+from egregium import exprlang, jets, surfaces
 
 # property tests draw the same examples on every run and machine; no
 # per-example deadline, because a shared VM's timing is not the property
@@ -64,23 +64,23 @@ def eval_floats(text, **values):
 
 
 def jet_eval_1(text, x):
-    return exprlang.evaluate(exprlang.parse(text),
-                             {"x": jets.Jet2_1.variable(x)})
+    """(v, d1, d2) of an expression in x, lowered along one coordinate."""
+    (slots,) = exprlang.lower_jet2([exprlang.parse(text)], {"x": 0})(x)
+    return slots[0], slots[1], slots[3]
 
 
 def jet_eval_2(text, x, y):
-    return exprlang.evaluate(exprlang.parse(text), {
-        "x": jets.Jet2_2.variable_u(x),
-        "y": jets.Jet2_2.variable_v(y),
-    })
+    """The lowered 2-jet of an expression in x, y."""
+    (slots,) = exprlang.lower_jet2([exprlang.parse(text)],
+                                   {"x": 0, "y": 1})(x, y)
+    return jets.JetSlots._make(slots)
 
 
 def jet_eval_3(text, x, y, z):
-    return exprlang.evaluate(exprlang.parse(text), {
-        "x": jets.Jet2_3.variable_x(x),
-        "y": jets.Jet2_3.variable_y(y),
-        "z": jets.Jet2_3.variable_z(z),
-    })
+    """(v, dx, dy, dz, dxx, dxy, dxz, dyy, dyz, dzz) of an expression in
+    x, y, z, from the three lowered passes of an implicit surface."""
+    surface = surfaces.ImplicitSurface(exprlang.parse(text))
+    return surfaces.implicit_partials(surface, x, y, z)
 
 
 @pytest.fixture

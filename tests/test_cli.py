@@ -240,6 +240,17 @@ class TestGeodesicCommand:
         assert (code, out) == (2, "")
         assert err == "error: --max-rows must be positive, got 0\n"
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--length", "nan"), ("--step", "nan"), ("--step", "inf")])
+    def test_non_finite_length_or_step_rejected(self, capsys, flag, value):
+        # NaN used to reach math.ceil, and an infinite step made one RK4
+        # step over the whole length
+        code, out, err = run_cli(capsys, "geodesic", "--catalog",
+                                 "sphere_metric", "--start", "1.5,0,0,1",
+                                 flag, value)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must be finite, got {float(value)!r}\n"
+
 
 class TestOutputFormats:
     def test_catalog_lists_entries(self, capsys):
@@ -577,33 +588,42 @@ def test_csv_text_matches_per_value_formatting(table):
 
 
 class TestCurveEvaluations:
-    """The frame and the curvature of a curve point share one jet per
-    expression; x and y come from float evaluations."""
+    """A curve's expressions are lowered once per invocation; the frame and
+    the curvature of a point share its jets, which no tree walk computes,
+    and x and y come from float evaluations."""
 
     @pytest.fixture
     def evaluations(self, monkeypatch):
-        calls = []
-        evaluate = exprlang.evaluate
+        calls = {"lower": 0, "jet": 0, "float": 0}
+        evaluate, lower = exprlang.evaluate, exprlang.lower_jet2
 
         def counting(ast, bindings):
-            calls.append(ast)
+            floats = all(isinstance(value, (int, float))
+                         for value in bindings.values())
+            calls["float" if floats else "jet"] += 1
             return evaluate(ast, bindings)
 
+        def counting_lower(asts, seeds):
+            calls["lower"] += 1
+            return lower(asts, seeds)
+
         monkeypatch.setattr(exprlang, "evaluate", counting)
+        monkeypatch.setattr(exprlang, "lower_jet2", counting_lower)
         return calls
 
-    @pytest.mark.parametrize("argv, per_point", [
-        (("--graph", "x^3 - x", "--n", "5"), 2),
-        (("--parametric", "2*cos(t)", "sin(t)", "--n", "5"), 4),
+    @pytest.mark.parametrize("argv, floats_per_point", [
+        (("--graph", "x^3 - x", "--n", "5"), 1),
+        (("--parametric", "2*cos(t)", "sin(t)", "--n", "5"), 2),
         (("--implicit", "x^2 + y^2 - 4", "--at", "2,0", "--at", "0,2",
-          "--at", "-2,0", "--at", "0,-2", "--at", "1.2,1.6"), 1),
+          "--at", "-2,0", "--at", "0,-2", "--at", "1.2,1.6"), 0),
     ])
     def test_evaluations_per_point(self, capsys, evaluations, argv,
-                                   per_point):
+                                   floats_per_point):
         code, out, err = run_cli(capsys, "curve", *argv)
         assert code == 0, err
         assert len(csv_rows(out)) == 5
-        assert len(evaluations) == 5 * per_point
+        assert evaluations == {"lower": 1, "jet": 0,
+                               "float": 5 * floats_per_point}
 
     @pytest.mark.parametrize("argv, error", [
         (("--parametric", "t^2", "t^3", "--range", "0:1", "--n", "3"),

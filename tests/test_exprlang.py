@@ -1,5 +1,5 @@
 """Parser and evaluator: grammar, errors with positions, print fixpoint,
-and float-vs-jet evaluation agreement."""
+and agreement of float evaluation with the lowered jets' values."""
 
 import math
 
@@ -118,9 +118,8 @@ class TestEvaluation:
         assert jet.duv == 1.0
 
     def test_cosh_jet(self):
-        jet = exprlang.evaluate(parse("cosh(t)"),
-                                {"t": jets.Jet2_1.variable(0.0)})
-        assert (jet.v, jet.d1, jet.d2) == (1.0, 0.0, 1.0)
+        (jet,) = exprlang.lower_jet2([parse("cosh(t)")], {"t": 0})(0.0)
+        assert (jet[0], jet[1], jet[3]) == (1.0, 0.0, 1.0)
 
     def test_pythagoras(self):
         assert eval_floats("sqrt(x^2+y^2)", x=3.0, y=4.0) == 5.0
@@ -129,13 +128,6 @@ class TestEvaluation:
         with pytest.raises(UnboundVariable):
             eval_floats("x + y", x=1.0)
 
-    def test_mixed_jet_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            exprlang.evaluate(parse("x+y"), {
-                "x": jets.Jet2_1.variable(1.0),
-                "y": jets.Jet2_2.variable_u(1.0),
-            })
-
     def test_domain_error_bubbles(self):
         with pytest.raises(DomainError):
             eval_floats("log(x)", x=-1.0)
@@ -143,23 +135,22 @@ class TestEvaluation:
     @pytest.mark.parametrize("text,box", CORPUS_1V)
     def test_float_equals_jet_value_univariate(self, text, box, rng):
         tree = parse(text)
+        run = exprlang.lower_jet2([tree], {"x": 0})
         for _ in range(100):
             x = sample(rng, box)
             plain = exprlang.evaluate(tree, {"x": x})
-            jet = exprlang.evaluate(tree, {"x": jets.Jet2_1.variable(x)})
-            assert abs(plain - jet.v) <= 2.0 * math.ulp(max(abs(plain), 1.0))
+            (jet,) = run(x)
+            assert abs(plain - jet[0]) <= 2.0 * math.ulp(max(abs(plain), 1.0))
 
     @pytest.mark.parametrize("text,boxes", CORPUS_2V)
     def test_float_equals_jet_value_bivariate(self, text, boxes, rng):
         tree = parse(text)
+        run = exprlang.lower_jet2([tree], {"x": 0, "y": 1})
         for _ in range(100):
             x, y = sample(rng, boxes[0]), sample(rng, boxes[1])
             plain = exprlang.evaluate(tree, {"x": x, "y": y})
-            jet = exprlang.evaluate(tree, {
-                "x": jets.Jet2_2.variable_u(x),
-                "y": jets.Jet2_2.variable_v(y),
-            })
-            assert abs(plain - jet.v) <= 2.0 * math.ulp(max(abs(plain), 1.0))
+            (jet,) = run(x, y)
+            assert abs(plain - jet[0]) <= 2.0 * math.ulp(max(abs(plain), 1.0))
 
     def test_free_variables(self):
         assert exprlang.free_variables(parse("x*sin(y)+2")) == {"x", "y"}

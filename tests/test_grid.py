@@ -72,7 +72,7 @@ def test_corpus_grid_matches_scalar_bitwise(text, box, fractions):
     (u0, u1), (v0, v1) = box
     us = [u0 + (u1 - u0) * fu for fu, _ in fractions]
     vs = [v0 + (v1 - v0) * fv for _, fv in fractions]
-    assert_grid_matches_scalar([parse(text)], {"x": "u", "y": "v"}, us, vs)
+    assert_grid_matches_scalar([parse(text)], {"x": 0, "y": 1}, us, vs)
 
 
 point_lists = st.lists(st.tuples(points, points), min_size=1, max_size=5)

@@ -1,9 +1,11 @@
-"""Lowered bivariate evaluation (`exprlang.lower_jet2`) against the
-tree-walking interpreter, which stays the oracle: bit-identical slots or the
-same exception, one lowering per metric or surface, and byte-identical CLI
-output with the interpreter patched in.  Also the parse depth limit that
-keeps every recursive walk inside Python's recursion limit."""
+"""Lowered 2-jet evaluation (`exprlang.lower_jet2`) of one, two or three
+coordinates against the tree-walking interpreter over `jets.Jet2_2`, which
+stays the oracle: bit-identical slots or the same exception, one lowering
+per metric, surface or curve, and byte-identical library and CLI output
+with the interpreter patched in.  Also the parse depth limit that keeps
+every recursive walk inside Python's recursion limit."""
 
+import math
 import struct
 
 import numpy as np
@@ -11,45 +13,62 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egregium import exprlang, intrinsic, jets, surfaces
+from egregium import catalog, curves, exprlang, intrinsic, jets, surfaces
 from egregium.cli import main
 from egregium.exprlang import (MAX_DEPTH, Binary, Constant, ParseError, Unary,
                                Variable, parse)
 
-from conftest import CORPUS_2V
+from conftest import CORPUS_1V, CORPUS_2V, CORPUS_3V
 
-METRIC_SEEDS = {"u": "u", "v": "v", "p": "u", "q": "v"}
+METRIC_SEEDS = {"u": 0, "v": 1, "p": 0, "q": 1}
+# the three passes of an implicit surface: two coordinates seeded, one held
+IMPLICIT_PASSES = ({"x": 0, "y": 1, "z": 2}, {"x": 0, "z": 1, "y": 2},
+                   {"y": 0, "z": 1, "x": 2})
+
+
+def _reference_jet(index, value):
+    """Coordinate `index` as `lower_jet2` seeds it: 0 along u, 1 along v,
+    any later one held as a jet with zero derivatives."""
+    if index == 0:
+        return jets.Jet2_2.variable_u(value)
+    if index == 1:
+        return jets.Jet2_2.variable_v(value)
+    return jets.Jet2_2(value)
 
 
 def interpreted(asts, seeds):
     """`lower_jet2`'s contract met by walking the trees at every call, and
     over arrays at every point."""
-    def at(u, v):
-        U, V = jets.Jet2_2.variable_u(u), jets.Jet2_2.variable_v(v)
-        bindings = {name: U if d == "u" else V for name, d in seeds.items()}
-        return [jets.coerce(exprlang.evaluate(ast, bindings), jets.Jet2_2).slots
-                for ast in asts]
+    def at(*coords):
+        seeded = [_reference_jet(i, c) for i, c in enumerate(coords)]
+        bindings = {name: seeded[i] for name, i in seeds.items()}
+        values = [exprlang.evaluate(ast, bindings) for ast in asts]
+        # a constant tree evaluates to a float: a jet without derivatives
+        return [value.slots if jets.is_jet(value)
+                else (float(value), 0.0, 0.0, 0.0, 0.0, 0.0)
+                for value in values]
 
-    def run(u, v):
-        if not isinstance(u, np.ndarray):
-            return at(u, v)
-        points = [at(a, b) for a, b in zip(u.tolist(), v.tolist())]
+    def run(*coords):
+        if not isinstance(coords[0], np.ndarray):
+            return at(*coords)
+        points = [at(*pt) for pt in zip(*(c.tolist() for c in coords))]
         return [tuple(np.array(slot) for slot in zip(*(pt[k] for pt in points)))
                 for k in range(len(asts))]
     return run
 
 
-def outcome(fn, u, v):
+def outcome(fn, *coords):
     """Slot bit patterns, or the exception class and message."""
     try:
-        return [tuple(struct.pack("d", s) for s in slots) for slots in fn(u, v)]
+        return [tuple(struct.pack("d", s) for s in slots)
+                for slots in fn(*coords)]
     except Exception as exc:
         return (type(exc), str(exc))
 
 
-def assert_same(asts, seeds, u, v):
-    want = outcome(interpreted(asts, seeds), u, v)
-    got = outcome(exprlang.lower_jet2(asts, seeds), u, v)
+def assert_same(asts, seeds, *coords):
+    want = outcome(interpreted(asts, seeds), *coords)
+    got = outcome(exprlang.lower_jet2(asts, seeds), *coords)
     assert got == want
 
 
@@ -59,8 +78,27 @@ def assert_same(asts, seeds, u, v):
 @given(fu=st.floats(0.0, 1.0), fv=st.floats(0.0, 1.0))
 def test_corpus_matches_interpreter_bitwise(text, box, fu, fv):
     (u0, u1), (v0, v1) = box
-    assert_same([parse(text)], {"x": "u", "y": "v"},
+    assert_same([parse(text)], {"x": 0, "y": 1},
                 u0 + (u1 - u0) * fu, v0 + (v1 - v0) * fv)
+
+
+@pytest.mark.parametrize("text, box", CORPUS_1V)
+@given(f=st.floats(0.0, 1.0))
+def test_one_coordinate_corpus_matches_interpreter_bitwise(text, box, f):
+    lo, hi = box
+    assert_same([parse(text)], {"x": 0}, lo + (hi - lo) * f)
+
+
+@pytest.mark.parametrize("passes", range(3))
+@pytest.mark.parametrize("text, boxes", CORPUS_3V)
+@given(f=st.tuples(*[st.floats(0.0, 1.0)] * 3))
+def test_three_coordinate_corpus_matches_interpreter_bitwise(text, boxes,
+                                                             passes, f):
+    seeds = IMPLICIT_PASSES[passes]
+    point = {name: lo + (hi - lo) * fi
+             for name, (lo, hi), fi in zip("xyz", boxes, f)}
+    coords = sorted(point, key=seeds.get)
+    assert_same([parse(text)], seeds, *(point[name] for name in coords))
 
 
 # constants that reach every branch: zero divisors (both signs), the power
@@ -107,6 +145,19 @@ def test_random_trees_match_interpreter(tree, u, v):
 def test_random_tree_lists_match_interpreter(trees, u, v):
     # the first tree to raise decides, even when a later one equals it
     assert_same(trees + trees[:1], METRIC_SEEDS, u, v)
+
+
+@pytest.mark.parametrize("seeds, arity", [
+    ({"u": 0, "v": 0, "p": 0, "q": 0}, 1),
+    # one or two names on the held coordinate
+    ({"u": 0, "v": 1, "p": 2, "q": 2}, 3),
+    ({"u": 2, "v": 0, "p": 1, "q": 0}, 3),
+])
+@settings(max_examples=500)
+@given(tree=trees, coords=st.tuples(points, points, points))
+def test_random_trees_of_one_and_three_coordinates_match_interpreter(
+        seeds, arity, tree, coords):
+    assert_same([tree], seeds, *coords[:arity])
 
 
 @pytest.mark.parametrize("text, u, v, error", [
@@ -199,6 +250,37 @@ def test_surfaces_lower_once_and_never_walk(counters):
     assert counters == {"lower": 2, "evaluate": 0}
 
 
+def test_curves_lower_once_and_never_walk(counters):
+    graph = curves.GraphCurve(parse("x^3 - x + sin(x)/3"))
+    ellipse = curves.ParametricCurve(parse("2*cos(t)"), parse("sin(t)"))
+    circle = curves.ImplicitCurve(parse("x^2 + y^2 - 4"))
+    for i in range(50):
+        curves.osculating_circle(graph, 0.5 + 0.01 * i)
+        curves.osculating_circle(ellipse, 0.01 * i)
+        curves.osculating_circle(circle, (2.0, 0.0) if i % 2 else (0.0, 2.0))
+    curves.arc_length(graph, 0.0, 1.0)
+    curves.arclength_reparametrize(ellipse, 0.0, 1.0, 5)
+    assert counters == {"lower": 3, "evaluate": 0}
+
+
+ELLIPSOID = catalog.resolve(catalog.lookup("ellipsoid"))
+
+
+def _ellipsoid_point(p, q):
+    """A point of the catalog ellipsoid (a, b, c) = (2, 1.5, 1)."""
+    return (2.0 * math.sin(p) * math.cos(q), 1.5 * math.sin(p) * math.sin(q),
+            math.cos(p))
+
+
+def test_implicit_surfaces_lower_once_and_never_walk(counters):
+    surface = surfaces.ImplicitSurface(parse(ELLIPSOID["implicit"]))
+    for i in range(50):
+        point = _ellipsoid_point(0.3 + 0.04 * i, 0.1 * i)
+        surfaces.gauss_from_implicit(surface, *point)
+    # one lowering per pair of seeded coordinates
+    assert counters == {"lower": 3, "evaluate": 0}
+
+
 def test_cli_metric_run_lowers_once(capsys, counters):
     assert main(["egregia", "--metric", "1,0,exp(2*u)", "--grid", "6x6"]) == 0
     capsys.readouterr()
@@ -248,7 +330,37 @@ def test_egregium_check_refuses_before_any_curvature(monkeypatch,
     assert curvatures == []
 
 
-# --- CLI output with the interpreter patched in as the oracle ---------------
+# --- library and CLI output with the interpreter patched in as the oracle ---
+
+LIBRARY_RUNS = [
+    *[(surfaces.gauss_curvature_implicit,
+       (parse(ELLIPSOID["implicit"]), *_ellipsoid_point(p, q)))
+      for p, q in ((0.8, 1.3), (0.3, 0.0), (2.0, 4.0), (1.5707963, 0.7))],
+    # off the surface: the membership check fails the same way
+    (surfaces.gauss_curvature_implicit,
+     (parse(ELLIPSOID["implicit"]), 1.0, 1.0, 1.0)),
+    *[(intrinsic.curvature_isothermal, (parse(lam), u, v))
+      for lam in ("2/(1+u^2+v^2)", "exp(u)*(1+v^2)^0.5", "2/(1-p^2-q^2)")
+      for u, v in ((0.0, 0.0), (0.3, -0.2), (0.7, 0.6))],
+    (intrinsic.curvature_isothermal, (parse("u"), -1.0, 0.0)),
+    *[(intrinsic.curvature_geodesic_polar, (parse(g), p, 0.3))
+      for g in ("sin(p)^2", "sinh(p)^2", "p^2") for p in (0.4, 1.1)],
+]
+
+
+@pytest.mark.parametrize("fn, args", LIBRARY_RUNS,
+                         ids=lambda value: getattr(value, "__name__", ""))
+def test_library_results_equal_interpreted_results(monkeypatch, fn, args):
+    def result():
+        try:
+            return struct.pack("d", fn(*args))
+        except Exception as exc:
+            return (type(exc), str(exc))
+
+    lowered = result()
+    monkeypatch.setattr(exprlang, "lower_jet2", interpreted)
+    assert result() == lowered
+
 
 AB_RUNS = [
     ("egregia", "--metric",
@@ -265,6 +377,11 @@ AB_RUNS = [
     ("surface", "--parametric", "(2+cos(p))*cos(q)", "(2+cos(p))*sin(q)",
      "sin(p)", "--grid", "3x4", "--format", "json"),
     ("egregia", "--catalog", "catenoid", "--grid", "3x3"),
+    ("curve", "--graph", "x^3 - x/3 + 2^x", "--n", "7"),
+    ("curve", "--parametric", "2*cos(t)/3", "sin(t)^1.5", "--range",
+     "0.1:3", "--n", "6"),
+    ("curve", "--implicit", "x^2/4 + y^2 - 1", "--at", "2,0", "--at",
+     "0,1", "--at", "1.2,0.8", "--format", "json"),
 ]
 
 

@@ -352,8 +352,7 @@ class TestTripleAgreement:
         graph = GraphSurface(f)
         for _ in range(20):
             x, y = rng.uniform(-2, 2), rng.uniform(-2, 2)
-            fj = evaluate(f, {"x": jets.Jet2_2.variable_u(x),
-                              "y": jets.Jet2_2.variable_v(y)})
+            _, _, fj = surfaces.embedding_jets(graph, x, y)
             nd = normal_parametric(graph, x, y)
             lhs = (1.0 + fj.du ** 2 + fj.dv ** 2) * nd.C ** 2
             rhs = nd.A ** 2 + nd.B ** 2 + nd.C ** 2
