@@ -403,7 +403,7 @@ def cmd_gaussbonnet(args):
                        v_range[0], v_range[1])
     result = quad.integrate(
         metric, lambda u, v: intrinsic.formula_egregia(metric, u, v),
-        region, order=args.order)
+        region, order=args.order, grid_field=intrinsic.kappa_from_metric)
     rows = [(result.value, result.error)]
     _emit(args, ["total", "error"], rows,
           {"total": result.value, "error": result.error})

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass, field
 
 from . import exprlang, jets, quad
-from .errors import (CoincidentPoints, NotOnCurve, SingularGradient,
-                     SingularPoint, ZeroCurvature)
+from .errors import (CoincidentPoints, InputError, NotOnCurve,
+                     SingularGradient, SingularPoint, ZeroCurvature)
 
 EPS_REG = 1e-12
 
@@ -85,7 +85,7 @@ def arc_length(curve, x1, x2, order=8, panels=8):
     if not isinstance(curve, GraphCurve):
         raise TypeError("arc_length expects a graph curve")
     if not x2 > x1:
-        raise ValueError(f"need x1 < x2, got {x1!r}, {x2!r}")
+        raise InputError(f"need x1 < x2, got {x1!r}, {x2!r}")
     nodes, weights = quad.gauss_legendre(order)
     total = 0.0
     width = (x2 - x1) / panels
@@ -237,7 +237,7 @@ def arclength_reparametrize(curve, t0, t1, samples, order=16):
     if not isinstance(curve, ParametricCurve):
         raise TypeError("arclength_reparametrize expects a parametric curve")
     if not t1 > t0:
-        raise ValueError(f"need t0 < t1, got {t0!r}, {t1!r}")
+        raise InputError(f"need t0 < t1, got {t0!r}, {t1!r}")
     nodes, weights = quad.gauss_legendre(order)
 
     def speed(t):

@@ -327,17 +327,23 @@ def _float_pow(base, exponent):
 #
 # A lowered node is either a float (a folded constant subtree) or a closure
 # C -> slots, where C holds one slot tuple per coordinate and slots is
-# (v, du, dv, duu, duv, dvv).  Each closure performs exactly the float
-# operations `_eval` performs on the operator jets of `jets`, in the same
-# order, so results are bit-identical and the same exceptions are raised
-# with the same messages.
+# (v, du, dv, duu, duv, dvv), or (v, du, dv) at order 1.  Each closure
+# performs exactly the float operations `_eval` performs on the operator
+# jets of `jets`, in the same order, so results are bit-identical and the
+# same exceptions are raised with the same messages.  An order-1 closure
+# performs the part of them that yields the first three slots: none of
+# those reads a second-order slot, and every table of f, f', f'' is still
+# called whole, so it raises where order 2 raises.
 
 _ONE = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def lower_jet2(asts, seeds):
+def lower_jet2(asts, seeds, order=2):
     """Compile trees once into a function (*coords) -> list of 2-jet slot
-    tuples (v, du, dv, duu, duv, dvv), one per tree in `asts`.
+    tuples (v, du, dv, duu, duv, dvv), one per tree in `asts`.  With
+    `order=1` the tuples are (v, du, dv), with the bits of the first three
+    order-2 slots and the same exceptions, and cost only the first-order
+    arithmetic.
 
     `seeds` maps variable names to coordinate indices; any other name raises
     UnboundVariable when evaluated.  The function seeds coordinate 0 along
@@ -348,33 +354,40 @@ def lower_jet2(asts, seeds):
     once.  Results are those of `evaluate` over operator-jet bindings with
     the same seeding, bit for bit.
 
-    The coordinates may also be 1-D float64 arrays of one length, the points
-    of a grid; every slot is then an array, and element i holds the bits of
-    the scalar call at the i-th point.  If any point fails, some error is
-    raised, not necessarily the one of the first failing point.  Each kind
-    of call lowers the trees at its first use.
+    At order 2 the coordinates may also be 1-D float64 arrays of one length,
+    the points of a grid; every slot is then an array, and element i holds
+    the bits of the scalar call at the i-th point.  If any point fails, some
+    error is raised, not necessarily the one of the first failing point.
+    Each kind of call lowers the trees at its first use.
     """
-    trees, order, index = [], [], {}
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order!r}")
+    trees, picks, index = [], [], {}
     for ast in asts:
         if ast not in index:
             index[ast] = len(trees)
             trees.append(ast)
-        order.append(index[ast])
+        picks.append(index[ast])
+    lower, seeded, width = ((_lower, _seeded, 6) if order == 2
+                            else (_lower_first, _seeded_first, 3))
     programs = columns = None
 
     def run(*coords):
         nonlocal programs, columns
         if type(coords[0]) is ndarray:
             if columns is None:
-                columns = [_program(_lower_columns(ast, seeds))
+                if order != 2:
+                    raise ValueError("order-1 programs take scalar coordinates")
+                columns = [_program(_lower_columns(ast, seeds), 6)
                            for ast in trees]
             values = _run_columns(columns, coords)
         else:
             if programs is None:
-                programs = [_program(_lower(ast, seeds)) for ast in trees]
-            C = _seeded(*coords)
+                programs = [_program(lower(ast, seeds), width)
+                            for ast in trees]
+            C = seeded(*coords)
             values = [program(C) for program in programs]
-        return [values[i] for i in order]
+        return [values[i] for i in picks]
 
     return run
 
@@ -391,17 +404,34 @@ def _seeded(u, v=None, *held):
     return C
 
 
-def _program(node):
-    """A closure for a lowered tree; a constant becomes a constant jet."""
+def _seeded_first(u, v=None, *held):
+    """`_seeded` at order 1."""
+    U = (float(u), 1.0, 0.0)
+    if v is None:
+        return (U,)
+    C = (U, (float(v), 0.0, 1.0))
+    if held:
+        C += tuple((float(h), 0.0, 0.0) for h in held)
+    return C
+
+
+def _program(node, width):
+    """A closure for a lowered tree; a constant becomes a constant jet of
+    `width` slots."""
     if callable(node):
         return node
-    constant = (float(node), 0.0, 0.0, 0.0, 0.0, 0.0)
+    constant = (float(node),) + (0.0,) * (width - 1)
     return lambda C: constant
 
 
 def _lower(ast, seeds):
     """A tree lowered to closures over float slots."""
     return _lower_with(ast, seeds, _SCALAR_NODES)
+
+
+def _lower_first(ast, seeds):
+    """A tree lowered to closures over first-order float slots."""
+    return _lower_with(ast, seeds, _FIRST_NODES)
 
 
 def _lower_with(ast, seeds, nodes):
@@ -414,7 +444,7 @@ def _lower_with(ast, seeds, nodes):
         if not callable(child):
             return _fold(Unary(ast.op, Constant(child)))
         if ast.op == "neg":
-            return _lower_neg(child)
+            return nodes.neg(child)
         return nodes.function(ast.op, child)
     left = _lower_with(ast.left, seeds, nodes)
     right = _lower_with(ast.right, seeds, nodes)
@@ -448,20 +478,13 @@ def _lower_variable(name, coordinate):
     return unbound
 
 
+# slot-wise nodes, order 2
+
 def _lower_neg(a):
     def neg(C):
         v, du, dv, duu, duv, dvv = a(C)
         return (-v, -du, -dv, -duu, -duv, -dvv)
     return neg
-
-
-def _lower_function(name, a):
-    table, compose = jets.FUNCTION_TABLES[name], jets.compose_slots
-
-    def function(C):
-        x = a(C)
-        return compose(x, *table(x[0]))
-    return function
 
 
 def _add_jj(a, b):
@@ -503,11 +526,6 @@ def _sub_cj(c, b):
     return sub
 
 
-def _mul_jj(a, b):
-    mul = jets.mul_slots
-    return lambda C: mul(a(C), b(C))
-
-
 def _scale(a, c):
     def scale(C):
         v, du, dv, duu, duv, dvv = a(C)
@@ -515,126 +533,175 @@ def _scale(a, c):
     return scale
 
 
-def _div_jj(a, b):
-    mul, recip = jets.mul_slots, jets.recip_slots
+# slot-wise nodes, order 1: the first three slots of the above
 
-    def div(C):
-        x = a(C)
-        return mul(x, recip(b(C)))
-    return div
-
-
-def _div_jc(a, c):
-    if c == 0.0:
-        def div(C):
-            a(C)
-            raise DivisionByZero("division by zero")
-        return div
-    return _scale(a, 1.0 / c)
+def _neg_first(a):
+    def neg(C):
+        v, du, dv = a(C)
+        return (-v, -du, -dv)
+    return neg
 
 
-def _div_cj(c, b):
-    recip = jets.recip_slots
-
-    def div(C):
-        v, du, dv, duu, duv, dvv = recip(b(C))
-        return (v * c, du * c, dv * c, duu * c, duv * c, dvv * c)
-    return div
-
-
-def _pow_jc(a, e):
-    """a^e for a constant exponent, following the operator jets' `**`."""
-    compose = jets.compose_slots
-    if e == 0.0:
-        def power(C):
-            a(C)
-            return _ONE
-        return power
-    if e == 1.0:
-        return a
-    if e.is_integer() and abs(e) <= jets.INT_EXP_LIMIT:
-        n = int(e)
-        n1, n2, nn1 = n - 1, n - 2, n * (n - 1)
-
-        def power(C):
-            x = a(C)
-            v = x[0]
-            if n < 0 and v == 0.0:
-                raise DivisionByZero("negative power of jet with zero value")
-            try:
-                return compose(x, v ** n, n * v ** n1, nn1 * v ** n2)
-            except OverflowError:
-                raise DomainError(f"power {v!r}**{e!r} overflows") from None
-        return power
-    e1, e2, ee1 = e - 1.0, e - 2.0, e * (e - 1.0)
-
-    def power(C):
-        x = a(C)
-        v = x[0]
-        if v <= 0.0:
-            raise DomainError(f"fractional power of non-positive base {v!r}")
-        try:
-            return compose(x, v ** e, e * v ** e1, ee1 * v ** e2)
-        except OverflowError:
-            raise DomainError(f"power {v!r}**{e!r} overflows") from None
-    return power
+def _add_first_jj(a, b):
+    def add(C):
+        av, adu, adv = a(C)
+        bv, bdu, bdv = b(C)
+        return (av + bv, adu + bdu, adv + bdv)
+    return add
 
 
-def _pow_cj(c, b):
-    """c^b for a constant base: exp(b * log c), as the operator jets do."""
-    if c <= 0.0:
-        def power(C):
-            b(C)
-            raise DomainError(f"power with non-positive base {c!r}")
-        return power
-    return _lower_function("exp", _scale(b, math.log(c)))
+def _add_first_jc(a, c):
+    def add(C):
+        v, du, dv = a(C)
+        return (v + c, du, dv)
+    return add
 
 
-def _pow_jj(a, b):
-    """a^b as exp(b * log a), as the operator jets do."""
-    log, exp = jets.FUNCTION_TABLES["log"], jets.FUNCTION_TABLES["exp"]
-    compose, mul = jets.compose_slots, jets.mul_slots
+def _sub_first_jj(a, b):
+    def sub(C):
+        av, adu, adv = a(C)
+        bv, bdu, bdv = b(C)
+        return (av - bv, adu - bdu, adv - bdv)
+    return sub
 
-    def power(C):
-        x = a(C)
-        y = b(C)
-        v = x[0]
-        if v <= 0.0:
-            raise DomainError(f"jet power with non-positive base {v!r}")
-        z = mul(y, compose(x, *log(v)))
-        return compose(z, *exp(z[0]))
-    return power
+
+def _sub_first_jc(a, c):
+    def sub(C):
+        v, du, dv = a(C)
+        return (v - c, du, dv)
+    return sub
+
+
+def _sub_first_cj(c, b):
+    def sub(C):
+        v, du, dv = b(C)
+        return (c - v, -du, -dv)
+    return sub
+
+
+def _scale_first(a, c):
+    def scale(C):
+        v, du, dv = a(C)
+        return (v * c, du * c, dv * c)
+    return scale
 
 
 class _Nodes(NamedTuple):
-    """Node builders by kind: a named function of a closure, and operators
-    with closures or constants (c) on each side."""
+    """Node builders by kind: negation and a named function of a closure,
+    and operators with closures or constants (c) on each side."""
+    neg: object
     function: object
     jet_jet: dict
     jet_const: dict
     const_jet: dict
 
 
-_SCALAR_NODES = _Nodes(
-    _lower_function,
-    {"+": _add_jj, "-": _sub_jj, "*": _mul_jj, "/": _div_jj, "^": _pow_jj},
-    {"+": _add_jc, "-": _sub_jc, "*": _scale, "/": _div_jc, "^": _pow_jc},
-    # constant on the left: + and * commute slot by slot, as in
-    # the operator jets' __radd__ and __rmul__
-    {"+": lambda c, b: _add_jc(b, c), "-": _sub_cj,
-     "*": lambda c, b: _scale(b, c), "/": _div_cj, "^": _pow_cj})
+def _log_base(v):
+    """The log table at the base of a^b, whose base must be positive."""
+    if v <= 0.0:
+        raise DomainError(f"jet power with non-positive base {v!r}")
+    return jets.FUNCTION_TABLES["log"](v)
+
+
+def _nodes(neg, add, add_c, sub, sub_c, c_sub, scale, mul, compose, one,
+           lift):
+    """The node builders of one kind of program, from its slot-wise
+    builders, its product rule `mul` and chain rule `compose` over slot
+    tuples, its constant jet `one`, and `lift`, which turns a scalar table
+    v -> (f, f', f'') into the one its nodes call.  Every node that takes
+    f, f', f'' from a table (function, reciprocal, power) is written here
+    once for all kinds."""
+    recip, log_base, exp = (lift(jets.recip_table), lift(_log_base),
+                            lift(jets.FUNCTION_TABLES["exp"]))
+
+    def chain(a, table):
+        def apply(C):
+            x = a(C)
+            return compose(x, *table(x[0]))
+        return apply
+
+    def function(name, a):
+        return chain(a, lift(jets.FUNCTION_TABLES[name]))
+
+    def mul_jj(a, b):
+        return lambda C: mul(a(C), b(C))
+
+    def div_jc(a, c):
+        if c == 0.0:
+            def div(C):
+                a(C)
+                raise DivisionByZero("division by zero")
+            return div
+        return scale(a, 1.0 / c)
+
+    def pow_jc(a, e):
+        """a^e for a constant exponent, following the operator jets' `**`."""
+        if e == 0.0:
+            def power(C):
+                a(C)
+                return one
+            return power
+        if e == 1.0:
+            return a
+        return chain(a, lift(jets.power_table(e)))
+
+    def pow_cj(c, b):
+        """c^b for a constant base: exp(b * log c), as the operator jets do."""
+        if c <= 0.0:
+            def power(C):
+                b(C)
+                raise DomainError(f"power with non-positive base {c!r}")
+            return power
+        return function("exp", scale(b, math.log(c)))
+
+    def pow_jj(a, b):
+        """a^b as exp(b * log a), as the operator jets do: both operands
+        first, then the base's check."""
+        def power(C):
+            x = a(C)
+            z = mul(b(C), compose(x, *log_base(x[0])))
+            return compose(z, *exp(z[0]))
+        return power
+
+    return _Nodes(
+        neg, function,
+        {"+": add, "-": sub, "*": mul_jj,
+         "/": lambda a, b: mul_jj(a, chain(b, recip)), "^": pow_jj},
+        {"+": add_c, "-": sub_c, "*": scale, "/": div_jc, "^": pow_jc},
+        # constant on the left: + and * commute slot by slot, as in
+        # the operator jets' __radd__ and __rmul__
+        {"+": lambda c, b: add_c(b, c), "-": c_sub,
+         "*": lambda c, b: scale(b, c),
+         "/": lambda c, b: scale(chain(b, recip), c), "^": pow_cj})
+
+
+def _elementwise(table):
+    """A scalar table that also takes a float64 array, running at each
+    element (`jets.tabulate`), never numpy's exp, log or power, whose last
+    bits differ from libm's."""
+    tabulate = jets.tabulate
+    return lambda v: tabulate(table, v) if type(v) is ndarray else table(v)
+
+
+_ORDER2 = (_lower_neg, _add_jj, _add_jc, _sub_jj, _sub_jc, _sub_cj, _scale,
+           jets.mul_slots, jets.compose_slots, _ONE)
+_SCALAR_NODES = _nodes(*_ORDER2, lambda table: table)
+_FIRST_NODES = _nodes(
+    _neg_first, _add_first_jj, _add_first_jc, _sub_first_jj, _sub_first_jc,
+    _sub_first_cj, _scale_first, jets.mul_first, jets.compose_first,
+    (1.0, 0.0, 0.0), lambda table: table)
 
 
 # --- the same trees over arrays of grid points -------------------------------
 #
 # Over a grid each slot is a float64 array, or a float where it does not
 # depend on the point.  + - * / run in numpy, which rounds them as Python
-# does, so the arithmetic closures above serve both.  A node that takes
-# f, f', f'' from a table (elementary function, reciprocal, power) gets its
-# own closure here, which runs the scalar table at each element
-# (`jets.tabulate`), never numpy's exp, log or power, whose last bits differ
-# from libm's.  The scalar closures stay free of the test for arrays, which
+# does, so the order-2 nodes serve both, with each table lifted to run at
+# every element.  The scalar nodes stay free of the test for arrays, which
 # cost 1-5 % of MetricField.at when every table node made it.
+
+_GRID_NODES = _nodes(*_ORDER2, _elementwise)
+
 
 def _lower_columns(ast, seeds):
     """A tree lowered to closures over float64 array slots."""
@@ -653,67 +720,6 @@ def _run_columns(programs, coords):
     return [tuple(slot if type(slot) is ndarray else np.full(shape, slot)
                   for slot in slots)
             for slots in values]
-
-
-def _chain(x, table):
-    """Slots of f(x) by the chain rule, table(v) giving f, f', f'' at a
-    float v; at each element when x's value is an array."""
-    v = x[0]
-    return jets.compose_slots(
-        x, *(jets.tabulate(table, v) if type(v) is ndarray else table(v)))
-
-
-def _lower_table(a, table):
-    return lambda C: _chain(a(C), table)
-
-
-def _grid_function(name, a):
-    return _lower_table(a, jets.FUNCTION_TABLES[name])
-
-
-def _grid_div_jj(a, b):
-    return _mul_jj(a, _lower_table(b, jets.recip_table))
-
-
-def _grid_div_cj(c, b):
-    return _scale(_lower_table(b, jets.recip_table), c)
-
-
-def _grid_pow_jc(a, e):
-    if e == 0.0 or e == 1.0:
-        return _pow_jc(a, e)
-    terms = jets.power_terms
-    return _lower_table(a, lambda v: terms(v, e))
-
-
-def _grid_pow_cj(c, b):
-    if c <= 0.0:
-        return _pow_cj(c, b)
-    return _grid_function("exp", _scale(b, math.log(c)))
-
-
-def _grid_pow_jj(a, b):
-    log, exp = jets.FUNCTION_TABLES["log"], jets.FUNCTION_TABLES["exp"]
-    mul = jets.mul_slots
-
-    def log_base(v):
-        if v <= 0.0:
-            raise DomainError(f"jet power with non-positive base {v!r}")
-        return log(v)
-
-    def power(C):
-        # both operands first, then the base's check, as in _pow_jj
-        x = a(C)
-        y = b(C)
-        return _chain(mul(y, _chain(x, log_base)), exp)
-    return power
-
-
-_GRID_NODES = _Nodes(
-    _grid_function,
-    {**_SCALAR_NODES.jet_jet, "/": _grid_div_jj, "^": _grid_pow_jj},
-    {**_SCALAR_NODES.jet_const, "^": _grid_pow_jc},
-    {**_SCALAR_NODES.const_jet, "/": _grid_div_cj, "^": _grid_pow_cj})
 
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}

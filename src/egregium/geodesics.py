@@ -2,9 +2,11 @@
 Clairaut's relation on surfaces of revolution, and the angle-excess law
 for geodesic triangles.
 
-Connection coefficients come from the metric's first partials; the
-integrator is classical fixed-step RK4 with an energy-drift guard instead
-of adaptive stepping, so fixtures are deterministic.
+Connection coefficients come from the metric's first partials
+(`MetricField.first_order`), in one fused right-hand side over plain
+floats; the integrator is classical fixed-step RK4 with an energy-drift
+guard instead of adaptive stepping, so fixtures are deterministic.  The
+excess law integrates the curvature over all quadrature nodes at once.
 """
 
 from __future__ import annotations
@@ -65,38 +67,41 @@ class RevolutionSurface:
     radius: exprlang.ExprAst
 
 
-def christoffel(metric, u, v):
-    """The six connection coefficients from metric first partials."""
-    m = metric.at(u, v)
-    inv = 0.5 / m.disc
-    guu_u = (m.G * m.Eu - 2.0 * m.F * m.Fu + m.F * m.Ev) * inv
-    guu_v = (m.G * m.Ev - m.F * m.Gu) * inv
-    gvv_u = (2.0 * m.G * m.Fv - m.G * m.Gu - m.F * m.Gv) * inv
-    huu_u = (2.0 * m.E * m.Fu - m.E * m.Ev - m.F * m.Eu) * inv
-    huu_v = (m.E * m.Gu - m.F * m.Ev) * inv
-    hvv_u = (m.E * m.Gv - 2.0 * m.F * m.Fv + m.F * m.Gu) * inv
-    return guu_u, guu_v, gvv_u, huu_u, huu_v, hvv_u
-
-
-def _rhs(metric, state):
-    u, v, pu, pv = state
-    cuu, cuv, cvv, duu, duv, dvv = christoffel(metric, u, v)
-    au = -(cuu * pu * pu + 2.0 * cuv * pu * pv + cvv * pv * pv)
-    av = -(duu * pu * pu + 2.0 * duv * pu * pv + dvv * pv * pv)
-    return pu, pv, au, av
+def _acceleration(first_order, u, v, pu, pv):
+    """(u'', v'') of the geodesic system at a state: the connection
+    coefficients (c for the u equation, d for the v equation) from the
+    metric's first partials, contracted with the velocity."""
+    E, F, G, Eu, Ev, Fu, Fv, Gu, Gv = first_order(u, v)
+    inv = 0.5 / (E * G - F * F)
+    cuu = (G * Eu - 2.0 * F * Fu + F * Ev) * inv
+    cuv = (G * Ev - F * Gu) * inv
+    cvv = (2.0 * G * Fv - G * Gu - F * Gv) * inv
+    duu = (2.0 * E * Fu - E * Ev - F * Eu) * inv
+    duv = (E * Gu - F * Ev) * inv
+    dvv = (E * Gv - 2.0 * F * Fv + F * Gu) * inv
+    return (-(cuu * pu * pu + 2.0 * cuv * pu * pv + cvv * pv * pv),
+            -(duu * pu * pu + 2.0 * duv * pu * pv + dvv * pv * pv))
 
 
 def _rk4_step(metric, y, dt):
-    """One classical RK4 step of the geodesic system from state y."""
-    k1 = _rhs(metric, y)
-    y2 = tuple(y[i] + 0.5 * dt * k1[i] for i in range(4))
-    k2 = _rhs(metric, y2)
-    y3 = tuple(y[i] + 0.5 * dt * k2[i] for i in range(4))
-    k3 = _rhs(metric, y3)
-    y4 = tuple(y[i] + dt * k3[i] for i in range(4))
-    k4 = _rhs(metric, y4)
-    return tuple(y[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-                 for i in range(4))
+    """One classical RK4 step of the geodesic system from state y; stage k
+    has slopes (pu_k, pv_k, au_k, av_k)."""
+    first_order = metric.first_order
+    u, v, pu, pv = y
+    h = 0.5 * dt
+    au, av = _acceleration(first_order, u, v, pu, pv)
+    pu2, pv2 = pu + h * au, pv + h * av
+    au2, av2 = _acceleration(first_order, u + h * pu, v + h * pv, pu2, pv2)
+    pu3, pv3 = pu + h * au2, pv + h * av2
+    au3, av3 = _acceleration(first_order, u + h * pu2, v + h * pv2, pu3, pv3)
+    pu4, pv4 = pu + dt * au3, pv + dt * av3
+    au4, av4 = _acceleration(first_order, u + dt * pu3, v + dt * pv3, pu4,
+                             pv4)
+    d6 = dt / 6.0
+    return (u + d6 * (pu + 2.0 * pu2 + 2.0 * pu3 + pu4),
+            v + d6 * (pv + 2.0 * pv2 + 2.0 * pv3 + pv4),
+            pu + d6 * (au + 2.0 * au2 + 2.0 * au3 + au4),
+            pv + d6 * (av + 2.0 * av2 + 2.0 * av3 + av4))
 
 
 def _metric_speed2(metric, u, v, pu, pv):
@@ -108,7 +113,7 @@ def integrate_geodesic(metric, start, length, step):
     """Fixed-step RK4 trajectory of the geodesic system over the given
     arclength; metric speed is conserved along the way (guarded)."""
     if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step!r}")
+        raise InputError(f"step must be positive, got {step!r}")
     if abs(length) / step > MAX_GEODESIC_STEPS:
         raise InputError(f"length {length!r} at step {step!r} needs more "
                          f"than the budget of {MAX_GEODESIC_STEPS} steps")
@@ -119,7 +124,7 @@ def integrate_geodesic(metric, start, length, step):
     speed0 = math.sqrt(_metric_speed2(metric, start.u, start.v,
                                       start.pu, start.pv))
     if speed0 <= 0.0:
-        raise ValueError("initial velocity must be nonzero")
+        raise InputError("initial velocity must be nonzero")
     n_steps = max(1, math.ceil(abs(length) / step))
     dt = (length / speed0) / n_steps
     energy0 = speed0 * speed0
@@ -382,5 +387,5 @@ def excess_from_triangle(metric, triangle, boundary_points=150):
     region = quad.TriFan(tuple(triangles))
     result = quad.integrate(
         metric, lambda uu, vv: intrinsic.formula_egregia(metric, uu, vv),
-        region, order=1)
+        region, order=1, grid_field=intrinsic.kappa_from_metric)
     return excess, result.value

@@ -7,7 +7,9 @@ from text expressions in (u, v) (the (p, q) spelling is accepted too) or
 induced from a graph or parametric embedding, in which case all partials are
 obtained by differentiating through the composition with jet arithmetic;
 no symbolic differentiation is performed anywhere.  `MetricField.grid`
-evaluates a whole grid of points at once, bit for bit the values of `at`.
+evaluates a whole grid of points at once, bit for bit the values of `at`;
+`MetricField.first_order` computes the first partials alone, which is all
+the geodesic equations and the metric's lengths and angles read.
 """
 
 from __future__ import annotations
@@ -51,11 +53,14 @@ class MetricField:
 
     Expression metrics are lowered once, at construction, by
     `exprlang.lower_jet2`; every `at` call runs the lowered programs, and
-    `grid` runs them once over arrays of points.
+    `grid` runs them once over arrays of points.  `first_order` runs
+    first-order programs, lowered at its first call.
     """
 
     def __init__(self, e_ast, f_ast, g_ast):
-        self._jets = exprlang.lower_jet2((e_ast, f_ast, g_ast), _SEEDS)
+        self._asts = (e_ast, f_ast, g_ast)
+        self._jets = exprlang.lower_jet2(self._asts, _SEEDS)
+        self._first = None
         self._surface = None
 
     @classmethod
@@ -66,7 +71,7 @@ class MetricField:
     @classmethod
     def from_surface(cls, surface):
         m = cls.__new__(cls)
-        m._jets = None
+        m._jets = m._first = None
         m._surface = surface
         return m
 
@@ -77,8 +82,22 @@ class MetricField:
             return metric_from_fff(
                 surfaces.first_fundamental_form(self._surface, u, v))
         e, f, g = self._jets(u, v)
-        return _checked(MetricJet(e[0], f[0], g[0], e[1], e[2], f[1], f[2],
-                                  g[1], g[2], -e[5] + 2.0 * f[4] - g[3]), u, v)
+        _check(e[0], f[0], g[0], u, v)
+        return MetricJet(e[0], f[0], g[0], e[1], e[2], f[1], f[2], g[1], g[2],
+                         -e[5] + 2.0 * f[4] - g[3])
+
+    def first_order(self, u, v):
+        """(E, F, G, Eu, Ev, Fu, Fv, Gu, Gv) at (u, v): the first nine fields
+        of `at`, bit for bit and after the same check, computed without
+        second derivatives.  A surface's first partials need its second
+        derivatives, so there they come from `at`."""
+        if self._surface is not None:
+            return self.at(u, v)[:9]
+        if self._first is None:
+            self._first = exprlang.lower_jet2(self._asts, _SEEDS, order=1)
+        (E, Eu, Ev), (F, Fu, Fv), (G, Gu, Gv) = self._first(u, v)
+        _check(E, F, G, u, v)
+        return E, F, G, Eu, Ev, Fu, Fv, Gu, Gv
 
     def grid(self, u, v):
         """`at` at every point (u[i], v[i]) of two 1-D float64 arrays: a
@@ -96,7 +115,7 @@ class MetricField:
         except EVALUATION_ERRORS:
             return None
         with np.errstate(all="ignore"):
-            # the arithmetic and comparisons of `at` and _checked
+            # the arithmetic and comparisons of `at` and _check
             mj = MetricJet(e[0], f[0], g[0], e[1], e[2], f[1], f[2], g[1],
                            g[2], -e[5] + 2.0 * f[4] - g[3])
             if np.any((mj.E <= 0.0) | (mj.G <= 0.0) | (mj.disc <= EPS_REG)):
@@ -104,8 +123,7 @@ class MetricField:
         return mj
 
     def values(self, u, v):
-        mj = self.at(u, v)
-        return mj.E, mj.F, mj.G
+        return self.first_order(u, v)[:3]
 
     def norm(self, u, v, vec):
         """Metric length of a tangent vector at (u, v)."""
@@ -114,8 +132,8 @@ class MetricField:
                          + G * vec[1] ** 2)
 
     def area_element(self, u, v):
-        mj = self.at(u, v)
-        return math.sqrt(mj.disc)
+        E, F, G = self.values(u, v)
+        return math.sqrt(E * G - F * F)
 
 
 def metric_from_fff(fff):
@@ -125,12 +143,11 @@ def metric_from_fff(fff):
                      fff.G_p, fff.G_q, fff.bracket)
 
 
-def _checked(mj, u, v):
-    if mj.E <= 0.0 or mj.G <= 0.0 or mj.disc <= EPS_REG:
+def _check(E, F, G, u, v):
+    if E <= 0.0 or G <= 0.0 or E * G - F * F <= EPS_REG:
         raise DegenerateMetric(
             f"metric not positive definite at ({u}, {v}): "
-            f"E={mj.E!r}, F={mj.F!r}, G={mj.G!r}")
-    return mj
+            f"E={E!r}, F={F!r}, G={G!r}")
 
 
 def residual_from_metric(m):

@@ -6,9 +6,11 @@ duv, dvv); the mixed partial occupies a single slot, so symmetry of second
 derivatives is structural.  The product and chain rule are module-level
 functions over slot tuples (`mul_slots`, `compose_slots`), which the
 expression lowering in `exprlang` calls, and `JetSlots` names the slots of
-one result.  A function of one variable is a 2-jet seeded along u alone;
-one of three variables takes three 2-jets, each with two coordinates
-seeded and the third held.
+one result; `mul_first` and `compose_first` are the same rules on the
+first-order slots (v, du, dv), which never read a second-order one.  A
+function of one variable is a 2-jet seeded along u alone; one of three
+variables takes three 2-jets, each with two coordinates seeded and the
+third held.
 
 `Jet2_2` is the same algebra as a class with operators, which
 `exprlang.evaluate` walks a tree over: the bitwise reference the lowered
@@ -18,7 +20,7 @@ Jet values are plain floats and every operation is pure, so jets are safe
 to share across threads.  `mul_slots` and `compose_slots` also take
 float64 arrays, one element per point of a grid, since numpy rounds
 `+ - *` as Python does; the tables of f, f', f'' (`FUNCTION_TABLES`,
-`recip_table`, `power_terms`) stay scalar code, which `tabulate` runs at
+`recip_table`, `power_table`) stay scalar code, which `tabulate` runs at
 each element, so an element carries the bits of a scalar evaluation.
 """
 
@@ -160,7 +162,7 @@ class Jet2_2:
                 return Jet2_2(1.0)
             if c == 1.0:
                 return self
-            return self._compose(*power_terms(self.v, c))
+            return self._compose(*power_table(c)(self.v))
         if isinstance(other, Jet2_2):
             # general a**b via exp(b * log a)
             if self.v <= 0.0:
@@ -213,9 +215,19 @@ def compose_slots(a, f0, f1, f2):
     )
 
 
-def recip_slots(a):
-    """Slots of 1/a; DivisionByZero when a's value is zero."""
-    return compose_slots(a, *recip_table(a[0]))
+def mul_first(a, b):
+    """`mul_slots` on first-order slot tuples (v, du, dv): the same float
+    operations as its first three slots."""
+    av, adu, adv = a
+    bv, bdu, bdv = b
+    return av * bv, adu * bv + av * bdu, adv * bv + av * bdv
+
+
+def compose_first(a, f0, f1, f2):
+    """`compose_slots` on first-order slot tuples (v, du, dv); f2 is taken,
+    and computed by the caller's table, but not used."""
+    _, du, dv = a
+    return f0, f1 * du, f1 * dv
 
 
 def tabulate(table, values):
@@ -227,21 +239,32 @@ def tabulate(table, values):
                  for column in zip(*map(table, values.tolist())))
 
 
-def power_terms(v, e):
-    """(v^e, e v^(e-1), e (e-1) v^(e-2)) for a real exponent e other than
-    0 and 1: integers up to INT_EXP_LIMIT take any base but a zero one when
-    negative, other exponents only a positive base."""
-    try:
-        if float(e).is_integer() and abs(e) <= INT_EXP_LIMIT:
-            n = int(e)
+def power_table(e):
+    """The table v -> (v^e, e v^(e-1), e (e-1) v^(e-2)) of a real exponent e
+    other than 0 and 1: integers up to INT_EXP_LIMIT take any base but a
+    zero one when negative, other exponents only a positive base."""
+    if float(e).is_integer() and abs(e) <= INT_EXP_LIMIT:
+        n = int(e)
+        n1, n2, nn1 = n - 1, n - 2, n * (n - 1)
+
+        def table(v):
             if n < 0 and v == 0.0:
                 raise DivisionByZero("negative power of jet with zero value")
-            return v ** n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2)
+            try:
+                return v ** n, n * v ** n1, nn1 * v ** n2
+            except OverflowError:
+                raise DomainError(f"power {v!r}**{e!r} overflows") from None
+        return table
+    e1, e2, ee1 = e - 1.0, e - 2.0, e * (e - 1.0)
+
+    def table(v):
         if v <= 0.0:
             raise DomainError(f"fractional power of non-positive base {v!r}")
-        return v ** e, e * v ** (e - 1.0), e * (e - 1.0) * v ** (e - 2.0)
-    except OverflowError:
-        raise DomainError(f"power {v!r}**{e!r} overflows") from None
+        try:
+            return v ** e, e * v ** e1, ee1 * v ** e2
+        except OverflowError:
+            raise DomainError(f"power {v!r}**{e!r} overflows") from None
+    return table
 
 
 # f -> (f, f', f'') value tables for the second-order chain rule

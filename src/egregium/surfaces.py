@@ -28,8 +28,8 @@ from numpy import ndarray
 
 from . import exprlang, jets
 from .errors import (EVALUATION_ERRORS, DegenerateAngle,
-                     DegenerateParametrization, DomainError, NotOnSurface,
-                     SingularGradient)
+                     DegenerateParametrization, DomainError, InputError,
+                     NotOnSurface, SingularGradient)
 
 EPS_REG = 1e-12
 UMBILIC_REL_TOL = 1e-8
@@ -458,7 +458,7 @@ def meusnier(k_normal_section, omega):
         raise DegenerateAngle(
             f"section plane at omega={omega!r} collapses onto the tangent plane")
     if not 0.0 < omega <= math.pi / 2.0 + EPS_REG:
-        raise ValueError(f"omega must lie in (0, pi/2], got {omega!r}")
+        raise InputError(f"omega must lie in (0, pi/2], got {omega!r}")
     return k_normal_section / s
 
 

@@ -179,6 +179,23 @@ class TestGaussBonnetCommand:
         assert (code, out) == (2, "")
         assert err == "error: --order must be positive, got 0\n"
 
+    def test_empty_rectangle_is_bad_input(self, capsys):
+        code, out, err = run_cli(capsys, "gaussbonnet", "--catalog",
+                                 "sphere_metric", "--urange", "1:1")
+        assert (code, out) == (2, "")
+        assert err == ("error: empty rectangle Rect(u0=1.0001, u1=0.9999, "
+                       "v0=0.0, v1=6.283185307179586)\n")
+
+    def test_degenerate_node_reports_the_per_point_error(self, capsys):
+        # E vanishes at the centre node only, so the grid evaluation is
+        # refused and the node-by-node pass names the point
+        code, out, err = run_cli(capsys, "gaussbonnet", "--metric",
+                                 "u^2+v^2,0,1", "--urange=-1:1",
+                                 "--vrange=-1:1", "--order", "3")
+        assert (code, out) == (3, "")
+        assert err == ("numeric failure: metric not positive definite at "
+                       "(0.0, 0.0): E=0.0, F=0.0, G=1.0\n")
+
 
 class TestTriangleCommand:
     def test_sphere_octant(self, capsys):
@@ -250,6 +267,17 @@ class TestGeodesicCommand:
                                  flag, value)
         assert (code, out) == (2, "")
         assert err == f"error: {flag} must be finite, got {float(value)!r}\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--start", "1.5,0,0,0"), "initial velocity must be nonzero"),
+        (("--start", "1.5,0,0,1", "--step", "-0.01"),
+         "step must be positive, got -0.01"),
+    ])
+    def test_bad_start_or_step_is_bad_input(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "geodesic", "--catalog",
+                                 "sphere_metric", *flags)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
 
 class TestOutputFormats:

@@ -11,8 +11,8 @@ from egregium.curves import (GraphCurve, ImplicitCurve, ParametricCurve,
                              curvature_graph, curvature_implicit,
                              curvature_parametric, frame_graph,
                              menger_curvature, osculating_circle)
-from egregium.errors import (CoincidentPoints, NotOnCurve, SingularGradient,
-                             SingularPoint, ZeroCurvature)
+from egregium.errors import (CoincidentPoints, InputError, NotOnCurve,
+                             SingularGradient, SingularPoint, ZeroCurvature)
 from egregium.exprlang import parse
 
 
@@ -50,7 +50,7 @@ class TestArcLength:
         assert values == sorted(values)
 
     def test_rejects_reversed_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             arc_length(GraphCurve(parse("x")), 1.0, 0.0)
 
 

@@ -2,12 +2,13 @@
 the angle-excess law."""
 
 import math
+import struct
 
 import pytest
 
 from egregium import geodesics, intrinsic, surfaces
-from egregium.errors import (InputError, NoConvergence, NotRevolution,
-                             StepTooLarge)
+from egregium.errors import (DegenerateMetric, InputError, NoConvergence,
+                             NotRevolution, StepTooLarge)
 from egregium.exprlang import parse
 from egregium.geodesics import (GeodesicState, RevolutionSurface,
                                 build_triangle, clairaut_drift,
@@ -89,7 +90,7 @@ class TestIntegrateGeodesic:
             integrate_geodesic(SPHERE, start, 20.0, 2.0)
 
     def test_rejects_nonpositive_step(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             integrate_geodesic(FLAT, GeodesicState(0, 0, 1, 0), 1.0, 0.0)
 
     @pytest.mark.parametrize("length", [1e12, -1e12, math.inf])
@@ -101,6 +102,50 @@ class TestIntegrateGeodesic:
         monkeypatch.setattr(geodesics, "_rk4_step", no_step)
         with pytest.raises(InputError, match=r"budget of 1000000 steps$"):
             integrate_geodesic(FLAT, GeodesicState(0, 0, 1, 0), length, 1e-9)
+
+
+def _reference_rk4_step(metric, y, dt):
+    """An RK4 step written plainly: connection coefficients from the
+    fields of MetricField.at, tuple arithmetic per stage."""
+    def rhs(state):
+        u, v, pu, pv = state
+        m = metric.at(u, v)
+        inv = 0.5 / m.disc
+        cuu = (m.G * m.Eu - 2.0 * m.F * m.Fu + m.F * m.Ev) * inv
+        cuv = (m.G * m.Ev - m.F * m.Gu) * inv
+        cvv = (2.0 * m.G * m.Fv - m.G * m.Gu - m.F * m.Gv) * inv
+        duu = (2.0 * m.E * m.Fu - m.E * m.Ev - m.F * m.Eu) * inv
+        duv = (m.E * m.Gu - m.F * m.Ev) * inv
+        dvv = (m.E * m.Gv - 2.0 * m.F * m.Fv + m.F * m.Gu) * inv
+        return (pu, pv,
+                -(cuu * pu * pu + 2.0 * cuv * pu * pv + cvv * pv * pv),
+                -(duu * pu * pu + 2.0 * duv * pu * pv + dvv * pv * pv))
+
+    k1 = rhs(y)
+    k2 = rhs(tuple(y[i] + 0.5 * dt * k1[i] for i in range(4)))
+    k3 = rhs(tuple(y[i] + 0.5 * dt * k2[i] for i in range(4)))
+    k4 = rhs(tuple(y[i] + dt * k3[i] for i in range(4)))
+    return tuple(y[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+                 for i in range(4))
+
+
+@pytest.mark.parametrize("metric", [
+    SPHERE, SPHERE_ISO, HYPERBOLIC,
+    MetricField.from_expressions("exp(u*v)", "0.3*sin(u)", "1+u^2"),
+    MetricField.from_surface(TORUS_SURF)])
+def test_rk4_step_matches_reference_bitwise(metric):
+    for i in range(40):
+        y = (0.3 + 0.02 * i, 0.2 - 0.03 * i, math.cos(i), math.sin(1.7 * i))
+        dt = (0.013 + 0.0071 * i) * (-1.0 if i % 3 == 0 else 1.0)
+        assert _outcome(geodesics._rk4_step, metric, y, dt) == \
+            _outcome(_reference_rk4_step, metric, y, dt)
+
+
+def _outcome(step, *args):
+    try:
+        return struct.pack("4d", *step(*args))
+    except DegenerateMetric as exc:
+        return str(exc)
 
 
 class TestClairaut:

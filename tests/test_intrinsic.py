@@ -3,6 +3,7 @@ coordinate forms, the flatness criterion with its bridge identity, and
 isometry verification."""
 
 import math
+import struct
 
 import pytest
 
@@ -205,6 +206,24 @@ class TestMetricField:
     def test_positive_definiteness_enforced(self):
         with pytest.raises(DegenerateMetric):
             metric("1", "0", "u").at(-0.5, 0.0)
+
+    @pytest.mark.parametrize("field", [
+        SPHERE_METRIC, HYPERBOLIC, CONE, metric("1", "1", "1"),
+        metric("exp(u*v)", "0.3*sin(u)", "1+u^2"),
+        MetricField.from_surface(CATENOID)])
+    def test_first_order_is_the_first_nine_fields_of_at(self, field):
+        # the points reach both the regular and the degenerate cases
+        for u, v in ((0.3, 0.2), (-0.4, 1.1), (0.9, -0.6), (1.2, 0.5),
+                     (0.0, 0.0)):
+            try:
+                want = struct.pack("9d", *field.at(u, v)[:9])
+            except DegenerateMetric as exc:
+                with pytest.raises(DegenerateMetric) as err:
+                    field.first_order(u, v)
+                assert str(err.value) == str(exc)
+                continue
+            assert struct.pack("9d", *field.first_order(u, v)) == want
+            assert struct.pack("3d", *field.values(u, v)) == want[:24]
 
 
 class TestVerifyIsometry:

@@ -184,11 +184,10 @@ class TestTabulate:
     @pytest.mark.parametrize("e", [2.0, 3.0, 7.0, -2.0, -5.0, 2.5, -0.5])
     def test_power_elements_have_scalar_bits(self, e):
         values = [0.3, 1.7, 2.0, 1e-3, 9.5]
-        columns = jets.tabulate(lambda v: jets.power_terms(v, e),
-                                np.array(values))
+        columns = jets.tabulate(jets.power_table(e), np.array(values))
         for i, v in enumerate(values):
             assert bits(column[i] for column in columns) == \
-                bits(jets.power_terms(v, e))
+                bits(jets.power_table(e)(v))
 
 
 class TestFdOracle:

@@ -36,16 +36,19 @@ def _reference_jet(index, value):
     return jets.Jet2_2(value)
 
 
-def interpreted(asts, seeds):
+def interpreted(asts, seeds, order=2):
     """`lower_jet2`'s contract met by walking the trees at every call, and
-    over arrays at every point."""
+    over arrays at every point; at order 1 the 2-jets are truncated to
+    their first three slots."""
+    width = 6 if order == 2 else 3
+
     def at(*coords):
         seeded = [_reference_jet(i, c) for i, c in enumerate(coords)]
         bindings = {name: seeded[i] for name, i in seeds.items()}
         values = [exprlang.evaluate(ast, bindings) for ast in asts]
         # a constant tree evaluates to a float: a jet without derivatives
-        return [value.slots if jets.is_jet(value)
-                else (float(value), 0.0, 0.0, 0.0, 0.0, 0.0)
+        return [(value.slots if jets.is_jet(value)
+                 else (float(value), 0.0, 0.0, 0.0, 0.0, 0.0))[:width]
                 for value in values]
 
     def run(*coords):
@@ -160,6 +163,66 @@ def test_random_trees_of_one_and_three_coordinates_match_interpreter(
     assert_same([tree], seeds, *coords[:arity])
 
 
+# --- order 1: the first three slots of order 2 -----------------------------
+
+def assert_first_order_is_truncation(asts, seeds, *coords):
+    """Order-1 slots carry the bits of the first three order-2 slots, or
+    both orders raise the same exception class and message."""
+    full = outcome(exprlang.lower_jet2(asts, seeds), *coords)
+    first = outcome(exprlang.lower_jet2(asts, seeds, order=1), *coords)
+    if isinstance(full, list):
+        full = [slots[:3] for slots in full]
+    assert first == full
+
+
+@pytest.mark.parametrize("text, box", CORPUS_2V)
+@given(fu=st.floats(0.0, 1.0), fv=st.floats(0.0, 1.0))
+def test_first_order_corpus_truncates_order_two(text, box, fu, fv):
+    (u0, u1), (v0, v1) = box
+    assert_first_order_is_truncation([parse(text)], {"x": 0, "y": 1},
+                                     u0 + (u1 - u0) * fu, v0 + (v1 - v0) * fv)
+
+
+@pytest.mark.parametrize("passes", range(3))
+@pytest.mark.parametrize("text, boxes", CORPUS_3V)
+@given(f=st.tuples(*[st.floats(0.0, 1.0)] * 3))
+def test_first_order_three_coordinates_truncate_order_two(text, boxes,
+                                                          passes, f):
+    seeds = IMPLICIT_PASSES[passes]
+    point = {name: lo + (hi - lo) * fi
+             for name, (lo, hi), fi in zip("xyz", boxes, f)}
+    coords = sorted(point, key=seeds.get)
+    assert_first_order_is_truncation([parse(text)], seeds,
+                                     *(point[name] for name in coords))
+
+
+@settings(max_examples=1500)
+@given(trees=st.lists(trees, min_size=1, max_size=3), u=points, v=points)
+def test_first_order_random_trees_truncate_order_two(trees, u, v):
+    assert_first_order_is_truncation(trees + trees[:1], METRIC_SEEDS, u, v)
+
+
+@pytest.mark.parametrize("seeds, arity", [
+    ({"u": 0, "v": 0, "p": 0, "q": 0}, 1),
+    ({"u": 0, "v": 1, "p": 2, "q": 2}, 3),
+    ({"u": 2, "v": 0, "p": 1, "q": 0}, 3),
+])
+@settings(max_examples=300)
+@given(tree=trees, coords=st.tuples(points, points, points))
+def test_first_order_random_trees_of_one_and_three_coordinates(
+        seeds, arity, tree, coords):
+    assert_first_order_is_truncation([tree], seeds, *coords[:arity])
+
+
+def test_first_order_takes_no_arrays_and_no_other_order():
+    run = exprlang.lower_jet2([parse("u*v")], METRIC_SEEDS, order=1)
+    assert run(2.0, 3.0) == [(6.0, 3.0, 2.0)]
+    with pytest.raises(ValueError):
+        run(np.array([2.0]), np.array([3.0]))
+    with pytest.raises(ValueError):
+        exprlang.lower_jet2([parse("u")], METRIC_SEEDS, order=3)
+
+
 @pytest.mark.parametrize("text, u, v, error", [
     ("u/0", 1.0, 0.5, "division by zero"),
     # operands are evaluated before the operation that fails
@@ -178,6 +241,9 @@ def test_random_trees_of_one_and_three_coordinates_match_interpreter(
     ("u^2.5", -1.0, 0.5, "fractional power of non-positive base -1.0"),
     ("u^65", -1.0, 0.5, "fractional power of non-positive base -1.0"),
     ("(u+10)^64", 1e300, 0.5, "power 1e+300**64.0 overflows"),
+    # only the second derivative overflows: order 1 raises too
+    ("u^-2", 1e-100, 0.5, "power 1e-100**-2.0 overflows"),
+    ("u^-0.5", 1e-130, 0.5, "power 1e-130**-0.5 overflows"),
     ("(0-2)^u", 1.0, 0.5, "power with non-positive base -2.0"),
     ("u^v", 0.0, 0.5, "jet power with non-positive base 0.0"),
     ("2^u", 2000.0, 0.5, "exp overflows at this argument"),
@@ -186,6 +252,7 @@ def test_random_trees_of_one_and_three_coordinates_match_interpreter(
 ])
 def test_errors_match_interpreter(text, u, v, error):
     assert_same([parse(text)], METRIC_SEEDS, u, v)
+    assert_first_order_is_truncation([parse(text)], METRIC_SEEDS, u, v)
     with pytest.raises(Exception) as err:
         exprlang.lower_jet2([parse(text)], METRIC_SEEDS)(u, v)
     assert str(err.value) == error
@@ -285,6 +352,28 @@ def test_cli_metric_run_lowers_once(capsys, counters):
     assert main(["egregia", "--metric", "1,0,exp(2*u)", "--grid", "6x6"]) == 0
     capsys.readouterr()
     assert counters == {"lower": 1, "evaluate": 0}
+
+
+@pytest.mark.parametrize("argv, first_order", [
+    (("egregia", "--metric", "1,0,exp(2*u)", "--grid", "3x3"), False),
+    (("flatness", "--metric", "1,0,(1+u)^2.5", "--grid", "3x3"), False),
+    # a failing grid falls back to MetricField.at, still order 2
+    (("egregia", "--metric", "1,0,log(u)", "--grid", "3x3"), False),
+    (("egregia", "--metric", "1,0,exp(2*u)", "--graph", "x^2+y^2",
+      "--grid", "2x2"), False),
+    (("geodesic", "--metric", "1,0,exp(2*u)", "--start", "0,0,1,1",
+      "--length", "0.1", "--step", "0.01"), True),
+])
+def test_only_geodesic_commands_lower_first_order_programs(
+        capsys, monkeypatch, argv, first_order):
+    lowered = []
+    original = exprlang._lower_first
+    monkeypatch.setattr(exprlang, "_lower_first",
+                        lambda ast, seeds: lowered.append(ast)
+                        or original(ast, seeds))
+    main(list(argv))
+    capsys.readouterr()
+    assert bool(lowered) == first_order
 
 
 @pytest.fixture
@@ -396,10 +485,12 @@ def test_cli_output_equals_interpreted_output(capsys, monkeypatch, argv):
     lowered = _run(capsys, argv)
     calls = []
     monkeypatch.setattr(exprlang, "lower_jet2",
-                        lambda asts, seeds: calls.append(1)
-                        or interpreted(asts, seeds))
+                        lambda asts, seeds, order=2: calls.append(order)
+                        or interpreted(asts, seeds, order))
     assert _run(capsys, argv) == lowered
     assert calls
+    # geodesics run on first-order programs, so those are checked too
+    assert (1 in calls) == (argv[0] in ("geodesic", "triangle"))
     assert lowered[0] in (0, 3)
 
 

@@ -1,10 +1,12 @@
 """Quadrature of scalar fields against the metric area element."""
 
 import math
+import struct
 
 import pytest
 
-from egregium import intrinsic, quad
+from egregium import catalog, geodesics, intrinsic, quad
+from egregium.errors import DegenerateMetric, InputError
 from egregium.intrinsic import MetricField, formula_egregia
 from egregium.quad import Rect, TriFan, integrate
 
@@ -23,7 +25,7 @@ class TestRect:
         assert result.value == pytest.approx(6.0, abs=1e-12)
 
     def test_empty_rect_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             Rect(1.0, 1.0, 0.0, 1.0)
 
     def test_sphere_total_curvature(self):
@@ -76,7 +78,7 @@ class TestTriFan:
         assert result.value == pytest.approx(3.0, abs=1e-13)
 
     def test_degenerate_triangle_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             TriFan((((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)),))
 
     def test_degree_five_exactness(self):
@@ -126,3 +128,105 @@ class TestTriFan:
             lambda u: simpson(lambda v: lam2(u, v), 0.0, 0.3 - u, 200),
             0.0, 0.3, 200)
         assert got == pytest.approx(want, rel=1e-8)
+
+
+# --- all nodes of a pass at once ---------------------------------------------
+
+def _bits(result):
+    return struct.pack("dd", result.value, result.error)
+
+
+def _outcome(fn):
+    try:
+        return _bits(fn())
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+@pytest.fixture
+def metric_calls(monkeypatch):
+    """Calls of MetricField.at and MetricField.grid."""
+    calls = {"at": 0, "grid": 0}
+    for name in calls:
+        original = getattr(MetricField, name)
+
+        def counting(self, u, v, name=name, original=original):
+            calls[name] += 1
+            return original(self, u, v)
+        monkeypatch.setattr(MetricField, name, counting)
+    return calls
+
+
+FULL = 2.0 * math.pi
+
+
+class TestGridPath:
+    """With `grid_field` a pass evaluates its nodes through MetricField.grid
+    and keeps the bits of the node-by-node pass, value and error."""
+
+    @pytest.mark.parametrize("name, region", [
+        ("sphere_metric", Rect(1e-4, math.pi - 1e-4, 0.0, FULL)),
+        ("torus_metric", Rect(0.0, FULL, 0.0, FULL)),
+        ("torus", Rect(0.0, FULL, 0.0, FULL)),
+        (("exp(u*v)", "0.3*sin(u)", "1+u^2"), Rect(-0.5, 0.7, -0.6, 0.4)),
+    ])
+    @pytest.mark.parametrize("order", [7, 32])
+    def test_gauss_bonnet_bits_equal_node_by_node(self, metric_calls, name,
+                                                  region, order):
+        metric = (MetricField.from_expressions(*name) if isinstance(name, tuple)
+                  else catalog.build_metric(catalog.lookup(name)))
+        field = kappa_field(metric)
+        got = integrate(metric, field, region, order=order,
+                        grid_field=intrinsic.kappa_from_metric)
+        assert metric_calls == {"at": 0, "grid": 2}
+        want = integrate(metric, field, region, order=order)
+        assert metric_calls["grid"] == 2 and metric_calls["at"] > 0
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("name, vertices", [
+        ("sphere_isothermal", ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5))),
+        ("hyperbolic_disk", ((0.1, 0.0), (0.4, 0.1), (0.0, 0.3))),
+    ])
+    def test_excess_integral_bits_equal_node_by_node(self, monkeypatch, name,
+                                                     vertices):
+        metric = catalog.build_metric(catalog.lookup(name))
+        triangle = geodesics.build_triangle(metric, *vertices)
+        got = geodesics.excess_from_triangle(metric, triangle)
+        monkeypatch.setattr(MetricField, "grid", lambda self, u, v: None)
+        want = geodesics.excess_from_triangle(metric, triangle)
+        assert struct.pack("dd", *got) == struct.pack("dd", *want)
+
+    def test_chunks_keep_the_bits(self, monkeypatch, metric_calls):
+        monkeypatch.setattr(quad, "GRID_CHUNK", 10)
+        region = Rect(0.0, FULL, 0.0, FULL)
+        got = integrate(TORUS, kappa_field(TORUS), region, order=7,
+                        grid_field=intrinsic.kappa_from_metric)
+        # 49 nodes in five chunks, then the 9 of the half order in one
+        assert metric_calls == {"at": 0, "grid": 6}
+        want = integrate(TORUS, kappa_field(TORUS), region, order=7)
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("chunk", [quad.GRID_CHUNK, 2])
+    def test_degenerate_node_raises_the_node_by_node_error(
+            self, monkeypatch, metric_calls, chunk):
+        # E = u^2 + v^2 vanishes at the centre node of the 3-point rule
+        # only, the fifth node, which is in the third chunk of two
+        monkeypatch.setattr(quad, "GRID_CHUNK", chunk)
+        metric = MetricField.from_expressions("u^2+v^2", "0", "1")
+        region = Rect(-1.0, 1.0, -1.0, 1.0)
+
+        def run(grid_field):
+            return integrate(metric, kappa_field(metric), region, order=3,
+                             grid_field=grid_field)
+        got = _outcome(lambda: run(intrinsic.kappa_from_metric))
+        assert metric_calls["grid"] == (1 if chunk > 9 else 3)
+        assert got == _outcome(lambda: run(None))
+        assert got == (DegenerateMetric,
+                       "metric not positive definite at (0.0, 0.0): "
+                       "E=0.0, F=0.0, G=1.0")
+
+    def test_empty_fan(self, metric_calls):
+        result = integrate(SPHERE, kappa_field(SPHERE), TriFan(()), order=1,
+                           grid_field=intrinsic.kappa_from_metric)
+        assert (result.value, result.error) == (0.0, 0.0)
+        assert metric_calls == {"at": 0, "grid": 0}
