@@ -35,10 +35,11 @@ _FULL_RANGES = {
     "torus_metric": ((0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi)),
 }
 
-# Grid points one invocation may plan.  The benchmark's largest grid has
-# 4,400 points and the README's examples 10,000.  10^6 points take tens of
-# seconds of surface kernel and several hundred MB of rows and text; a
-# larger grid is refused before any point list is built.
+# Grid points one invocation may plan, and also its budget of curve points
+# (--n) and of quadrature nodes per pass (--order squared).  The benchmark's
+# largest grid has 4,400 points and the README's examples 10,000.  10^6
+# points take tens of seconds of surface kernel and several hundred MB of
+# rows and text; more is refused before any work starts.
 MAX_GRID_POINTS = 10**6
 
 # charts that degenerate at the ends of their u-range need a cutoff
@@ -247,6 +248,9 @@ def cmd_curve(args):
         _emit(args, columns, rows, {"n": len(rows)})
         return
 
+    if args.n > MAX_GRID_POINTS:
+        raise InputError(f"--n {args.n} asks for more curve points than the "
+                         f"budget of {MAX_GRID_POINTS}")
     if args.catalog:
         entry = catalog.lookup(args.catalog)
         if entry.kind != "curve":
@@ -395,6 +399,10 @@ def cmd_flatness(args):
 def cmd_gaussbonnet(args):
     metric, entry, _ = _metric_from_args(args)
     _require_positive(args.order, "--order")
+    if args.order ** 2 > MAX_GRID_POINTS:
+        raise InputError(f"--order {args.order} gives {args.order ** 2} "
+                         f"quadrature nodes per pass, more than the budget "
+                         f"of {MAX_GRID_POINTS}")
     u_range, v_range = _ranges(args, entry, full_chart=True)
     cutoff = args.pole_cutoff
     if cutoff is None:

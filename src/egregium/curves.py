@@ -17,6 +17,9 @@ from .errors import (CoincidentPoints, InputError, NotOnCurve,
 
 EPS_REG = 1e-12
 
+# Gauss-Legendre points per sample interval of `arclength_reparametrize`
+REPARAMETRIZE_ORDER = 16
+
 CCW_NORMAL = "ccw-normal"
 GRADIENT_SIDE = "gradient-side"
 
@@ -228,7 +231,7 @@ def osculating_circle(curve, at):
     raise TypeError(f"unknown curve {type(curve).__name__}")
 
 
-def arclength_reparametrize(curve, t0, t1, samples, order=16):
+def arclength_reparametrize(curve, t0, t1, samples):
     """Table of (s, t) pairs with strictly increasing cumulative arclength.
 
     After reparametrization by s the curve has unit speed: its intrinsic
@@ -238,7 +241,7 @@ def arclength_reparametrize(curve, t0, t1, samples, order=16):
         raise TypeError("arclength_reparametrize expects a parametric curve")
     if not t1 > t0:
         raise InputError(f"need t0 < t1, got {t0!r}, {t1!r}")
-    nodes, weights = quad.gauss_legendre(order)
+    nodes, weights = quad.gauss_legendre(REPARAMETRIZE_ORDER)
 
     def speed(t):
         xj, yj = _jets(curve, t)

@@ -358,7 +358,8 @@ def lower_jet2(asts, seeds, order=2):
     the points of a grid; every slot is then an array, and element i holds
     the bits of the scalar call at the i-th point.  If any point fails, some
     error is raised, not necessarily the one of the first failing point.
-    Each kind of call lowers the trees at its first use.
+    The trees are lowered at the first call, and points and grids run the
+    same programs.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
@@ -368,23 +369,21 @@ def lower_jet2(asts, seeds, order=2):
             index[ast] = len(trees)
             trees.append(ast)
         picks.append(index[ast])
-    lower, seeded, width = ((_lower, _seeded, 6) if order == 2
-                            else (_lower_first, _seeded_first, 3))
-    programs = columns = None
+    nodes, seeded, width = ((_NODES, _seeded, 6) if order == 2
+                            else (_FIRST_NODES, _seeded_first, 3))
+    programs = None
 
     def run(*coords):
-        nonlocal programs, columns
-        if type(coords[0]) is ndarray:
-            if columns is None:
-                if order != 2:
-                    raise ValueError("order-1 programs take scalar coordinates")
-                columns = [_program(_lower_columns(ast, seeds), 6)
-                           for ast in trees]
-            values = _run_columns(columns, coords)
+        nonlocal programs
+        grid = type(coords[0]) is ndarray
+        if grid and order != 2:
+            raise ValueError("order-1 programs take scalar coordinates")
+        if programs is None:
+            programs = [_program(_lower_with(ast, seeds, nodes), width)
+                        for ast in trees]
+        if grid:
+            values = _run_columns(programs, coords)
         else:
-            if programs is None:
-                programs = [_program(lower(ast, seeds), width)
-                            for ast in trees]
             C = seeded(*coords)
             values = [program(C) for program in programs]
         return [values[i] for i in picks]
@@ -422,16 +421,6 @@ def _program(node, width):
         return node
     constant = (float(node),) + (0.0,) * (width - 1)
     return lambda C: constant
-
-
-def _lower(ast, seeds):
-    """A tree lowered to closures over float slots."""
-    return _lower_with(ast, seeds, _SCALAR_NODES)
-
-
-def _lower_first(ast, seeds):
-    """A tree lowered to closures over first-order float slots."""
-    return _lower_with(ast, seeds, _FIRST_NODES)
 
 
 def _lower_with(ast, seeds, nodes):
@@ -683,29 +672,16 @@ def _elementwise(table):
     return lambda v: tabulate(table, v) if type(v) is ndarray else table(v)
 
 
-_ORDER2 = (_lower_neg, _add_jj, _add_jc, _sub_jj, _sub_jc, _sub_cj, _scale,
-           jets.mul_slots, jets.compose_slots, _ONE)
-_SCALAR_NODES = _nodes(*_ORDER2, lambda table: table)
+# Over a grid each slot is a float64 array, or a float where it does not
+# depend on the point.  + - * / run in numpy, which rounds them as Python
+# does, and each table runs at every element, so the order-2 nodes serve
+# points and grids alike.
+_NODES = _nodes(_lower_neg, _add_jj, _add_jc, _sub_jj, _sub_jc, _sub_cj,
+                _scale, jets.mul_slots, jets.compose_slots, _ONE, _elementwise)
 _FIRST_NODES = _nodes(
     _neg_first, _add_first_jj, _add_first_jc, _sub_first_jj, _sub_first_jc,
     _sub_first_cj, _scale_first, jets.mul_first, jets.compose_first,
     (1.0, 0.0, 0.0), lambda table: table)
-
-
-# --- the same trees over arrays of grid points -------------------------------
-#
-# Over a grid each slot is a float64 array, or a float where it does not
-# depend on the point.  + - * / run in numpy, which rounds them as Python
-# does, so the order-2 nodes serve both, with each table lifted to run at
-# every element.  The scalar nodes stay free of the test for arrays, which
-# cost 1-5 % of MetricField.at when every table node made it.
-
-_GRID_NODES = _nodes(*_ORDER2, _elementwise)
-
-
-def _lower_columns(ast, seeds):
-    """A tree lowered to closures over float64 array slots."""
-    return _lower_with(ast, seeds, _GRID_NODES)
 
 
 def _run_columns(programs, coords):
@@ -735,7 +711,9 @@ def to_text(ast):
 def _print(ast, parent_prec):
     if isinstance(ast, Constant):
         value = ast.value
-        if value == int(value) and abs(value) < 1e16:
+        if math.isinf(value):
+            text = "-1e999" if value < 0 else "1e999"
+        elif value == int(value) and abs(value) < 1e16:
             text = str(int(value))
         else:
             text = repr(value)

@@ -25,6 +25,12 @@ ENERGY_DRIFT_LIMIT = 1e-4
 # every state in memory, so a longer plan is refused before it starts.
 MAX_GEODESIC_STEPS = 10**6
 
+# secant iterations one shooting solve may take
+MAX_SECANT_ITERATIONS = 50
+
+# samples kept per triangle side for the fan the excess integral runs over
+BOUNDARY_POINTS = 150
+
 
 @dataclass(frozen=True)
 class GeodesicState:
@@ -216,7 +222,7 @@ def _shoot(metric, a, angle, length, step):
     return integrate_geodesic(metric, start, length, step)
 
 
-def connect_geodesic(metric, a, b, tol=1e-6, step=None, max_iter=50):
+def connect_geodesic(metric, a, b, tol=1e-6):
     """Geodesic from a to b by shooting: secant iteration on the initial
     direction angle, bracketed around the straight-chord direction.
 
@@ -233,8 +239,7 @@ def connect_geodesic(metric, a, b, tol=1e-6, step=None, max_iter=50):
     # the straight chord is itself a competitor curve, so the geodesic
     # distance never exceeds its metric length
     length = 1.25 * _chord_metric_length(metric, a, b)
-    if step is None:
-        step = max(length / 800.0, 1e-4)
+    step = max(length / 800.0, 1e-4)
     phi0 = math.atan2(chord[1], chord[0])
 
     goal = 0.5 * tol
@@ -246,7 +251,7 @@ def connect_geodesic(metric, a, b, tol=1e-6, step=None, max_iter=50):
     f1, path1, i1 = _lateral_miss(metric, a, b, x1, length, step)
     if abs(f1) < best[0]:
         best = (abs(f1), x1, path1, i1)
-    for _ in range(max_iter):
+    for _ in range(MAX_SECANT_ITERATIONS):
         if best[0] <= goal:
             break
         denom = f1 - f0
@@ -326,7 +331,12 @@ def _side_directions(path):
 
 
 def build_triangle(metric, a, b, c, tol=1e-6):
-    """Geodesic triangle with metric angles at the vertices."""
+    """Geodesic triangle with metric angles at the vertices; vertices closer
+    than `tol` are refused, since a side of zero length has no direction."""
+    for p, q in ((a, b), (b, c), (c, a)):
+        if math.hypot(p[0] - q[0], p[1] - q[1]) < tol:
+            raise InputError(f"triangle vertices {tuple(p)!r} and "
+                             f"{tuple(q)!r} are closer than tol={tol!r}")
     side_ab = connect_geodesic(metric, a, b, tol=tol)
     side_bc = connect_geodesic(metric, b, c, tol=tol)
     side_ca = connect_geodesic(metric, c, a, tol=tol)
@@ -350,21 +360,20 @@ def _thin(points, target=120):
     return picked
 
 
-def triangle_excess(metric, a, b, c, tol=1e-6, boundary_points=150):
+def triangle_excess(metric, a, b, c, tol=1e-6):
     """Both sides of the angle-excess law: (A + B + C - pi, integral of
     kappa over the enclosed region)."""
     triangle = build_triangle(metric, a, b, c, tol=tol)
-    return excess_from_triangle(metric, triangle,
-                                boundary_points=boundary_points)
+    return excess_from_triangle(metric, triangle)
 
 
-def excess_from_triangle(metric, triangle, boundary_points=150):
+def excess_from_triangle(metric, triangle):
     """Excess law for an already-connected triangle."""
     excess = sum(triangle.angles) - math.pi
 
     boundary = []
     for side in triangle.sides:
-        boundary.extend(_thin(side.points(), boundary_points)[:-1])
+        boundary.extend(_thin(side.points(), BOUNDARY_POINTS)[:-1])
     cx = sum(p[0] for p in boundary) / len(boundary)
     cy = sum(p[1] for p in boundary) / len(boundary)
 

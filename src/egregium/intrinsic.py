@@ -51,9 +51,9 @@ class MetricJet(NamedTuple):
 class MetricField:
     """Positive-definite coefficient field ds^2 = E du^2 + 2F du dv + G dv^2.
 
-    Expression metrics are lowered once, at construction, by
-    `exprlang.lower_jet2`; every `at` call runs the lowered programs, and
-    `grid` runs them once over arrays of points.  `first_order` runs
+    Expression metrics are lowered once by `exprlang.lower_jet2`, at the
+    first call; every `at` call runs the lowered programs, and `grid` runs
+    the same programs once over arrays of points.  `first_order` runs
     first-order programs, lowered at its first call.
     """
 
@@ -83,8 +83,7 @@ class MetricField:
                 surfaces.first_fundamental_form(self._surface, u, v))
         e, f, g = self._jets(u, v)
         _check(e[0], f[0], g[0], u, v)
-        return MetricJet(e[0], f[0], g[0], e[1], e[2], f[1], f[2], g[1], g[2],
-                         -e[5] + 2.0 * f[4] - g[3])
+        return _metric_jet(e, f, g)
 
     def first_order(self, u, v):
         """(E, F, G, Eu, Ev, Fu, Fv, Gu, Gv) at (u, v): the first nine fields
@@ -116,8 +115,7 @@ class MetricField:
             return None
         with np.errstate(all="ignore"):
             # the arithmetic and comparisons of `at` and _check
-            mj = MetricJet(e[0], f[0], g[0], e[1], e[2], f[1], f[2], g[1],
-                           g[2], -e[5] + 2.0 * f[4] - g[3])
+            mj = _metric_jet(e, f, g)
             if np.any((mj.E <= 0.0) | (mj.G <= 0.0) | (mj.disc <= EPS_REG)):
                 return None
         return mj
@@ -134,6 +132,12 @@ class MetricField:
     def area_element(self, u, v):
         E, F, G = self.values(u, v)
         return math.sqrt(E * G - F * F)
+
+
+def _metric_jet(e, f, g):
+    """The MetricJet of the 2-jet slots of E, F and G, floats or arrays."""
+    return MetricJet(e[0], f[0], g[0], e[1], e[2], f[1], f[2], g[1], g[2],
+                     -e[5] + 2.0 * f[4] - g[3])
 
 
 def metric_from_fff(fff):

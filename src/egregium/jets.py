@@ -338,11 +338,14 @@ def _overflow_checked(name, table):
             return table(v)
         except OverflowError:
             raise DomainError(f"{name} overflows at this argument") from None
+        except ValueError:
+            # libm's domain error: sin, cos and tan at +-inf
+            raise DomainError(f"{name} is undefined at {v!r}") from None
     return checked
 
 
 # name -> the table v -> (f, f', f'') of the elementary function at a float,
-# with overflow raised as DomainError
+# with overflow and libm's domain errors raised as DomainError
 FUNCTION_TABLES = {name: _overflow_checked(name, table) for name, table in (
     ("sin", _sin_t),
     ("cos", _cos_t),

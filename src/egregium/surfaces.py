@@ -34,10 +34,14 @@ from .errors import (EVALUATION_ERRORS, DegenerateAngle,
 EPS_REG = 1e-12
 UMBILIC_REL_TOL = 1e-8
 
+# triangles in the fan of `gauss_map_quotient`
+GAUSS_MAP_FAN = 12
+
 
 # a graph may name its chart coordinates x, y or p, q
 _GRAPH_SEEDS = {"x": 0, "y": 1, "p": 0, "q": 1}
 _PARAMETRIC_SEEDS = {"p": 0, "q": 1}
+_P, _Q = exprlang.Variable("p"), exprlang.Variable("q")
 _IMPLICIT_SEEDS = ({"x": 0, "y": 1, "z": 2}, {"x": 0, "z": 1, "y": 2},
                    {"y": 0, "z": 1, "x": 2})
 
@@ -46,12 +50,13 @@ _IMPLICIT_SEEDS = ({"x": 0, "y": 1, "z": 2}, {"x": 0, "z": 1, "y": 2},
 class GraphSurface:
     """z = f(x, y); the expression uses variables x, y."""
     f: exprlang.ExprAst
-    # f lowered once by exprlang.lower_jet2; (p, q) -> [slots of f]
+    # the embedding (p, q, f) lowered once by exprlang.lower_jet2;
+    # (p, q) -> [slots of p, q, f]
     lowered: object = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "lowered",
-                           exprlang.lower_jet2((self.f,), _GRAPH_SEEDS))
+        object.__setattr__(self, "lowered", exprlang.lower_jet2(
+            (_P, _Q, self.f), _GRAPH_SEEDS))
 
 
 @dataclass(frozen=True)
@@ -169,14 +174,10 @@ class SurfaceGrid(NamedTuple):
 
 
 def embedding_jets(surface, p, q):
-    """2-jets of the three embedding components at (p, q); a graph z = f(x, y)
+    """2-jets of the three embedding components at (p, q), floats, or 1-D
+    float64 arrays of points with every slot an array; a graph z = f(x, y)
     is embedded as (p, q, f(p, q))."""
-    if isinstance(surface, GraphSurface):
-        (f,) = surface.lowered(p, q)
-        return (jets.JetSlots(float(p), 1.0, 0.0, 0.0, 0.0, 0.0),
-                jets.JetSlots(float(q), 0.0, 1.0, 0.0, 0.0, 0.0),
-                jets.JetSlots._make(f))
-    if isinstance(surface, ParametricSurface):
+    if isinstance(surface, (GraphSurface, ParametricSurface)):
         return tuple(map(jets.JetSlots._make, surface.lowered(p, q)))
     raise TypeError(f"cannot view {type(surface).__name__} as parametric")
 
@@ -410,7 +411,7 @@ def surface_grid(surface, p, q):
     raises its own error.
     """
     try:
-        comps = _embedding_columns(surface, p, q)
+        comps = embedding_jets(surface, p, q)
     except EVALUATION_ERRORS:
         return None
     with np.errstate(all="ignore"):
@@ -428,19 +429,6 @@ def surface_grid(surface, p, q):
         return SurfaceGrid(comps[0].v, comps[1].v, comps[2].v,
                            nd.X, nd.Y, nd.Z, fff, gauss_from_forms(fff, so),
                            k_min, k_max, 0.5 * (k_min + k_max))
-
-
-def _embedding_columns(surface, p, q):
-    """`embedding_jets` over arrays of points."""
-    if isinstance(surface, GraphSurface):
-        (f,) = surface.lowered(p, q)
-        one, zero = np.ones(p.shape), np.zeros(p.shape)
-        return (jets.JetSlots(p, one, zero, zero, zero, zero),
-                jets.JetSlots(q, zero, one, zero, zero, zero),
-                jets.JetSlots._make(f))
-    if isinstance(surface, ParametricSurface):
-        return tuple(map(jets.JetSlots._make, surface.lowered(p, q)))
-    raise TypeError(f"cannot view {type(surface).__name__} as parametric")
 
 
 def euler_normal_section(k_min_dirwise, k_max_dirwise, theta):
@@ -484,7 +472,7 @@ def _spherical_triangle_area(n1, n2, n3):
     return math.copysign(excess, triple) if triple != 0.0 else 0.0
 
 
-def gauss_map_quotient(surface, p, q, eps, fan=12):
+def gauss_map_quotient(surface, p, q, eps):
     """Signed area of the normal image of a small triangle fan around
     (p, q), divided by the fan's surface area.
 
@@ -498,15 +486,15 @@ def gauss_map_quotient(surface, p, q, eps, fan=12):
 
     x0, n0 = sample(p, q)
     ring = []
-    for i in range(fan):
-        ang = 2.0 * math.pi * i / fan
+    for i in range(GAUSS_MAP_FAN):
+        ang = 2.0 * math.pi * i / GAUSS_MAP_FAN
         ring.append(sample(p + eps * math.cos(ang), q + eps * math.sin(ang)))
 
     surf_area = 0.0
     sphere_area = 0.0
-    for i in range(fan):
+    for i in range(GAUSS_MAP_FAN):
         (xi, ni) = ring[i]
-        (xk, nk) = ring[(i + 1) % fan]
+        (xk, nk) = ring[(i + 1) % GAUSS_MAP_FAN]
         e1 = (xi[0] - x0[0], xi[1] - x0[1], xi[2] - x0[2])
         e2 = (xk[0] - x0[0], xk[1] - x0[1], xk[2] - x0[2])
         cross = (e1[1] * e2[2] - e1[2] * e2[1],

@@ -225,6 +225,19 @@ class TestTriangleCommand:
         assert float(summary["excess"]) < 0.0
         assert float(summary["difference"]) <= 1e-3
 
+    @pytest.mark.parametrize("vertices, error", [
+        ("0,0;0,0;0,0", "error: triangle vertices (0.0, 0.0) and (0.0, 0.0) "
+                        "are closer than tol=1e-06\n"),
+        ("0,0;1,0;1,1e-7", "error: triangle vertices (1.0, 0.0) and "
+                           "(1.0, 1e-07) are closer than tol=1e-06\n"),
+    ])
+    def test_coincident_vertices_are_bad_input(self, capsys, vertices,
+                                               error):
+        # a zero-length side has no direction, so the vertex angle used to
+        # end in a ZeroDivisionError traceback
+        assert run_cli(capsys, "triangle", "--catalog", "catenoid",
+                       "--vertices", vertices) == (2, "", error)
+
 
 class TestGeodesicCommand:
     def test_equator_run(self, capsys):
@@ -355,12 +368,14 @@ class TestSurfaceKernel:
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
-        calls = {"embedding_jets": 0, "surface_grid": 0}
-        for name in calls:
+        # (name, type of p) -> calls
+        calls = {}
+        for name in ("embedding_jets", "surface_grid"):
             original = getattr(surfaces, name)
 
             def counting(*args, _name=name, _original=original):
-                calls[_name] += 1
+                key = _name, type(args[1]).__name__
+                calls[key] = calls.get(key, 0) + 1
                 return _original(*args)
 
             monkeypatch.setattr(surfaces, name, counting)
@@ -371,14 +386,16 @@ class TestSurfaceKernel:
         code, _, _ = run_cli(capsys, "surface", "--catalog", "torus",
                              "--grid", "4x5")
         assert code == 0
-        assert kernel_calls == {"embedding_jets": 0, "surface_grid": 1}
+        assert kernel_calls == {("embedding_jets", "ndarray"): 1,
+                                ("surface_grid", "ndarray"): 1}
 
     def test_egregia_evaluates_embedding_once_per_grid(
             self, capsys, kernel_calls):
         code, _, _ = run_cli(capsys, "egregia", "--catalog", "torus",
                              "--grid", "4x5")
         assert code == 0
-        assert kernel_calls == {"embedding_jets": 0, "surface_grid": 1}
+        assert kernel_calls == {("embedding_jets", "ndarray"): 1,
+                                ("surface_grid", "ndarray"): 1}
 
     @pytest.mark.parametrize("argv, surface", [
         (("--catalog", "torus"),
@@ -488,6 +505,20 @@ class TestNumericContract:
         assert (code, out) == (3, "")
         assert err == ("numeric failure: sqrt second derivative overflows "
                        "at 5e-321\n")
+
+    @pytest.mark.parametrize("argv, error", [
+        (("egregia", "--metric", "1,0,1+sin(u*1e308*10)", "--grid", "2x2"),
+         "numeric failure: sin is undefined at -inf\n"),
+        (("curve", "--graph", "sin(x*1e308*10)", "--n", "3"),
+         "numeric failure: sin is undefined at -inf\n"),
+        (("curve", "--graph", "cos(x*1e308*10)", "--range", "1:2", "--n",
+          "3"), "numeric failure: cos is undefined at inf\n"),
+    ])
+    def test_libm_domain_error_is_a_numeric_failure(self, capsys, argv,
+                                                     error):
+        # math.sin, cos and tan raise ValueError at +-inf, which used to
+        # be reported as bad input with exit 2
+        assert run_cli(capsys, *argv) == (3, "", error)
 
 
 def _outcome(capsys, parse, argv):
@@ -698,3 +729,30 @@ class TestWorkBudgets:
         assert cli._parse_grid("1000x1000") == (1000, 1000)
         with pytest.raises(cli.InputError, match="budget"):
             cli._parse_grid("1000x1001")
+
+    def test_curve_point_budget(self, capsys, monkeypatch):
+        def no_lowering(*args, **kwargs):
+            raise AssertionError("lowered a curve past the point budget")
+
+        monkeypatch.setattr(exprlang, "lower_jet2", no_lowering)
+        code, out, err = run_cli(capsys, "curve", "--graph", "x", "--n",
+                                 "100000000")
+        assert (code, out) == (2, "")
+        assert err == ("error: --n 100000000 asks for more curve points "
+                       "than the budget of 1000000\n")
+
+    @pytest.mark.parametrize("order", [1001, 100000])
+    def test_quadrature_node_budget(self, capsys, monkeypatch, order):
+        from egregium import quad
+
+        def no_rule(*args):
+            raise AssertionError("built a rule past the node budget")
+
+        monkeypatch.setattr(quad, "gauss_legendre", no_rule)
+        code, out, err = run_cli(capsys, "gaussbonnet", "--metric", "1,0,1",
+                                 "--urange", "0:1", "--vrange", "0:1",
+                                 "--order", str(order))
+        assert (code, out) == (2, "")
+        assert err == (f"error: --order {order} gives {order * order} "
+                       f"quadrature nodes per pass, more than the budget "
+                       f"of 1000000\n")

@@ -101,6 +101,8 @@ class TestPrintFixpoint:
     CASES = [t for t, _ in CORPUS_1V] + [t for t, _ in CORPUS_2V] + [
         "-x^2", "x^-2", "(-x)^2", "2^3^2", "-(x*y)", "x--2", "1/(2/x)",
         "x/(y*z)", "-sin(-x)", "x^(y+1)",
+        # an infinite constant prints as a literal that parses back to it
+        "1e999", "x^1e999", "-1e999*x",
     ]
 
     @pytest.mark.parametrize("text", CASES)

@@ -299,13 +299,14 @@ def calls(monkeypatch):
     return counts
 
 
+# the one embedding evaluation is surface_grid's, over arrays
 @pytest.mark.parametrize("argv, want", [
     (("egregia", "--metric", "1,0,exp(2*u)", "--graph", "x*y"),
-     {"embedding_jets": 0, "surface_grid": 1, "at": 0, "grid": 1}),
+     {"embedding_jets": 1, "surface_grid": 1, "at": 0, "grid": 1}),
     (("flatness", "--catalog", "cone_metric"),
      {"embedding_jets": 0, "surface_grid": 0, "at": 0, "grid": 1}),
     (("flatness", "--catalog", "torus"),
-     {"embedding_jets": 0, "surface_grid": 1, "at": 0, "grid": 1}),
+     {"embedding_jets": 1, "surface_grid": 1, "at": 0, "grid": 1}),
 ])
 def test_one_grid_evaluation_per_invocation(calls, argv, want):
     code, _, err = run_cli(argv + ("--grid", "4x3"))
