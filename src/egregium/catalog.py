@@ -7,6 +7,7 @@ entry is an ordinary expression set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import curves, exprlang, intrinsic, surfaces
@@ -193,14 +194,20 @@ def _substitute(template, params):
 
 
 def resolve(entry, overrides=None):
-    """Substitute parameters into the entry's templates and parse them."""
+    """Substitute parameters into the entry's templates and parse them; an
+    override must name a parameter of the entry and be finite."""
     params = dict(entry.params)
     for key, value in (overrides or {}).items():
         if key not in params:
             raise InputError(
                 f"{entry.name!r} takes no parameter {key!r}; "
                 f"available: {sorted(params) or 'none'}")
-        params[key] = float(value)
+        value = float(value)
+        if not math.isfinite(value):
+            # its text would not parse as a constant of the expression
+            raise InputError(f"{entry.name!r} parameter {key!r} must be "
+                             f"finite, got {value!r}")
+        params[key] = value
     return {role: _substitute(tpl, params)
             for role, tpl in entry.definition.items()}
 

@@ -25,6 +25,11 @@ CSV_SCHEMA = "# egregium-csv v1"
 _VALUE_FLAGS = {"--range", "--urange", "--vrange", "--prange", "--qrange",
                 "--start", "--vertices", "--at"}
 
+# the number of expressions --parametric takes, per subcommand
+_PARAMETRIC_VALUES = {"curve": 2, **dict.fromkeys(
+    ("surface", "egregia", "flatness", "gaussbonnet", "triangle",
+     "geodesic"), 3)}
+
 _PARAM_FLAGS = ("radius", "Rmaj", "r", "a", "b", "c", "slope")
 
 # full-chart ranges for total-curvature runs; entry ranges elsewhere
@@ -580,9 +585,23 @@ def build_parser(command=None):
     return parser
 
 
+class _Expression(str):
+    """An expression after --parametric that starts with '-', passed to
+    argparse behind a space, so that argparse reads it as a value and not
+    as a flag; `main` takes the space off again."""
+
+
+def _mark(token):
+    if token.startswith("-") and token not in ("-h", "--help"):
+        return _Expression(" " + token)
+    return token
+
+
 def _merge_value_flags(argv):
     """Join `--flag value` into `--flag=value` for values that may start
-    with '-' (ranges, vertices, velocities)."""
+    with '-' (ranges, vertices, velocities), and mark the expressions that
+    follow --parametric, which may start with '-' too."""
+    count = _PARAMETRIC_VALUES.get(argv[0]) if argv else None
     merged = []
     i = 0
     while i < len(argv):
@@ -590,6 +609,9 @@ def _merge_value_flags(argv):
         if token in _VALUE_FLAGS and i + 1 < len(argv):
             merged.append(f"{token}={argv[i + 1]}")
             i += 2
+        elif token == "--parametric" and count and i + count < len(argv):
+            merged += [token, *map(_mark, argv[i + 1:i + 1 + count])]
+            i += 1 + count
         else:
             merged.append(token)
             i += 1
@@ -609,6 +631,9 @@ def main(argv=None):
         # help, and every error, come from the full parser, so their text
         # lists every subcommand
         args = build_parser().parse_args(argv)
+    if getattr(args, "parametric", None):
+        args.parametric = [value[1:] if type(value) is _Expression else value
+                           for value in args.parametric]
     try:
         args.func(args)
     except (InputError, ValueError) as exc:

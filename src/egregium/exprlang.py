@@ -17,18 +17,20 @@ every recursive walk of a tree inside Python's recursion limit.  A parsed
 tree is immutable and can be shared freely.
 
 `evaluate` walks a tree over plain floats.  Every derivative comes from
-trees lowered once by `lower_jet2` into closures over 2-jet slot tuples,
-for functions of one, two or three variables; `evaluate` over the
-operator jets of `jets`, which performs the same float operations by
-walking the tree, is their reference.  Over a grid, the same trees run
-once on float64 arrays of the points' coordinates.
+trees lowered once by `lower_jet2`, for functions of one, two or three
+variables: into closures over 2-jet slot tuples, which also run once on
+float64 arrays of a grid's coordinates, or, for the first-order slots
+alone (v, du, dv), into one straight-line Python function, emitted as
+source and compiled.  `evaluate` over the operator jets of `jets`, which
+performs the same float operations by walking the tree, is their
+reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -323,17 +325,21 @@ def _float_pow(base, exponent):
         raise DomainError(f"power {base!r}**{exponent!r} overflows") from None
 
 
-# --- lowering to 2-jet slot closures ------------------------------------
+# --- lowering -------------------------------------------------------------
 #
-# A lowered node is either a float (a folded constant subtree) or a closure
-# C -> slots, where C holds one slot tuple per coordinate and slots is
-# (v, du, dv, duu, duv, dvv), or (v, du, dv) at order 1.  Each closure
-# performs exactly the float operations `_eval` performs on the operator
-# jets of `jets`, in the same order, so results are bit-identical and the
-# same exceptions are raised with the same messages.  An order-1 closure
-# performs the part of them that yields the first three slots: none of
-# those reads a second-order slot, and every table of f, f', f'' is still
-# called whole, so it raises where order 2 raises.
+# `_lower_with` walks a tree once.  It folds constant subtrees to floats and
+# builds every other node with a builder from a `_Nodes`, the kind of program
+# being made.  Every builder performs exactly the float operations `_eval`
+# performs on the operator jets of `jets`, in the same order, so results are
+# bit-identical and the same exceptions are raised with the same messages.
+#
+# At order 2 a lowered node is a closure C -> (v, du, dv, duu, duv, dvv),
+# where C holds one slot tuple per coordinate.  At order 1 it is the triple
+# (v, du, dv) of one straight-line Python function that `_FirstOrderSource`
+# emits.  That function performs the part of the order-2 operations that
+# yields the first three slots: none of those reads a second-order slot, and
+# every table of f, f', f'' is still called whole, so it raises where order 2
+# raises.
 
 _ONE = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -354,12 +360,17 @@ def lower_jet2(asts, seeds, order=2):
     once.  Results are those of `evaluate` over operator-jet bindings with
     the same seeding, bit for bit.
 
-    At order 2 the coordinates may also be 1-D float64 arrays of one length,
-    the points of a grid; every slot is then an array, and element i holds
-    the bits of the scalar call at the i-th point.  If any point fails, some
-    error is raised, not necessarily the one of the first failing point.
-    The trees are lowered at the first call, and points and grids run the
-    same programs.
+    At order 2 the trees become closures, lowered at the first call.  The
+    coordinates may also be 1-D float64 arrays of one length, the points of
+    a grid; every slot is then an array, and element i holds the bits of the
+    scalar call at the i-th point.  If any point fails, some error is
+    raised, not necessarily the one of the first failing point.  Points and
+    grids run the same closures.
+
+    At order 1 the trees become one straight-line Python function, emitted
+    and compiled at the first call, which takes scalar coordinates only.  A
+    subtree that equals an earlier one is computed once; no text of an
+    expression reaches the emitted source.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
@@ -369,22 +380,19 @@ def lower_jet2(asts, seeds, order=2):
             index[ast] = len(trees)
             trees.append(ast)
         picks.append(index[ast])
-    nodes, seeded, width = ((_NODES, _seeded, 6) if order == 2
-                            else (_FIRST_NODES, _seeded_first, 3))
+    if order == 1:
+        return _first_order(trees, seeds, picks)
     programs = None
 
     def run(*coords):
         nonlocal programs
-        grid = type(coords[0]) is ndarray
-        if grid and order != 2:
-            raise ValueError("order-1 programs take scalar coordinates")
         if programs is None:
-            programs = [_program(_lower_with(ast, seeds, nodes), width)
+            programs = [_program(_lower_with(ast, seeds, _NODES))
                         for ast in trees]
-        if grid:
+        if type(coords[0]) is ndarray:
             values = _run_columns(programs, coords)
         else:
-            C = seeded(*coords)
+            C = _seeded(*coords)
             values = [program(C) for program in programs]
         return [values[i] for i in picks]
 
@@ -403,71 +411,83 @@ def _seeded(u, v=None, *held):
     return C
 
 
-def _seeded_first(u, v=None, *held):
-    """`_seeded` at order 1."""
-    U = (float(u), 1.0, 0.0)
-    if v is None:
-        return (U,)
-    C = (U, (float(v), 0.0, 1.0))
-    if held:
-        C += tuple((float(h), 0.0, 0.0) for h in held)
-    return C
-
-
-def _program(node, width):
-    """A closure for a lowered tree; a constant becomes a constant jet of
-    `width` slots."""
+def _program(node):
+    """A closure for a lowered tree; a constant becomes a constant jet."""
     if callable(node):
         return node
-    constant = (float(node),) + (0.0,) * (width - 1)
+    constant = (float(node),) + _ONE[1:]
     return lambda C: constant
+
+
+def _folded(node):
+    """Whether a lowered node is a constant, folded to a number."""
+    return isinstance(node, (int, float))
 
 
 def _lower_with(ast, seeds, nodes):
     if isinstance(ast, Constant):
         return ast.value
     if isinstance(ast, Variable):
-        return _lower_variable(ast.name, seeds.get(ast.name))
+        coordinate = seeds.get(ast.name)
+        if coordinate is None:
+            return nodes.raising(_raiser(UnboundVariable,
+                                         f"unbound variable {ast.name!r}"))
+        return nodes.variable(coordinate)
     if isinstance(ast, Unary):
         child = _lower_with(ast.child, seeds, nodes)
-        if not callable(child):
-            return _fold(Unary(ast.op, Constant(child)))
+        if _folded(child):
+            return _fold(Unary(ast.op, Constant(child)), nodes)
         if ast.op == "neg":
             return nodes.neg(child)
         return nodes.function(ast.op, child)
     left = _lower_with(ast.left, seeds, nodes)
     right = _lower_with(ast.right, seeds, nodes)
-    if not callable(left) and not callable(right):
-        return _fold(Binary(ast.op, Constant(left), Constant(right)))
-    if not callable(right):
+    if _folded(left) and _folded(right):
+        return _fold(Binary(ast.op, Constant(left), Constant(right)), nodes)
+    if _folded(right):
         return nodes.jet_const[ast.op](left, float(right))
-    if not callable(left):
+    if _folded(left):
         return nodes.const_jet[ast.op](float(left), right)
     return nodes.jet_jet[ast.op](left, right)
 
 
-def _fold(ast):
-    """The float value of a constant node, or a closure that raises what
+def _fold(ast, nodes):
+    """The float value of a constant node, or a node that raises what
     evaluating it raises, at its place in evaluation order."""
     try:
         return _eval(ast, {})
     except (NumericError, ValueError):
-        def deferred(C):
-            return _eval(ast, {})
-        return deferred
+        return nodes.raising(lambda: _eval(ast, {}))
 
 
-def _lower_variable(name, coordinate):
-    if coordinate is not None:
-        return itemgetter(coordinate)
-    message = f"unbound variable {name!r}"
-
-    def unbound(C):
-        raise UnboundVariable(message)
-    return unbound
+def _raiser(error, message):
+    """A callable that raises error(message)."""
+    def raise_error():
+        raise error(message)
+    return raise_error
 
 
-# slot-wise nodes, order 2
+class _Nodes(NamedTuple):
+    """Node builders by kind: negation and a named function of a node,
+    operators with nodes or constants (c) on each side, a coordinate by its
+    index, and a node that calls a callable which raises."""
+    neg: object
+    function: object
+    jet_jet: dict
+    jet_const: dict
+    const_jet: dict
+    variable: object
+    raising: object
+
+
+def _log_base(v):
+    """The log table at the base of a^b, whose base must be positive."""
+    if v <= 0.0:
+        raise DomainError(f"jet power with non-positive base {v!r}")
+    return jets.FUNCTION_TABLES["log"](v)
+
+
+# order 2: slot-wise closures
 
 def _lower_neg(a):
     def neg(C):
@@ -522,86 +542,22 @@ def _scale(a, c):
     return scale
 
 
-# slot-wise nodes, order 1: the first three slots of the above
-
-def _neg_first(a):
-    def neg(C):
-        v, du, dv = a(C)
-        return (-v, -du, -dv)
-    return neg
-
-
-def _add_first_jj(a, b):
-    def add(C):
-        av, adu, adv = a(C)
-        bv, bdu, bdv = b(C)
-        return (av + bv, adu + bdu, adv + bdv)
-    return add
+def _elementwise(table):
+    """A scalar table that also takes a float64 array, running at each
+    element (`jets.tabulate`), never numpy's exp, log or power, whose last
+    bits differ from libm's."""
+    tabulate = jets.tabulate
+    return lambda v: tabulate(table, v) if type(v) is ndarray else table(v)
 
 
-def _add_first_jc(a, c):
-    def add(C):
-        v, du, dv = a(C)
-        return (v + c, du, dv)
-    return add
-
-
-def _sub_first_jj(a, b):
-    def sub(C):
-        av, adu, adv = a(C)
-        bv, bdu, bdv = b(C)
-        return (av - bv, adu - bdu, adv - bdv)
-    return sub
-
-
-def _sub_first_jc(a, c):
-    def sub(C):
-        v, du, dv = a(C)
-        return (v - c, du, dv)
-    return sub
-
-
-def _sub_first_cj(c, b):
-    def sub(C):
-        v, du, dv = b(C)
-        return (c - v, -du, -dv)
-    return sub
-
-
-def _scale_first(a, c):
-    def scale(C):
-        v, du, dv = a(C)
-        return (v * c, du * c, dv * c)
-    return scale
-
-
-class _Nodes(NamedTuple):
-    """Node builders by kind: negation and a named function of a closure,
-    and operators with closures or constants (c) on each side."""
-    neg: object
-    function: object
-    jet_jet: dict
-    jet_const: dict
-    const_jet: dict
-
-
-def _log_base(v):
-    """The log table at the base of a^b, whose base must be positive."""
-    if v <= 0.0:
-        raise DomainError(f"jet power with non-positive base {v!r}")
-    return jets.FUNCTION_TABLES["log"](v)
-
-
-def _nodes(neg, add, add_c, sub, sub_c, c_sub, scale, mul, compose, one,
-           lift):
-    """The node builders of one kind of program, from its slot-wise
-    builders, its product rule `mul` and chain rule `compose` over slot
-    tuples, its constant jet `one`, and `lift`, which turns a scalar table
-    v -> (f, f', f'') into the one its nodes call.  Every node that takes
-    f, f', f'' from a table (function, reciprocal, power) is written here
-    once for all kinds."""
-    recip, log_base, exp = (lift(jets.recip_table), lift(_log_base),
-                            lift(jets.FUNCTION_TABLES["exp"]))
+def _closure_nodes():
+    """The builders of order-2 closures.  Over a grid each slot is a float64
+    array, or a float where it does not depend on the point: + - * / run in
+    numpy, which rounds them as Python does, and each table runs at every
+    element, so the closures serve points and grids alike."""
+    mul, compose = jets.mul_slots, jets.compose_slots
+    recip, log_base, exp = map(_elementwise, (
+        jets.recip_table, _log_base, jets.FUNCTION_TABLES["exp"]))
 
     def chain(a, table):
         def apply(C):
@@ -610,7 +566,7 @@ def _nodes(neg, add, add_c, sub, sub_c, c_sub, scale, mul, compose, one,
         return apply
 
     def function(name, a):
-        return chain(a, lift(jets.FUNCTION_TABLES[name]))
+        return chain(a, _elementwise(jets.FUNCTION_TABLES[name]))
 
     def mul_jj(a, b):
         return lambda C: mul(a(C), b(C))
@@ -621,18 +577,18 @@ def _nodes(neg, add, add_c, sub, sub_c, c_sub, scale, mul, compose, one,
                 a(C)
                 raise DivisionByZero("division by zero")
             return div
-        return scale(a, 1.0 / c)
+        return _scale(a, 1.0 / c)
 
     def pow_jc(a, e):
         """a^e for a constant exponent, following the operator jets' `**`."""
         if e == 0.0:
             def power(C):
                 a(C)
-                return one
+                return _ONE
             return power
         if e == 1.0:
             return a
-        return chain(a, lift(jets.power_table(e)))
+        return chain(a, _elementwise(jets.power_table(e)))
 
     def pow_cj(c, b):
         """c^b for a constant base: exp(b * log c), as the operator jets do."""
@@ -641,7 +597,7 @@ def _nodes(neg, add, add_c, sub, sub_c, c_sub, scale, mul, compose, one,
                 b(C)
                 raise DomainError(f"power with non-positive base {c!r}")
             return power
-        return function("exp", scale(b, math.log(c)))
+        return function("exp", _scale(b, math.log(c)))
 
     def pow_jj(a, b):
         """a^b as exp(b * log a), as the operator jets do: both operands
@@ -653,35 +609,19 @@ def _nodes(neg, add, add_c, sub, sub_c, c_sub, scale, mul, compose, one,
         return power
 
     return _Nodes(
-        neg, function,
-        {"+": add, "-": sub, "*": mul_jj,
+        _lower_neg, function,
+        {"+": _add_jj, "-": _sub_jj, "*": mul_jj,
          "/": lambda a, b: mul_jj(a, chain(b, recip)), "^": pow_jj},
-        {"+": add_c, "-": sub_c, "*": scale, "/": div_jc, "^": pow_jc},
+        {"+": _add_jc, "-": _sub_jc, "*": _scale, "/": div_jc, "^": pow_jc},
         # constant on the left: + and * commute slot by slot, as in
         # the operator jets' __radd__ and __rmul__
-        {"+": lambda c, b: add_c(b, c), "-": c_sub,
-         "*": lambda c, b: scale(b, c),
-         "/": lambda c, b: scale(chain(b, recip), c), "^": pow_cj})
+        {"+": lambda c, b: _add_jc(b, c), "-": _sub_cj,
+         "*": lambda c, b: _scale(b, c),
+         "/": lambda c, b: _scale(chain(b, recip), c), "^": pow_cj},
+        itemgetter, lambda raise_error: lambda C: raise_error())
 
 
-def _elementwise(table):
-    """A scalar table that also takes a float64 array, running at each
-    element (`jets.tabulate`), never numpy's exp, log or power, whose last
-    bits differ from libm's."""
-    tabulate = jets.tabulate
-    return lambda v: tabulate(table, v) if type(v) is ndarray else table(v)
-
-
-# Over a grid each slot is a float64 array, or a float where it does not
-# depend on the point.  + - * / run in numpy, which rounds them as Python
-# does, and each table runs at every element, so the order-2 nodes serve
-# points and grids alike.
-_NODES = _nodes(_lower_neg, _add_jj, _add_jc, _sub_jj, _sub_jc, _sub_cj,
-                _scale, jets.mul_slots, jets.compose_slots, _ONE, _elementwise)
-_FIRST_NODES = _nodes(
-    _neg_first, _add_first_jj, _add_first_jc, _sub_first_jj, _sub_first_jc,
-    _sub_first_cj, _scale_first, jets.mul_first, jets.compose_first,
-    (1.0, 0.0, 0.0), lambda table: table)
+_NODES = _closure_nodes()
 
 
 def _run_columns(programs, coords):
@@ -696,6 +636,247 @@ def _run_columns(programs, coords):
     return [tuple(slot if type(slot) is ndarray else np.full(shape, slot)
                   for slot in slots)
             for slots in values]
+
+
+# order 1: one emitted function
+
+def _first_order(trees, seeds, picks):
+    """`lower_jet2` at order 1, of trees without repeats, returning the jet
+    of trees[i] for each i in `picks`."""
+    program = None
+
+    def run(*coords):
+        nonlocal program
+        if type(coords[0]) is ndarray:
+            raise ValueError("order-1 programs take scalar coordinates")
+        if program is None:
+            source, namespace = _first_order_source(trees, seeds, picks)
+            exec(compile(source, "<order-1 program>", "exec"), namespace)
+            program = namespace["program"]
+        return program(*coords)
+
+    return run
+
+
+def _first_order_source(trees, seeds, picks):
+    """(source, namespace) of the order-1 program of `trees`: a function
+    `program(c0, c1=None, *held)` that returns [(v, du, dv), ...], the jet
+    of trees[i] for each i in `picks`."""
+    emitter = _FirstOrderSource()
+    results = []
+    for ast in trees:
+        node = _lower_with(ast, seeds, emitter.nodes)
+        results.append((emitter.literal(float(node)), 0.0, 0.0)
+                       if _folded(node) else node)
+    return emitter.source([results[i] for i in picks]), emitter.namespace
+
+
+# the coordinates as `_seeded` takes them, converted with float()
+_FIRST_ORDER_HEAD = """\
+def program(c0, c1=None, *held):
+    c0 = float(c0)
+    if c1 is not None:
+        c1 = float(c1)
+        if held:
+            held = [float(c) for c in held]
+"""
+
+_ARITHMETIC = {"+": add, "-": sub, "*": mul}
+
+
+class _Text(str):
+    """The source of an operation on earlier slots, not yet named."""
+
+
+class _FirstOrderSource:
+    """The statements of one order-1 program, emitted node by node.
+
+    A jet is a triple (v, du, dv) whose slots are generated names or finite
+    floats, written as literals.  An operation on two literals is done here,
+    with the float operation the program would do; one with a name is
+    emitted, so x*1.0 and x*0.0 are kept and keep the sign of zero and NaN.
+    One statement names the new slots of a node, and an operation or table
+    call already emitted on the same operands is not emitted again.
+    Tables, non-finite constants and the callables that raise are bound in
+    `namespace` under generated names, so the source holds only generated
+    names and float literals.
+    """
+
+    def __init__(self):
+        self.lines = []
+        self.namespace = {}
+        self._count = 0
+        self._bound = {}  # id of a bound object -> its name
+        self._named = {}  # text of an emitted operation -> its name
+        self._calls = {}  # text of an emitted table call -> its three names
+        self._powers = {}  # exponent -> its power table
+        self._held = {}  # index of a held coordinate -> its name
+        self.nodes = _Nodes(
+            self.neg, self.function,
+            {"+": self.add, "-": self.sub, "*": self.mul, "/": self.div,
+             "^": self.pow},
+            {"+": self.add_c, "-": self.sub_c, "*": self.scale,
+             "/": self.div_c, "^": self.pow_c},
+            # constant on the left, as the order-2 closures take it
+            {"+": lambda c, b: self.add_c(b, c), "-": self.c_sub,
+             "*": lambda c, b: self.scale(b, c), "/": self.c_div,
+             "^": self.c_pow},
+            self.variable, self.raising)
+
+    def source(self, results):
+        """The function's source, returning the jets `results`."""
+        rows = ", ".join(f"({', '.join(map(_slot_source, jet))})"
+                         for jet in results)
+        return _FIRST_ORDER_HEAD + "".join(
+            f"    {line}\n" for line in self.lines + [f"return [{rows}]"])
+
+    def literal(self, x):
+        """A constant slot: a literal when finite, else a bound name."""
+        return x if math.isfinite(x) else self._bind(x)
+
+    def _fresh(self):
+        self._count += 1
+        return f"s{self._count}"
+
+    def _bind(self, obj):
+        name = self._bound.get(id(obj))
+        if name is None:
+            name = self._bound[id(obj)] = f"k{len(self._bound)}"
+            self.namespace[name] = obj
+        return name
+
+    def _op(self, a, symbol, b):
+        if type(a) is float and type(b) is float:
+            return self.literal(_ARITHMETIC[symbol](a, b))
+        return _Text(f"({_slot_source(a)} {symbol} {_slot_source(b)})")
+
+    @staticmethod
+    def _neg(a):
+        return -a if type(a) is float else _Text(f"(-{a})")
+
+    def _emit(self, *slots):
+        """The jet of `slots`, whose new operations are named by one
+        statement."""
+        jet, targets, values = [], [], []
+        for slot in slots:
+            if type(slot) is _Text:
+                name = self._named.get(slot)
+                if name is None:
+                    name = self._named[slot] = self._fresh()
+                    targets.append(name)
+                    values.append(slot)
+                slot = name
+            jet.append(slot)
+        if targets:
+            self.lines.append(f"{', '.join(targets)} = {', '.join(values)}")
+        return tuple(jet)
+
+    def _call(self, table, slot):
+        """The names of (f, f', f'') that `table` returns at `slot`."""
+        call = f"{self._bind(table)}({_slot_source(slot)})"
+        names = self._calls.get(call)
+        if names is None:
+            names = self._calls[call] = (self._fresh(), self._fresh(),
+                                         self._fresh())
+            self.lines.append(f"{', '.join(names)} = {call}")
+        return names
+
+    def _chain(self, a, table):
+        """f(a) from the table of f, f', f'' at a's value, as
+        `jets.compose_slots` takes its first three slots."""
+        f0, f1, _ = self._call(table, a[0])
+        return self._emit(f0, self._op(f1, "*", a[1]),
+                          self._op(f1, "*", a[2]))
+
+    def variable(self, coordinate):
+        if coordinate == 0:
+            return ("c0", 1.0, 0.0)
+        if coordinate == 1:
+            return ("c1", 0.0, 1.0)
+        name = self._held.get(coordinate)
+        if name is None:
+            name = self._held[coordinate] = self._fresh()
+            read = self._bind(itemgetter(coordinate - 2))
+            self.lines.append(f"{name} = {read}(held)")
+        return (name, 0.0, 0.0)
+
+    def raising(self, raise_error):
+        names = (self._fresh(), self._fresh(), self._fresh())
+        self.lines.append(f"{', '.join(names)} = {self._bind(raise_error)}()")
+        return names
+
+    def neg(self, a):
+        return self._emit(*map(self._neg, a))
+
+    def add(self, a, b):
+        return self._emit(*(self._op(x, "+", y) for x, y in zip(a, b)))
+
+    def sub(self, a, b):
+        return self._emit(*(self._op(x, "-", y) for x, y in zip(a, b)))
+
+    def add_c(self, a, c):
+        return self._emit(self._op(a[0], "+", self.literal(c)), a[1], a[2])
+
+    def sub_c(self, a, c):
+        return self._emit(self._op(a[0], "-", self.literal(c)), a[1], a[2])
+
+    def c_sub(self, c, b):
+        return self._emit(self._op(self.literal(c), "-", b[0]),
+                          self._neg(b[1]), self._neg(b[2]))
+
+    def scale(self, a, c):
+        c = self.literal(c)
+        return self._emit(*(self._op(x, "*", c) for x in a))
+
+    def mul(self, a, b):
+        """The product rule, as `jets.mul_slots` takes its first three
+        slots."""
+        op = self._op
+        (av, adu, adv), (bv, bdu, bdv) = a, b
+        return self._emit(op(av, "*", bv),
+                          op(op(adu, "*", bv), "+", op(av, "*", bdu)),
+                          op(op(adv, "*", bv), "+", op(av, "*", bdv)))
+
+    def function(self, name, a):
+        return self._chain(a, jets.FUNCTION_TABLES[name])
+
+    def div(self, a, b):
+        return self.mul(a, self._chain(b, jets.recip_table))
+
+    def div_c(self, a, c):
+        if c == 0.0:
+            return self.raising(_raiser(DivisionByZero, "division by zero"))
+        return self.scale(a, 1.0 / c)
+
+    def c_div(self, c, b):
+        return self.scale(self._chain(b, jets.recip_table), c)
+
+    def pow(self, a, b):
+        """a^b as exp(b * log a): the base's check after both operands."""
+        log_a = self._chain(a, _log_base)
+        return self._chain(self.mul(b, log_a), jets.FUNCTION_TABLES["exp"])
+
+    def pow_c(self, a, e):
+        if e == 0.0:
+            return (1.0, 0.0, 0.0)
+        if e == 1.0:
+            return a
+        # equal exponents have equal bits, as 0 and -0 do not get here; a
+        # NaN equals no other key and gets a table of its own
+        if e not in self._powers:
+            self._powers[e] = jets.power_table(e)
+        return self._chain(a, self._powers[e])
+
+    def c_pow(self, c, b):
+        if c <= 0.0:
+            return self.raising(_raiser(
+                DomainError, f"power with non-positive base {c!r}"))
+        return self.function("exp", self.scale(b, math.log(c)))
+
+
+def _slot_source(slot):
+    """A slot as source: its name, or the literal of its float."""
+    return repr(slot) if type(slot) is float else slot
 
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}

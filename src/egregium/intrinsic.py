@@ -53,8 +53,9 @@ class MetricField:
 
     Expression metrics are lowered once by `exprlang.lower_jet2`, at the
     first call; every `at` call runs the lowered programs, and `grid` runs
-    the same programs once over arrays of points.  `first_order` runs
-    first-order programs, lowered at its first call.
+    the same programs once over arrays of points.  `first_order` runs one
+    first-order program of all three, emitted and compiled at its first
+    call.
     """
 
     def __init__(self, e_ast, f_ast, g_ast):

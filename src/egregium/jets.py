@@ -5,12 +5,11 @@ its first and second partials at a point, as six slots (v, du, dv, duu,
 duv, dvv); the mixed partial occupies a single slot, so symmetry of second
 derivatives is structural.  The product and chain rule are module-level
 functions over slot tuples (`mul_slots`, `compose_slots`), which the
-expression lowering in `exprlang` calls, and `JetSlots` names the slots of
-one result; `mul_first` and `compose_first` are the same rules on the
-first-order slots (v, du, dv), which never read a second-order one.  A
-function of one variable is a 2-jet seeded along u alone; one of three
-variables takes three 2-jets, each with two coordinates seeded and the
-third held.
+order-2 expression lowering in `exprlang` calls (its order-1 programs
+emit the first three slots of the same rules as source), and `JetSlots`
+names the slots of one result.  A function of one variable is a 2-jet
+seeded along u alone; one of three variables takes three 2-jets, each
+with two coordinates seeded and the third held.
 
 `Jet2_2` is the same algebra as a class with operators, which
 `exprlang.evaluate` walks a tree over: the bitwise reference the lowered
@@ -213,21 +212,6 @@ def compose_slots(a, f0, f1, f2):
         f2 * du * dv + f1 * duv,
         f2 * dv * dv + f1 * dvv,
     )
-
-
-def mul_first(a, b):
-    """`mul_slots` on first-order slot tuples (v, du, dv): the same float
-    operations as its first three slots."""
-    av, adu, adv = a
-    bv, bdu, bdv = b
-    return av * bv, adu * bv + av * bdu, adv * bv + av * bdv
-
-
-def compose_first(a, f0, f1, f2):
-    """`compose_slots` on first-order slot tuples (v, du, dv); f2 is taken,
-    and computed by the caller's table, but not used."""
-    _, du, dv = a
-    return f0, f1 * du, f1 * dv
 
 
 def tabulate(table, values):

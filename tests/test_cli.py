@@ -81,6 +81,34 @@ class TestCurveCommand:
             assert abs(float(row["kappa"]) - 0.5) <= 1e-12
 
 
+class TestParametricValues:
+    """--parametric takes expressions that start with '-', as given."""
+
+    @pytest.mark.parametrize("argv", [
+        ("curve", "--parametric", "-sin(t)", "cos(t)", "--n", "5"),
+        ("curve", "--parametric", "cos(t)", "-2*sin(t)", "--range", "0:1",
+         "--n", "4"),
+        ("curve", "--parametric", "-1", "--t", "--n", "3"),
+        ("surface", "--parametric", "-p", "q", "-p^2-q^2", "--grid", "3x3"),
+        ("egregia", "--parametric", "-p", "-q", "p*q", "--grid", "2x2",
+         "--format", "json"),
+    ])
+    def test_values_may_start_with_minus(self, capsys, argv):
+        got = run_cli(capsys, *argv)
+        assert got[0] == 0
+        # behind a space, argparse already read them as values, and the
+        # expression parser skips the space
+        start = argv.index("--parametric") + 1
+        stop = start + (2 if argv[0] == "curve" else 3)
+        spaced = [" " + token if start <= i < stop else token
+                  for i, token in enumerate(argv)]
+        assert run_cli(capsys, *spaced) == got
+
+    def test_error_offsets_count_from_the_value_as_given(self, capsys):
+        assert run_cli(capsys, "curve", "--parametric", "-sin(", "t") == (
+            2, "", "error: expected expression at offset 5\n")
+
+
 class TestSurfaceCommand:
     def test_sphere_kappa_column(self, capsys):
         code, out, _ = run_cli(capsys, "surface", "--catalog", "sphere",
@@ -361,6 +389,20 @@ class TestOutputFormats:
         assert "unknown catalog entry" in err
 
 
+@pytest.mark.parametrize("value, shown", [("inf", "inf"), ("nan", "nan"),
+                                          ("1e999", "inf")])
+@pytest.mark.parametrize("argv, entry", [
+    (("curve", "--catalog", "circle", "--n", "3"), "circle"),
+    (("gaussbonnet", "--catalog", "sphere_metric", "--order", "4"),
+     "sphere_metric"),
+])
+def test_non_finite_catalog_parameter_is_bad_input(capsys, argv, entry,
+                                                   value, shown):
+    assert run_cli(capsys, *argv, "--radius", value) == (
+        2, "", f"error: '{entry}' parameter 'radius' must be finite, "
+               f"got {shown}\n")
+
+
 class TestSurfaceKernel:
     """Every surface column comes from one grid-kernel call per invocation,
     with no per-point embedding evaluation, and matches the public
@@ -554,6 +596,11 @@ class TestParser:
         ("curve", "--graph", "x^2", "extra"),
         ("curve", "--graph", "-h"),
         ("egregia", "--parametric", "p", "q"),
+        # too few values: no expression is taken
+        ("egregia", "--parametric", "-p", "q"),
+        ("curve", "--parametric", "-sin(t)"),
+        ("curve", "--parametric", "-h", "t"),
+        ("catalog", "--parametric", "-p", "q", "r"),
     ])
     def test_help_and_errors_match_the_full_parser(self, capsys, argv):
         expected = _outcome(capsys, cli.build_parser().parse_args, argv)

@@ -82,12 +82,6 @@ EXPRESSIONS = {names: _expressions(names)
                for names in ("x", "t", "xy", "pq", "uv")}
 
 
-def nargs_text(text):
-    # argparse reads a value that starts with '-' and holds no space as a
-    # flag; a leading space keeps it a value, and the parser skips it
-    return " " + text if text.startswith("-") else text
-
-
 def optional(tokens):
     """The argv tokens drawn from `tokens`, or none."""
     return st.one_of(st.just([]), tokens)
@@ -142,8 +136,7 @@ def surface_input(draw, metric):
     if kind == "graph":
         return [f"--graph={draw(EXPRESSIONS['xy'])}"]
     if kind == "parametric":
-        return ["--parametric"] + [nargs_text(draw(EXPRESSIONS["pq"]))
-                                   for _ in range(3)]
+        return ["--parametric"] + [draw(EXPRESSIONS["pq"]) for _ in range(3)]
     parts = [draw(EXPRESSIONS["uv"]) for _ in range(3)]
     if kind == "positive metric":
         # positive definite wherever it evaluates
@@ -164,7 +157,7 @@ def curve_argv(draw):
     elif kind == "graph":
         tokens = [f"--graph={draw(EXPRESSIONS['x'])}"]
     elif kind == "parametric":
-        tokens = ["--parametric"] + [nargs_text(draw(EXPRESSIONS["t"]))
+        tokens = ["--parametric"] + [draw(EXPRESSIONS["t"])
                                      for _ in range(2)]
     else:
         tokens = [f"--implicit={draw(EXPRESSIONS['xy'])}"]

@@ -5,8 +5,12 @@ per metric, surface or curve, and byte-identical library and CLI output
 with the interpreter patched in.  Also the parse depth limit that keeps
 every recursive walk inside Python's recursion limit."""
 
+import io
 import math
+import re
 import struct
+import tokenize
+from ast import literal_eval
 
 import numpy as np
 import pytest
@@ -253,13 +257,73 @@ def test_first_order_takes_no_arrays_and_no_other_order():
     ("2^u", 2000.0, 0.5, "exp overflows at this argument"),
     ("2/(u-u)", 1.0, 0.5, "jet divided by jet with zero value"),
     ("x + u", 1.0, 0.5, "unbound variable 'x'"),
+    ("u + x", 1.0, 0.5, "unbound variable 'x'"),
+    ("u + log(0-1)*v", 1.0, 0.5, "log of non-positive value -1.0"),
 ])
 def test_errors_match_interpreter(text, u, v, error):
-    assert_same([parse(text)], METRIC_SEEDS, u, v)
-    assert_first_order_is_truncation([parse(text)], METRIC_SEEDS, u, v)
-    with pytest.raises(Exception) as err:
-        exprlang.lower_jet2([parse(text)], METRIC_SEEDS)(u, v)
-    assert str(err.value) == error
+    asts = [parse(text)]
+    assert_same(asts, METRIC_SEEDS, u, v)
+    assert_first_order_is_truncation(asts, METRIC_SEEDS, u, v)
+    want = outcome(interpreted(asts, METRIC_SEEDS), u, v)
+    for order in (1, 2):
+        run = exprlang.lower_jet2(asts, METRIC_SEEDS, order=order)
+        assert outcome(run, u, v) == want
+        with pytest.raises(Exception) as err:
+            run(u, v)
+        assert str(err.value) == error
+
+
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("text, seeds, coords, want", [
+    # constants: folded, and bound to the program when not finite
+    ("1e999", METRIC_SEEDS, (1.0, 2.0), (INF, 0.0, 0.0)),
+    ("-1e999", METRIC_SEEDS, (1.0, 2.0), (-INF, 0.0, 0.0)),
+    ("-0.0", METRIC_SEEDS, (1.0, 2.0), (-0.0, 0.0, 0.0)),
+    ("1e999*u", METRIC_SEEDS, (2.0, 1.0), (INF, INF, NAN)),
+    ("u - 1e999", METRIC_SEEDS, (2.0, 1.0), (-INF, 1.0, 0.0)),
+    ("v*-0.0", METRIC_SEEDS, (2.0, 3.0), (-0.0, -0.0, -0.0)),
+    # x*0.0 is computed, not folded to 0.0: it keeps the sign and NaN
+    ("0*u", METRIC_SEEDS, (-2.0, 1.0), (-0.0, 0.0, 0.0)),
+    ("0*u", METRIC_SEEDS, (INF, 1.0), (NAN, 0.0, 0.0)),
+    ("u*v*0 + 0*u", METRIC_SEEDS, (-1.0, 2.0), (-0.0, 0.0, 0.0)),
+    # coordinates after the first two are held with zero derivatives
+    ("p*u + v", {"u": 0, "v": 1, "p": 2}, (2.0, 3.0, 5.0), (13.0, 5.0, 1.0)),
+    ("p*q - u", {"u": 0, "v": 1, "p": 2, "q": 3}, (2, 3, 5, 7),
+     (33.0, -1.0, 0.0)),
+])
+def test_first_order_bits(text, seeds, coords, want):
+    asts = [parse(text)]
+    got = outcome(exprlang.lower_jet2(asts, seeds, order=1), *coords)
+    assert got == outcome(interpreted(asts, seeds, order=1), *coords)
+    (slots,) = exprlang.lower_jet2(asts, seeds, order=1)(*coords)
+    assert [math.isnan(w) or struct.pack("d", s) == struct.pack("d", w)
+            for s, w in zip(slots, want)] == [True] * 3
+    assert [math.isnan(s) for s in slots] == [math.isnan(w) for w in want]
+
+
+# identifiers of the emitted function that no expression provides
+EMITTED_KEYWORDS = {"def", "program", "float", "if", "is", "not", "None",
+                    "for", "in", "held", "c", "return"}
+
+
+def test_emitted_source_takes_no_text_from_the_expression():
+    texts = ("sin(x)*exp(y) + log(x+2)^y - tan(z/y) + 1e999*sqrt(x)",
+             "atan(t)^2.5 - cosh(x)/sinh(y) + tanh(z) - 1/(1-1)",
+             "2^cos(x) - (0-3)^y + q")
+    seeds = {"x": 0, "y": 1, "z": 2, "t": 3}
+    source, _ = exprlang._first_order_source(
+        [parse(text) for text in texts], seeds, [0, 1, 2, 0])
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    names = {tok.string for tok in tokens if tok.type == tokenize.NAME}
+    assert not names & (exprlang.VARIABLE_NAMES | exprlang.FUNCTION_NAMES)
+    assert all(re.fullmatch(r"[csk]\d+", name)
+               for name in names - EMITTED_KEYWORDS)
+    assert not [tok for tok in tokens if tok.type == tokenize.STRING]
+    numbers = [tok.string for tok in tokens if tok.type == tokenize.NUMBER]
+    assert numbers and all(type(literal_eval(number)) is float
+                           for number in numbers)
 
 
 def test_equal_trees_are_lowered_once(monkeypatch):
@@ -367,21 +431,23 @@ def test_cli_metric_run_lowers_once(capsys, counters):
       "--grid", "2x2"), False),
     (("geodesic", "--metric", "1,0,exp(2*u)", "--start", "0,0,1,1",
       "--length", "0.1", "--step", "0.01"), True),
+    (("gaussbonnet", "--catalog", "sphere_metric", "--order", "4"), False),
+    (("triangle", "--catalog", "hyperbolic_disk", "--vertices",
+      "0,0;0.2,0;0,0.2", "--tol", "1e-5"), True),
 ])
 def test_only_geodesic_commands_lower_first_order_programs(
         capsys, monkeypatch, argv, first_order):
-    lowered = []
-    original = exprlang._lower_with
+    emitted = []
+    original = exprlang._first_order_source
 
-    def counting(ast, seeds, nodes):
-        if nodes is exprlang._FIRST_NODES:
-            lowered.append(ast)
-        return original(ast, seeds, nodes)
+    def counting(trees, seeds, picks):
+        emitted.append(trees)
+        return original(trees, seeds, picks)
 
-    monkeypatch.setattr(exprlang, "_lower_with", counting)
+    monkeypatch.setattr(exprlang, "_first_order_source", counting)
     main(list(argv))
     capsys.readouterr()
-    assert bool(lowered) == first_order
+    assert bool(emitted) == first_order
 
 
 @pytest.fixture
@@ -521,7 +587,33 @@ def test_deepest_accepted_expression_evaluates(index):
     ast = parse(_deep_texts(MAX_DEPTH)[index])
     # both evaluators and the printer walk the tree recursively
     assert_same([ast], METRIC_SEEDS, 0.5, 0.25)
+    assert_first_order_is_truncation([ast], METRIC_SEEDS, 0.5, 0.25)
     assert exprlang.to_text(ast)
+
+
+def _balanced_sum(terms):
+    """The terms summed as a balanced tree, so that many nodes stay within
+    MAX_DEPTH."""
+    if len(terms) == 1:
+        return terms[0]
+    half = len(terms) // 2
+    return f"({_balanced_sum(terms[:half])})+({_balanced_sum(terms[half:])})"
+
+
+def _count_nodes(ast):
+    if isinstance(ast, (Constant, Variable)):
+        return 1
+    if isinstance(ast, Unary):
+        return 1 + _count_nodes(ast.child)
+    return 1 + _count_nodes(ast.left) + _count_nodes(ast.right)
+
+
+def test_wide_expression_lowers_at_order_one():
+    ast = parse(_balanced_sum([f"{i}*sin(u*{i % 7 + 1})*v^{i % 4}/(2+u^2)"
+                               for i in range(100)]))
+    assert _count_nodes(ast) > 1000
+    for u, v in ((0.5, 0.25), (-1.5, 2.0)):
+        assert_first_order_is_truncation([ast], METRIC_SEEDS, u, v)
 
 
 @pytest.mark.parametrize("index", range(5))
