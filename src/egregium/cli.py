@@ -22,15 +22,19 @@ from .errors import InputError, NumericError
 
 CSV_SCHEMA = "# egregium-csv v1"
 
+_PARAM_FLAGS = ("radius", "Rmaj", "r", "a", "b", "c", "slope")
+
+# flags whose value may start with '-' in a form argparse does not read as
+# a negative number (-1e-3, -inf, -0.5:1), so `main` passes them joined
 _VALUE_FLAGS = {"--range", "--urange", "--vrange", "--prange", "--qrange",
-                "--start", "--vertices", "--at"}
+                "--start", "--vertices", "--at", "--length", "--step",
+                "--tol", "--pole-cutoff",
+                *(f"--{name}" for name in _PARAM_FLAGS)}
 
 # the number of expressions --parametric takes, per subcommand
 _PARAMETRIC_VALUES = {"curve": 2, **dict.fromkeys(
     ("surface", "egregia", "flatness", "gaussbonnet", "triangle",
      "geodesic"), 3)}
-
-_PARAM_FLAGS = ("radius", "Rmaj", "r", "a", "b", "c", "slope")
 
 # full-chart ranges for total-curvature runs; entry ranges elsewhere
 _FULL_RANGES = {
@@ -599,8 +603,8 @@ def _mark(token):
 
 def _merge_value_flags(argv):
     """Join `--flag value` into `--flag=value` for values that may start
-    with '-' (ranges, vertices, velocities), and mark the expressions that
-    follow --parametric, which may start with '-' too."""
+    with '-' (ranges, vertices, velocities, floats), and mark the
+    expressions that follow --parametric, which may start with '-' too."""
     count = _PARAMETRIC_VALUES.get(argv[0]) if argv else None
     merged = []
     i = 0
@@ -636,7 +640,7 @@ def main(argv=None):
                            for value in args.parametric]
     try:
         args.func(args)
-    except (InputError, ValueError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

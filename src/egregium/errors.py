@@ -100,7 +100,7 @@ class NotRevolution(NumericError):
     pass
 
 
-# what evaluating an expression at a point can raise: the errors above, a
-# bare ArithmeticError, and ValueError from libm outside its domain
-# (math.sin(inf))
-EVALUATION_ERRORS = (GeometryError, ArithmeticError, ValueError)
+# what evaluating an expression at a point can raise: the errors above
+# (libm outside its domain, math.sin(inf), is a DomainError) and a bare
+# ArithmeticError
+EVALUATION_ERRORS = (GeometryError, ArithmeticError)

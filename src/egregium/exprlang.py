@@ -456,7 +456,7 @@ def _fold(ast, nodes):
     evaluating it raises, at its place in evaluation order."""
     try:
         return _eval(ast, {})
-    except (NumericError, ValueError):
+    except NumericError:
         return nodes.raising(lambda: _eval(ast, {}))
 
 

@@ -5,18 +5,21 @@ for geodesic triangles.
 Connection coefficients come from the metric's first partials
 (`MetricField.first_order`), in one fused right-hand side over plain
 floats; the integrator is classical fixed-step RK4 with an energy-drift
-guard instead of adaptive stepping, so fixtures are deterministic.  The
-excess law integrates the curvature over all quadrature nodes at once.
+guard instead of adaptive stepping, so fixtures are deterministic.  A
+path's dense output is the cubic Hermite interpolant of its states
+(Hairer, Norsett and Wanner, Solving ODEs I, section II.6), and the excess
+law integrates the curvature over the region these curves bound, with all
+quadrature nodes of a pass evaluated at once.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import exprlang, intrinsic, quad, surfaces
-from .errors import (InputError, NoConvergence, NotRevolution,
-                     RegionNotSimple, StepTooLarge)
+from .errors import InputError, NoConvergence, NotRevolution, StepTooLarge
 
 ENERGY_DRIFT_LIMIT = 1e-4
 
@@ -28,8 +31,9 @@ MAX_GEODESIC_STEPS = 10**6
 # secant iterations one shooting solve may take
 MAX_SECANT_ITERATIONS = 50
 
-# samples kept per triangle side for the fan the excess integral runs over
-BOUNDARY_POINTS = 150
+# Gauss-Legendre nodes per triangle side in the excess integral; each ray
+# from the centroid takes half as many
+EXCESS_ORDER = 16
 
 
 @dataclass(frozen=True)
@@ -54,8 +58,29 @@ class GeodesicPath:
     def end(self):
         return self.states[-1]
 
-    def points(self):
-        return [(st.u, st.v) for st in self.states]
+    def dense(self, t):
+        """(u, v, du/dt, dv/dt) at the fraction t in [0, 1] of the path's
+        arclength, from the cubic Hermite interpolant of its states at the
+        knots `s`.  The interpolant's slopes are the states' (pu, pv), which
+        are d(u, v)/ds on a unit-speed path such as `connect_geodesic`
+        returns; the path must hold two states or more."""
+        s = self.s
+        scale = s[-1] - s[0]
+        tau = s[0] + t * scale
+        i = min(max(bisect_right(s, tau) - 1, 0), len(s) - 2)
+        h = s[i + 1] - s[i]
+        x = (tau - s[i]) / h
+        a, b = self.states[i], self.states[i + 1]
+        # Hermite basis at x and its derivative in x
+        x2, x3 = x * x, x * x * x
+        h00, h10 = 2.0 * x3 - 3.0 * x2 + 1.0, (x3 - 2.0 * x2 + x) * h
+        h01, h11 = 3.0 * x2 - 2.0 * x3, (x3 - x2) * h
+        d00, d10 = (6.0 * x2 - 6.0 * x) / h, 3.0 * x2 - 4.0 * x + 1.0
+        d11 = 3.0 * x2 - 2.0 * x
+        return (h00 * a.u + h10 * a.pu + h01 * b.u + h11 * b.pu,
+                h00 * a.v + h10 * a.pv + h01 * b.v + h11 * b.pv,
+                scale * (d00 * (a.u - b.u) + d10 * a.pu + d11 * b.pu),
+                scale * (d00 * (a.v - b.v) + d10 * a.pv + d11 * b.pv))
 
 
 @dataclass(frozen=True)
@@ -300,7 +325,10 @@ def _reject_conjugate(metric, a, b, angle, length, step, tol):
 
 
 def _refine_endpoint(metric, path, b):
-    """One fractional RK4 step so the final state lands on b."""
+    """One fractional RK4 step from the final state so that it lands on b.
+    The step goes backwards when the final sample is past b, so the refined
+    state replaces that sample as the last knot, at the arclength of the
+    step taken with its sign."""
     st = path.end
     gap = (b[0] - st.u, b[1] - st.v)
     speed2 = st.pu ** 2 + st.pv ** 2
@@ -308,9 +336,10 @@ def _refine_endpoint(metric, path, b):
         return path
     dt = (gap[0] * st.pu + gap[1] * st.pv) / speed2
     y = _rk4_step(metric, (st.u, st.v, st.pu, st.pv), dt)
-    ds = math.sqrt(_metric_speed2(metric, *y)) * abs(dt)
-    return GeodesicPath(path.s + (path.s[-1] + ds,),
-                        path.states + (GeodesicState(*y),))
+    ds = math.sqrt(_metric_speed2(metric, *y)) * dt
+    kept = max(1, len(path.s) - 1)
+    return GeodesicPath(path.s[:kept] + (path.s[-1] + ds,),
+                        path.states[:kept] + (GeodesicState(*y),))
 
 
 def _vertex_angle(metric, vertex, d1, d2):
@@ -351,15 +380,6 @@ def build_triangle(metric, a, b, c, tol=1e-6):
                             (angle_a, angle_b, angle_c))
 
 
-def _thin(points, target=120):
-    if len(points) <= target:
-        return list(points)
-    stride = (len(points) - 1) / target
-    picked = [points[round(i * stride)] for i in range(target)]
-    picked.append(points[-1])
-    return picked
-
-
 def triangle_excess(metric, a, b, c, tol=1e-6):
     """Both sides of the angle-excess law: (A + B + C - pi, integral of
     kappa over the enclosed region)."""
@@ -370,31 +390,8 @@ def triangle_excess(metric, a, b, c, tol=1e-6):
 def excess_from_triangle(metric, triangle):
     """Excess law for an already-connected triangle."""
     excess = sum(triangle.angles) - math.pi
-
-    boundary = []
-    for side in triangle.sides:
-        boundary.extend(_thin(side.points(), BOUNDARY_POINTS)[:-1])
-    cx = sum(p[0] for p in boundary) / len(boundary)
-    cy = sum(p[1] for p in boundary) / len(boundary)
-
-    triangles = []
-    orientation = 0.0
-    for i in range(len(boundary)):
-        p1 = boundary[i]
-        p2 = boundary[(i + 1) % len(boundary)]
-        area2 = ((p1[0] - cx) * (p2[1] - cy) - (p1[1] - cy) * (p2[0] - cx))
-        if abs(area2) < 1e-300:
-            continue
-        if orientation == 0.0:
-            orientation = math.copysign(1.0, area2)
-        elif math.copysign(1.0, area2) != orientation:
-            raise RegionNotSimple(
-                "triangle sides cross or the region is not star-shaped "
-                "about its centroid")
-        triangles.append(((cx, cy), p1, p2))
-
-    region = quad.TriFan(tuple(triangles))
+    region = quad.StarRegion(tuple(side.dense for side in triangle.sides))
     result = quad.integrate(
         metric, lambda uu, vv: intrinsic.formula_egregia(metric, uu, vv),
-        region, order=1, grid_field=intrinsic.kappa_from_metric)
+        region, order=EXCESS_ORDER, grid_field=intrinsic.kappa_from_metric)
     return excess, result.value

@@ -1,12 +1,15 @@
 """Numerical integration of scalar fields against the metric area element.
 
-Rectangles use tensor Gauss-Legendre; triangulated regions use a symmetric
-7-point degree-5 rule per triangle, refined by uniform subdivision.  Panel
-sums are accumulated in a fixed order so results are reproducible bit for
-bit, whether the nodes are evaluated one by one or many at a time over
-arrays.  Singular chart edges (sphere poles) are handled by shrinking the
-rectangle with an explicit cutoff, not by adaptive refinement; corpus
-integrands vanish there, so cutoffs are benign.
+Rectangles use tensor Gauss-Legendre.  A region bounded by curved sides,
+star-shaped about the centroid c of its vertices, is the image of
+(r, t) -> c + r (side(t) - c), r in [0, 1] and t along each side, and
+takes tensor Gauss-Legendre in (r, t): the sides enter as the curves they
+are, not as chords (Sommariva and Vianello, J. Comput. Appl. Math. 231,
+2009).  Panel sums are accumulated in a fixed order so results are
+reproducible bit for bit, whether the nodes are evaluated one by one or
+many at a time over arrays.  Singular chart edges (sphere poles) are
+handled by shrinking the rectangle with an explicit cutoff, not by
+adaptive refinement; corpus integrands vanish there, so cutoffs are benign.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, RegionNotSimple
 
 
 @dataclass(frozen=True)
@@ -34,22 +37,14 @@ class Rect:
 
 
 @dataclass(frozen=True)
-class TriFan:
-    """Parameter-space triangles; each is three (u, v) vertices."""
-    triangles: tuple
-
-    def __post_init__(self):
-        for tri in self.triangles:
-            if abs(_tri_area(tri)) < 1e-300:
-                raise InputError(f"degenerate triangle {tri!r}")
+class StarRegion:
+    """The region bounded by a closed chain of sides, star-shaped about the
+    centroid of its vertices; each side is a callable t -> (u, v, du/dt,
+    dv/dt) on [0, 1], and a side's vertex is its point at t = 0."""
+    sides: tuple
 
 
-Region = Rect | TriFan
-
-
-def _tri_area(tri):
-    (ax, ay), (bx, by), (cx, cy) = tri
-    return 0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+Region = Rect | StarRegion
 
 
 @lru_cache(maxsize=None)
@@ -57,19 +52,6 @@ def gauss_legendre(n):
     """Nodes and weights on [-1, 1]."""
     nodes, weights = np.polynomial.legendre.leggauss(n)
     return tuple(nodes.tolist()), tuple(weights.tolist())
-
-
-# symmetric 7-point rule, exact for total degree 5 (barycentric data)
-_SQRT15 = math.sqrt(15.0)
-_TRI7 = (
-    (1.0 / 3.0, 1.0 / 3.0, 9.0 / 40.0),
-    ((6.0 - _SQRT15) / 21.0, (6.0 - _SQRT15) / 21.0, (155.0 - _SQRT15) / 1200.0),
-    ((6.0 - _SQRT15) / 21.0, (9.0 + 2.0 * _SQRT15) / 21.0, (155.0 - _SQRT15) / 1200.0),
-    ((9.0 + 2.0 * _SQRT15) / 21.0, (6.0 - _SQRT15) / 21.0, (155.0 - _SQRT15) / 1200.0),
-    ((6.0 + _SQRT15) / 21.0, (6.0 + _SQRT15) / 21.0, (155.0 + _SQRT15) / 1200.0),
-    ((6.0 + _SQRT15) / 21.0, (9.0 - 2.0 * _SQRT15) / 21.0, (155.0 + _SQRT15) / 1200.0),
-    ((9.0 - 2.0 * _SQRT15) / 21.0, (6.0 + _SQRT15) / 21.0, (155.0 + _SQRT15) / 1200.0),
-)
 
 
 @dataclass(frozen=True)
@@ -82,7 +64,8 @@ def integrate(metric, field, region, order=32, grid_field=None):
     """Integral of field(u, v) * sqrt(EG - F^2) over the region.
 
     For rectangles `order` is the tensor Gauss-Legendre point count per
-    axis; for triangle fans it is the uniform subdivision count per side.
+    axis; for star regions it is the point count along each side, with
+    half as many along each ray from the centroid.
     The reported error compares against the half-order evaluation.
 
     `grid_field`, if given, is the same integrand as a function of metric
@@ -109,8 +92,8 @@ GRID_CHUNK = 1 << 14
 def _integrate_once(metric, field, region, order, grid_field):
     if isinstance(region, Rect):
         rule = _rect_rule
-    elif isinstance(region, TriFan):
-        rule = _fan_rule
+    elif isinstance(region, StarRegion):
+        rule = _star_rule
     else:
         raise TypeError(f"unknown region {type(region).__name__}")
     # the rule yields each node (u, v) and is sent back (field, area
@@ -178,39 +161,36 @@ def _rect_rule(rect, order):
     return total * su * sv
 
 
-def _fan_rule(fan, subdivisions):
-    n = max(1, subdivisions)
+def _star_rule(region, order):
+    # the map (r, t) -> c + r (side(t) - c) covers the region once, with
+    # Jacobian r cross(side(t) - c, side'(t)); `order` nodes run along each
+    # side and half as many along each ray
+    nodes, weights = _unit_rule(order)
+    radii, radial_weights = _unit_rule(max(1, order // 2))
+    corners = [side(0.0) for side in region.sides]
+    cu = sum(p[0] for p in corners) / len(corners)
+    cv = sum(p[1] for p in corners) / len(corners)
+    rays = []
+    for side in region.sides:
+        for t, w in zip(nodes, weights):
+            u, v, du, dv = side(t)
+            u, v = u - cu, v - cv
+            rays.append((u, v, w * (u * dv - v * du)))
+    signs = {math.copysign(1.0, jac) for _, _, jac in rays if jac != 0.0}
+    if len(signs) > 1:
+        raise RegionNotSimple("the sides cross, or the region is not "
+                              "star-shaped about the centroid of its vertices")
     total = 0.0
-    for tri in fan.triangles:
-        acc = 0.0
-        # uniform refinement into n^2 congruent sub-triangles
-        for i in range(n):
-            for j in range(n - i):
-                l0 = (i / n, j / n)
-                l1 = ((i + 1) / n, j / n)
-                l2 = (i / n, (j + 1) / n)
-                acc += yield from _tri7(tri, (l0, l1, l2))
-                if j < n - i - 1:
-                    l3 = ((i + 1) / n, (j + 1) / n)
-                    acc += yield from _tri7(tri, (l1, l3, l2))
-        total += acc
-    return total
+    for u, v, jac in rays:
+        ray = 0.0
+        for r, w in zip(radii, radial_weights):
+            f, a = yield cu + r * u, cv + r * v
+            ray += w * r * f * a
+        total += jac * ray
+    return -total if signs == {-1.0} else total
 
 
-def _tri7(tri, local):
-    (ax, ay), (bx, by), (cx, cy) = tri
-
-    def embed(lmb):
-        s, t = lmb
-        return (ax + s * (bx - ax) + t * (cx - ax),
-                ay + s * (by - ay) + t * (cy - ay))
-
-    p0, p1, p2 = (embed(l) for l in local)
-    area = abs(_tri_area((p0, p1, p2)))
-    acc = 0.0
-    for (l1, l2, w) in _TRI7:
-        l0 = 1.0 - l1 - l2
-        f, a = yield (l0 * p0[0] + l1 * p1[0] + l2 * p2[0],
-                      l0 * p0[1] + l1 * p1[1] + l2 * p2[1])
-        acc += w * f * a
-    return acc * area
+def _unit_rule(order):
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    nodes, weights = gauss_legendre(order)
+    return [0.5 + 0.5 * x for x in nodes], [0.5 * w for w in weights]

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from egregium import catalog, cli, exprlang, intrinsic, surfaces
+from egregium import (catalog, cli, exprlang, geodesics, intrinsic,
+                      surfaces)
 from egregium.cli import main
 from egregium.errors import NumericError
 
@@ -253,6 +254,17 @@ class TestTriangleCommand:
         assert float(summary["excess"]) < 0.0
         assert float(summary["difference"]) <= 1e-3
 
+    @pytest.mark.parametrize("vertices", [
+        "0,0;1,0;0,1", "0,0;0.6,0.1;0.1,0.5", "-0.5,-0.5;0.7,-0.2;0.1,0.9"])
+    def test_excess_law_holds_on_the_sides_themselves(self, capsys,
+                                                      vertices):
+        # the integral runs over the region the geodesic sides bound, so
+        # only the shooting tolerance is left in the difference
+        code, out, _ = run_cli(capsys, "triangle", "--catalog",
+                               "sphere_isothermal", "--vertices", vertices)
+        assert code == 0
+        assert float(csv_summary(out)["difference"]) < 1e-6
+
     @pytest.mark.parametrize("vertices, error", [
         ("0,0;0,0;0,0", "error: triangle vertices (0.0, 0.0) and (0.0, 0.0) "
                         "are closer than tol=1e-06\n"),
@@ -320,6 +332,60 @@ class TestGeodesicCommand:
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
 
+
+
+class TestNegativeFloatFlags:
+    """A float flag takes a negative value in any spelling: argparse reads
+    -1e-3 as a flag, so `main` joins the pair as --flag=value."""
+
+    @pytest.mark.parametrize("argv, code, error", [
+        (("curve", "--catalog", "circle", "--radius", "-1e-3", "--n", "2"),
+         0, ""),
+        (("curve", "--catalog", "ellipse", "--a", "-2e0", "--b", "-1e-1",
+          "--n", "3"), 0, ""),
+        (("geodesic", "--catalog", "sphere_metric", "--start", "1,0,0,1",
+          "--length", "-1e-2", "--step", "0.01"), 0, ""),
+        (("geodesic", "--catalog", "sphere_metric", "--start", "1,0,0,1",
+          "--step", "-1e-3"), 2, "error: step must be positive, got -0.001\n"),
+        (("triangle", "--catalog", "flat", "--vertices", "0,0;1,0;0,1",
+          "--tol", "-1e-3"), 2, "error: --tol must be positive, got -0.001\n"),
+        (("flatness", "--catalog", "flat", "--grid", "2x2", "--tol",
+          "-inf"), 2, "error: --tol must be positive, got -inf\n"),
+        (("gaussbonnet", "--catalog", "torus_metric", "--order", "4",
+          "--pole-cutoff", "-1e-9", "--r", "-5e-1"), 0, ""),
+    ])
+    def test_reaches_the_subcommand(self, capsys, argv, code, error):
+        got = run_cli(capsys, *argv)
+        assert (got[0], got[2]) == (code, error)
+        joined, i = [], 0
+        while i < len(argv):
+            if argv[i] in cli._VALUE_FLAGS:
+                joined.append(f"{argv[i]}={argv[i + 1]}")
+                i += 2
+            else:
+                joined.append(argv[i])
+                i += 1
+        assert run_cli(capsys, *joined) == got
+
+    def test_a_flag_as_the_value_is_still_refused(self, capsys):
+        code, out, err = _outcome(capsys, main, ("curve", "--catalog",
+                                                 "circle", "--radius", "--n",
+                                                 "2"))
+        assert (code, out) == (2, "")
+        assert "argument --radius: invalid float value: '--n'" in err
+
+
+def test_a_value_error_inside_a_subcommand_is_not_bad_input(capsys,
+                                                            monkeypatch):
+    # a ValueError from a subcommand is a bug, not a user error: it is not
+    # reported as `error: ...` with exit 2
+    def broken(*args):
+        raise ValueError("internal")
+    monkeypatch.setattr(geodesics, "integrate_geodesic", broken)
+    with pytest.raises(ValueError, match="^internal$"):
+        main(["geodesic", "--catalog", "sphere_metric", "--start",
+              "1,0,0,1"])
+    assert capsys.readouterr().err == ""
 
 class TestOutputFormats:
     def test_catalog_lists_entries(self, capsys):

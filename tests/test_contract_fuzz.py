@@ -48,9 +48,10 @@ def mostly(draw, good, bad):
     return draw(bad if draw(st.integers(0, 4)) == 4 else good)
 
 
-# mostly moderate values, then the edges of the float range
+# mostly moderate values, then the edges of the float range and negatives
+# in exponent form, which argparse would read as flags
 SPECIAL = (0.0, -0.0, 1e308, -1e308, 1e-320, 5e-324, 1e16, math.inf,
-           -math.inf, math.nan)
+           -math.inf, math.nan, -1e-05, -2.5e-07, -1e+16)
 NUMBERS = mostly(st.floats(-3.0, 3.0), st.one_of(
     st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True)))
 
@@ -88,7 +89,10 @@ def optional(tokens):
 
 
 def flag(name, values):
-    return values.map(lambda value: [f"--{name}={value}"])
+    """`--name=value`, or `--name value` as two tokens."""
+    return st.tuples(values, st.booleans()).map(
+        lambda drawn: [f"--{name}={drawn[0]}"] if drawn[1]
+        else [f"--{name}", str(drawn[0])])
 
 
 RANGE = mostly(st.tuples(NUMBERS, NUMBERS).map(sorted),
@@ -101,9 +105,9 @@ def point(count):
         lambda xs: ",".join(map(number, xs)))
 
 
-PARAMS = st.lists(st.tuples(st.sampled_from(cli._PARAM_FLAGS), NUMBERS),
-                  max_size=2).map(
-    lambda items: [f"--{name}={number(v)}" for name, v in items])
+PARAMS = st.lists(st.sampled_from(cli._PARAM_FLAGS).flatmap(
+    lambda name: flag(name, NUMBERS.map(number))), max_size=2).map(
+    lambda flags: [token for tokens in flags for token in tokens])
 FORMAT = st.sampled_from(([], ["--format=json"], ["--format=csv"]))
 
 
@@ -210,10 +214,13 @@ def geodesic_argv(draw):
         # past the step budget
         length, refused = step * draw(st.integers(2 * 10**6, 10**12)), True
     elif kind == 6:
-        length = draw(st.sampled_from((math.nan, math.inf, -math.inf)))
+        length = draw(st.sampled_from((math.nan, math.inf, -math.inf,
+                                       -2.5e-05)))
     elif kind == 5:
-        step = draw(st.sampled_from((math.nan, math.inf, 0.0, -0.01)))
-    tokens += [f"--length={number(length)}", f"--step={number(step)}"]
+        step = draw(st.sampled_from((math.nan, math.inf, 0.0, -0.01,
+                                     -1e-05)))
+    tokens += draw(flag("length", st.just(number(length))))
+    tokens += draw(flag("step", st.just(number(step))))
     tokens += draw(optional(flag("max-rows", sizes(1, 300))))
     return ["geodesic"] + tokens, refused
 
@@ -240,6 +247,8 @@ def check_contract(argv, refused):
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
+    # every drawn value reaches its flag, whatever its spelling
+    assert "expected one argument" not in err, (argv, err)
     if code == 0:
         assert not NONFINITE.search(out) and err == "", (argv, out, err)
     else:

@@ -216,6 +216,62 @@ class TestConnectGeodesic:
             assert math.hypot(path.end.u - target[0],
                               path.end.v - target[1]) <= 1e-6
 
+    @pytest.mark.parametrize("a, b", [
+        ((0.6, 0.1), (0.1, 0.5)), ((0.0, 0.0), (1.0, 0.0)),
+        ((0.0, 0.0), (0.6, 0.1)), ((0.1, 0.5), (0.0, 0.0)),
+        ((0.7, -0.2), (0.1, 0.9))])
+    def test_arclength_is_the_great_circle_length(self, a, b):
+        # the refine step goes backwards on the first four sides, so the
+        # final arclength counts it with its sign; the end state misses b
+        # by up to 1.4e-7 along the side (within tol), so the length is
+        # read to the end state, and to b where the miss is below 1e-9
+        path = connect_geodesic(SPHERE_ISO, a, b)
+        end = (path.end.u, path.end.v)
+        assert abs(path.s[-1] - _great_circle(a, end)) <= 1e-10
+        if math.hypot(end[0] - b[0], end[1] - b[1]) <= 1e-9:
+            assert abs(path.s[-1] - _great_circle(a, b)) <= 1e-8
+
+
+def _great_circle(a, b):
+    """Distance on the unit sphere between two points of the stereographic
+    chart of SPHERE_ISO."""
+    def lift(u, v):
+        d = 1.0 + u * u + v * v
+        return 2.0 * u / d, 2.0 * v / d, (1.0 - u * u - v * v) / d
+    (px, py, pz), (qx, qy, qz) = lift(*a), lift(*b)
+    cross = math.sqrt((py * qz - pz * qy) ** 2 + (pz * qx - px * qz) ** 2
+                      + (px * qy - py * qx) ** 2)
+    return math.atan2(cross, px * qx + py * qy + pz * qz)
+
+
+class TestDenseOutput:
+    def test_reproduces_the_states_at_the_knots(self):
+        path = connect_geodesic(SPHERE_ISO, (0.6, 0.1), (0.1, 0.5))
+        length = path.s[-1]
+        for k in (0, 1, 17, len(path.s) - 2, len(path.s) - 1):
+            st = path.states[k]
+            u, v, du, dv = path.dense(path.s[k] / length)
+            assert (u, v) == pytest.approx((st.u, st.v), abs=1e-13)
+            assert (du, dv) == pytest.approx(
+                (length * st.pu, length * st.pv), abs=1e-12)
+        assert path.dense(0.0) == (path.start.u, path.start.v,
+                                   length * path.start.pu,
+                                   length * path.start.pv)
+
+    def test_follows_the_great_circle_between_knots(self):
+        # on the unit sphere the side is an arc of length s[-1]: a point
+        # at fraction t lies at distance t s[-1] from the start
+        a = (0.0, 0.0)
+        path = connect_geodesic(SPHERE_ISO, a, (1.0, 0.0))
+        for t in (0.001, 0.25, 0.5003, 0.999):
+            u, v, du, dv = path.dense(t)
+            assert _great_circle(a, (u, v)) == pytest.approx(
+                t * path.s[-1], abs=1e-10)
+            # unit metric speed along the arclength, up to RK4's drift
+            lam = 2.0 / (1.0 + u * u + v * v)
+            assert lam * math.hypot(du, dv) == pytest.approx(path.s[-1],
+                                                             rel=1e-9)
+
 
 class TestTriangles:
     def test_flat_triangle_zero_both_sides(self):

@@ -6,9 +6,9 @@ import struct
 import pytest
 
 from egregium import catalog, geodesics, intrinsic, quad
-from egregium.errors import DegenerateMetric, InputError
+from egregium.errors import DegenerateMetric, InputError, RegionNotSimple
 from egregium.intrinsic import MetricField, formula_egregia
-from egregium.quad import Rect, TriFan, integrate
+from egregium.quad import Rect, StarRegion, integrate
 
 FLAT = MetricField.from_expressions("1", "0", "1")
 SPHERE = MetricField.from_expressions("1", "0", "sin(u)^2")
@@ -71,48 +71,80 @@ class TestRect:
         assert errors[2] <= 1e-8
 
 
-class TestTriFan:
-    def test_flat_triangle_area(self):
-        fan = TriFan((((0.0, 0.0), (2.0, 0.0), (0.0, 3.0)),))
-        result = integrate(FLAT, lambda u, v: 1.0, fan, order=1)
-        assert result.value == pytest.approx(3.0, abs=1e-13)
+def segment(a, b):
+    """The straight side from a to b, as a star region takes it."""
+    du, dv = b[0] - a[0], b[1] - a[1]
+    return lambda t: (a[0] + t * du, a[1] + t * dv, du, dv)
 
-    def test_degenerate_triangle_rejected(self):
-        with pytest.raises(InputError):
-            TriFan((((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)),))
 
-    def test_degree_five_exactness(self):
-        fan = TriFan((((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),))
-        # integral of u^2 v^2 (degree 4) over the reference triangle: 1/180
-        result = integrate(FLAT, lambda u, v: u * u * v * v, fan, order=1)
+def polygon(*vertices):
+    return StarRegion(tuple(segment(a, b) for a, b in
+                            zip(vertices, vertices[1:] + vertices[:1])))
+
+
+class TestStarRegion:
+    @pytest.mark.parametrize("vertices", [
+        ((0.0, 0.0), (2.0, 0.0), (0.0, 3.0)),
+        ((0.3, -0.2), (1.7, 0.4), (-0.5, 2.9)),
+    ])
+    def test_flat_triangle_area(self, vertices):
+        (ax, ay), (bx, by), (cx, cy) = vertices
+        shoelace = 0.5 * abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+        for corners in (vertices, vertices[::-1]):
+            result = integrate(FLAT, lambda u, v: 1.0, polygon(*corners),
+                               order=16)
+            assert abs(result.value - shoelace) <= 1e-14
+
+    def test_polynomial_exactness(self):
+        # integral of u^2 v^2 (degree 4) over the reference triangle: 1/180;
+        # a ray carries r times a quartic in r, which 3 nodes integrate
+        region = polygon((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+        result = integrate(FLAT, lambda u, v: u * u * v * v, region, order=6)
         assert result.value == pytest.approx(1.0 / 180.0, abs=1e-15)
 
-    def test_subdivision_converges(self):
-        fan = TriFan((((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),))
-        field = lambda u, v: math.exp(u) * math.sin(3.0 * v)
-        reference = integrate(FLAT, field, fan, order=16).value
-        errors = [abs(integrate(FLAT, field, fan, order=n).value - reference)
-                  for n in (1, 2, 4)]
-        assert errors[0] > errors[1] > errors[2]
+    def test_circular_arc_converges_to_the_sector(self):
+        # the sector of radius 1.5 between angles 0 and 1.2: two radii and
+        # an arc, star-shaped about the centroid of its three corners
+        radius, angle = 1.5, 1.2
 
-    def test_fan_matches_rect(self):
-        # split the unit square into two triangles
-        fan = TriFan((
-            ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)),
-            ((0.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
-        ))
+        def arc(t):
+            c, s = math.cos(angle * t), math.sin(angle * t)
+            return (radius * c, radius * s, -radius * angle * s,
+                    radius * angle * c)
+        corner = (radius * math.cos(angle), radius * math.sin(angle))
+        region = StarRegion((segment((0.0, 0.0), (radius, 0.0)), arc,
+                             segment(corner, (0.0, 0.0))))
+        sector = 0.5 * angle * radius ** 2
+        errors = [abs(integrate(FLAT, lambda u, v: 1.0, region,
+                                order=n).value - sector)
+                  for n in (2, 4, 8)]
+        assert errors[0] > errors[1] > errors[2]
+        assert integrate(FLAT, lambda u, v: 1.0, region,
+                         order=16).value == pytest.approx(sector, abs=1e-14)
+
+    def test_square_matches_rect(self):
+        region = polygon((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
         field = lambda u, v: math.sin(u + 2.0 * v)
-        got = integrate(FLAT, field, fan, order=8).value
+        got = integrate(FLAT, field, region, order=16).value
         want = integrate(FLAT, field, Rect(0, 1, 0, 1), order=32).value
-        assert got == pytest.approx(want, abs=1e-9)
+        assert got == pytest.approx(want, abs=1e-12)
+
+    def test_not_star_shaped_rejected(self, metric_calls):
+        # an arrowhead: the reflex corner (0.2, 0.2) hides the side from
+        # (2, 0) to it from the centroid (0.55, 0.55)
+        region = polygon((0.0, 0.0), (2.0, 0.0), (0.2, 0.2), (0.0, 2.0))
+        with pytest.raises(RegionNotSimple):
+            integrate(SPHERE, kappa_field(SPHERE), region, order=16,
+                      grid_field=intrinsic.kappa_from_metric)
+        assert metric_calls == {"at": 0, "grid": 0}
 
     def test_metric_area_element(self):
         # hyperbolic area of a chart triangle vs an independent composite
         # Simpson evaluation of the same double integral
         hyper = MetricField.from_expressions("(2/(1-u^2-v^2))^2", "0",
                                              "(2/(1-u^2-v^2))^2")
-        fan = TriFan((((0.0, 0.0), (0.3, 0.0), (0.0, 0.3)),))
-        got = integrate(hyper, lambda u, v: 1.0, fan, order=8).value
+        region = polygon((0.0, 0.0), (0.3, 0.0), (0.0, 0.3))
+        got = integrate(hyper, lambda u, v: 1.0, region, order=16).value
 
         def lam2(u, v):
             return (2.0 / (1.0 - u * u - v * v)) ** 2
@@ -224,9 +256,3 @@ class TestGridPath:
         assert got == (DegenerateMetric,
                        "metric not positive definite at (0.0, 0.0): "
                        "E=0.0, F=0.0, G=1.0")
-
-    def test_empty_fan(self, metric_calls):
-        result = integrate(SPHERE, kappa_field(SPHERE), TriFan(()), order=1,
-                           grid_field=intrinsic.kappa_from_metric)
-        assert (result.value, result.error) == (0.0, 0.0)
-        assert metric_calls == {"at": 0, "grid": 0}
