@@ -74,8 +74,12 @@ def _emit(args, columns, rows, summary):
     if any(word in text for word in _NONFINITE_TEXT):
         _require_finite(columns, rows, summary)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write --output {args.output!r}: "
+                             f"{exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -133,14 +137,11 @@ def _grid_rows(points, grid, point):
     return list(zip(us, vs, *values))
 
 
-def _parse_pair(text, what, sep=":"):
-    parts = text.split(sep)
+def _parse_pair(text, flag):
+    parts = text.split(":")
     if len(parts) != 2:
-        raise InputError(f"expected {what} as lo{sep}hi, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise InputError(f"non-numeric {what} {text!r}") from None
+        raise InputError(f"expected {flag} as lo:hi, got {text!r}")
+    return _finite(parts, flag, text)
 
 
 def _parse_grid(text):
@@ -159,15 +160,23 @@ def _parse_grid(text):
     return nu, nv
 
 
-def _parse_point(text, count, what):
+def _parse_point(text, count, flag):
     parts = text.split(",")
     if len(parts) != count:
         raise InputError(f"expected {count} comma-separated values for "
-                         f"{what}, got {text!r}")
+                         f"{flag}, got {text!r}")
+    return _finite(parts, flag, text)
+
+
+def _finite(parts, flag, text):
+    """The floats of `parts`, the pieces of the value `text` of `flag`."""
     try:
-        return tuple(float(p) for p in parts)
+        values = tuple(float(p) for p in parts)
     except ValueError:
-        raise InputError(f"non-numeric {what} {text!r}") from None
+        raise InputError(f"non-numeric {flag} {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise InputError(f"{flag} must be finite, got {text!r}")
+    return values
 
 
 def _overrides(args):
@@ -234,8 +243,8 @@ def _ranges(args, entry, full_chart=False):
             defaults = entry.ranges
     if defaults is None:
         defaults = ((-1.0, 1.0), (-1.0, 1.0))
-    u_range = _parse_pair(args.urange, "range") if args.urange else defaults[0]
-    v_range = _parse_pair(args.vrange, "range") if args.vrange else defaults[1]
+    u_range = _parse_pair(args.urange, "--urange") if args.urange else defaults[0]
+    v_range = _parse_pair(args.vrange, "--vrange") if args.vrange else defaults[1]
     return u_range, v_range
 
 
@@ -277,7 +286,7 @@ def cmd_curve(args):
         raise InputError("no curve given: use --catalog, --graph, "
                          "--parametric or --implicit")
 
-    lo, hi = _parse_pair(args.range, "range") if args.range else default_range
+    lo, hi = _parse_pair(args.range, "--range") if args.range else default_range
     n = args.n
     if n < 1:
         raise InputError(f"--n must be at least 1, got {n}")
@@ -416,6 +425,9 @@ def cmd_gaussbonnet(args):
     cutoff = args.pole_cutoff
     if cutoff is None:
         cutoff = _DEFAULT_CUTOFF.get(entry.name, 0.0) if entry else 0.0
+    elif not 0.0 <= cutoff < math.inf:
+        raise InputError(f"--pole-cutoff must be finite and non-negative, "
+                         f"got {cutoff!r}")
     region = quad.Rect(u_range[0] + cutoff, u_range[1] - cutoff,
                        v_range[0], v_range[1])
     result = quad.integrate(
@@ -433,7 +445,7 @@ def cmd_triangle(args):
     if len(parts) != 3:
         raise InputError(
             f"expected three semicolon-separated vertices, got {args.vertices!r}")
-    va, vb, vc = (_parse_point(p, 2, "vertex") for p in parts)
+    va, vb, vc = (_parse_point(p, 2, "--vertices") for p in parts)
     triangle = geodesics.build_triangle(metric, va, vb, vc, tol=args.tol)
     excess, integral = geodesics.excess_from_triangle(metric, triangle)
     rows = [(vert[0], vert[1], ang)

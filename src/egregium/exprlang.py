@@ -21,9 +21,9 @@ trees lowered once by `lower_jet2`, for functions of one, two or three
 variables: into closures over 2-jet slot tuples, which also run once on
 float64 arrays of a grid's coordinates, or, for the first-order slots
 alone (v, du, dv), into one straight-line Python function, emitted as
-source and compiled.  `evaluate` over the operator jets of `jets`, which
-performs the same float operations by walking the tree, is their
-reference.
+source and compiled.  Their reference is a tree walk over a 2-jet class
+with operators, which performs the same float operations; it lives with
+the tests, in `tests/oracle.py`.
 """
 
 from __future__ import annotations
@@ -263,19 +263,8 @@ def parse(text):
         raise ParseError(byte_offset, err.message, err.expected) from None
 
 
-def free_variables(ast):
-    if isinstance(ast, Constant):
-        return set()
-    if isinstance(ast, Variable):
-        return {ast.name}
-    if isinstance(ast, Unary):
-        return free_variables(ast.child)
-    return free_variables(ast.left) | free_variables(ast.right)
-
-
 def evaluate(ast, bindings):
-    """Evaluate over floats, or over the operator jets of `jets`, the
-    reference the lowered programs are checked against."""
+    """The float value of `ast` with its variables bound to floats."""
     return _eval(ast, bindings)
 
 
@@ -301,12 +290,10 @@ def _eval(ast, bindings):
     if ast.op == "*":
         return left * right
     if ast.op == "/":
-        if not jets.is_jet(right) and float(right) == 0.0:
+        if float(right) == 0.0:
             raise DivisionByZero("division by zero")
         return left / right
     if ast.op == "^":
-        if jets.is_jet(left) or jets.is_jet(right):
-            return left ** right
         return _float_pow(float(left), float(right))
     raise ValueError(f"unknown operator {ast.op!r}")
 
@@ -329,9 +316,10 @@ def _float_pow(base, exponent):
 #
 # `_lower_with` walks a tree once.  It folds constant subtrees to floats and
 # builds every other node with a builder from a `_Nodes`, the kind of program
-# being made.  Every builder performs exactly the float operations `_eval`
-# performs on the operator jets of `jets`, in the same order, so results are
-# bit-identical and the same exceptions are raised with the same messages.
+# being made.  Every builder performs exactly the float operations that the
+# tree walk over operator jets in `tests/oracle.py` performs, in the same
+# order, so results are bit-identical and the same exceptions are raised with
+# the same messages.
 #
 # At order 2 a lowered node is a closure C -> (v, du, dv, duu, duv, dvv),
 # where C holds one slot tuple per coordinate.  At order 1 it is the triple
@@ -357,8 +345,8 @@ def lower_jet2(asts, seeds, order=2):
     zero derivatives, so a function of one variable reads its derivatives
     from du and duu, and one of three variables gives five of its partials
     per pass.  A tree that equals an earlier one is lowered and evaluated
-    once.  Results are those of `evaluate` over operator-jet bindings with
-    the same seeding, bit for bit.
+    once.  Results are those of the operator-jet tree walk in
+    `tests/oracle.py` with the same seeding, bit for bit.
 
     At order 2 the trees become closures, lowered at the first call.  The
     coordinates may also be 1-D float64 arrays of one length, the points of

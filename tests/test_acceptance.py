@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from egregium import curves, geodesics, intrinsic, jets, quad, surfaces
+from egregium import curves, geodesics, intrinsic, quad, surfaces
 from egregium.exprlang import evaluate, parse
 from egregium.geodesics import (GeodesicState, RevolutionSurface,
                                 clairaut_drift, integrate_geodesic,
@@ -25,6 +25,7 @@ from egregium.surfaces import (GraphSurface, ParametricSurface,
                                gauss_curvature_parametric, gauss_map_quotient,
                                principal_curvatures)
 
+import oracle
 from conftest import (CORPUS_1V, CORPUS_2V, CORPUS_3V, eval_floats,
                       jet_eval_1, jet_eval_2, jet_eval_3, rel_err, sample)
 
@@ -278,16 +279,16 @@ def test_criterion_12_ad_soundness():
         for _ in range(100):
             x = sample(rng, box)
             _, d1, d2 = jet_eval_1(text, x)
-            _, fd1, fd2 = jets.fd_oracle(lambda t: eval_floats(text, x=t), x,
-                                         1e-4)
+            _, fd1, fd2 = oracle.fd_oracle(
+                lambda t: eval_floats(text, x=t), x, 1e-4)
             assert rel_err(d1, fd1) <= 1e-7
             assert rel_err(d2, fd2) <= 1e-4
     for text, boxes in CORPUS_2V:
         for _ in range(100):
             x, y = sample(rng, boxes[0]), sample(rng, boxes[1])
             jet = jet_eval_2(text, x, y)
-            fd = jets.fd_oracle(lambda a, b: eval_floats(text, x=a, y=b),
-                                (x, y), 1e-4)
+            fd = oracle.fd_oracle(lambda a, b: eval_floats(text, x=a, y=b),
+                                  (x, y), 1e-4)
             for name in ("du", "dv"):
                 assert rel_err(getattr(jet, name), getattr(fd, name)) <= 1e-7
             for name in ("duu", "duv", "dvv"):
@@ -296,7 +297,7 @@ def test_criterion_12_ad_soundness():
         for _ in range(100):
             x, y, z = (sample(rng, b) for b in boxes)
             jet = jet_eval_3(text, x, y, z)
-            fd = jets.fd_oracle(
+            fd = oracle.fd_oracle(
                 lambda a, b, c: eval_floats(text, x=a, y=b, z=c),
                 (x, y, z), 1e-4)
             # (v, dx, dy, dz, dxx, dxy, dxz, dyy, dyz, dzz)

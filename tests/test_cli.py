@@ -352,7 +352,7 @@ class TestNegativeFloatFlags:
         (("flatness", "--catalog", "flat", "--grid", "2x2", "--tol",
           "-inf"), 2, "error: --tol must be positive, got -inf\n"),
         (("gaussbonnet", "--catalog", "torus_metric", "--order", "4",
-          "--pole-cutoff", "-1e-9", "--r", "-5e-1"), 0, ""),
+          "--r", "-5e-1"), 0, ""),
     ])
     def test_reaches_the_subcommand(self, capsys, argv, code, error):
         got = run_cli(capsys, *argv)
@@ -427,6 +427,16 @@ class TestOutputFormats:
         assert out == ""
         assert target.read_text().startswith("# egregium-csv v1\n")
 
+    @pytest.mark.parametrize("where, reason", [
+        (".", "Is a directory"),
+        ("missing/rows.csv", "No such file or directory")])
+    def test_unwritable_output_is_bad_input(self, capsys, tmp_path, where,
+                                            reason):
+        target = str(tmp_path / where)
+        assert run_cli(capsys, "curve", "--catalog", "circle", "--n", "2",
+                       "--output", target) == (
+            2, "", f"error: cannot write --output {target!r}: {reason}\n")
+
     def test_json_output_file(self, capsys, tmp_path):
         target = tmp_path / "rows.json"
         code, out, _ = run_cli(capsys, "flatness", "--catalog", "flat",
@@ -467,6 +477,37 @@ def test_non_finite_catalog_parameter_is_bad_input(capsys, argv, entry,
     assert run_cli(capsys, *argv, "--radius", value) == (
         2, "", f"error: '{entry}' parameter 'radius' must be finite, "
                f"got {shown}\n")
+
+
+@pytest.mark.parametrize("argv, flag, text", [
+    (("curve", "--catalog", "circle", "--n", "3", "--range"), "--range",
+     "0:nan"),
+    (("egregia", "--metric", "1,0,1", "--urange"), "--urange", "inf:inf"),
+    (("surface", "--catalog", "torus", "--grid", "2x2", "--vrange"),
+     "--vrange", "0:1e999"),
+    (("curve", "--implicit", "x^2+y^2-1", "--at"), "--at", "-inf,0"),
+    (("geodesic", "--catalog", "sphere_metric", "--start"), "--start",
+     "nan,0,0,1"),
+    (("triangle", "--catalog", "sphere_isothermal", "--vertices"),
+     "--vertices", "0,0;nan,0;0,1"),
+])
+def test_non_finite_coordinate_is_bad_input(capsys, argv, flag, text):
+    # the message names the flag and the value (one vertex of --vertices)
+    shown = "nan,0" if flag == "--vertices" else text
+    assert run_cli(capsys, *argv, text) == (
+        2, "", f"error: {flag} must be finite, got {shown!r}\n")
+
+
+@pytest.mark.parametrize("catalog_name, cutoff", [
+    ("sphere_metric", "-0.5"), ("torus", "-1"), ("torus", "-inf")])
+def test_negative_or_non_finite_pole_cutoff_is_bad_input(capsys, catalog_name,
+                                                         cutoff):
+    # a negative cutoff widened the range past the chart's poles: the unit
+    # sphere's total read 14.078 at -0.5, and -inf ended in a nan total
+    assert run_cli(capsys, "gaussbonnet", "--catalog", catalog_name,
+                   "--order", "8", "--pole-cutoff", cutoff) == (
+        2, "", f"error: --pole-cutoff must be finite and non-negative, "
+               f"got {float(cutoff)!r}\n")
 
 
 class TestSurfaceKernel:

@@ -5,16 +5,20 @@ hypothesis: expressions are random grammar trees printed by
 `exprlang.to_text`, or malformed text, and numbers reach nan, +-inf, 1e308,
 0 and negatives.  Whatever the argv, `main` returns 0, 2 or 3 without
 raising, no traceback reaches stderr, an error writes nothing to stdout,
-and exit 0 prints no inf or nan.  Sizes stay small (grids up to 4x4, --n
-up to 9, --order up to 8, geodesics of at most 200 steps), except for
-drawn over-budget sizes, which must be refused as bad input before any
-work starts.
+and exit 0 prints no inf or nan.  `--output` is drawn too: absent, a file,
+which must then hold the bytes the run prints to stdout without it, or a
+path that cannot be opened, which is bad input.  Sizes stay small (grids
+up to 4x4, --n up to 9, --order up to 8, geodesics of at most 200 steps),
+except for drawn over-budget sizes, which must be refused as bad input
+before any work starts.
 """
 
 import contextlib
 import io
 import math
+import os
 import re
+import tempfile
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -109,6 +113,9 @@ PARAMS = st.lists(st.sampled_from(cli._PARAM_FLAGS).flatmap(
     lambda name: flag(name, NUMBERS.map(number))), max_size=2).map(
     lambda flags: [token for tokens in flags for token in tokens])
 FORMAT = st.sampled_from(([], ["--format=json"], ["--format=csv"]))
+# where --output points: no flag, a file in a temporary directory, that
+# directory itself, or a path under a directory that does not exist
+OUTPUT = st.sampled_from((None, "file", "directory", "missing"))
 
 
 def over_budget(draw, small, huge):
@@ -240,11 +247,38 @@ def triangle_argv(draw):
     return ["triangle"] + tokens, False
 
 
-def check_contract(argv, refused):
+def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    out, err = out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_contract(argv, refused, output=None):
+    """The contract on `argv`, run with --output drawn as `output`; with a
+    file, the run without --output gives the bytes it must hold."""
+    if output in (None, "file"):
+        code, out, err = run(argv)
+        check_outcome(argv, refused, code, out, err)
+    if output is None:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        target = {"file": os.path.join(tmp, "rows"), "directory": tmp,
+                  "missing": os.path.join(tmp, "missing", "rows")}[output]
+        got = run([*argv, "--output", target])
+        if output != "file":
+            check_outcome(argv, refused, *got)
+            assert got[0] != 0, (argv, target)
+        elif code == 0:
+            assert got == (0, "", ""), (argv, got)
+            with open(target, "rb") as handle:
+                assert handle.read() == out.encode("utf-8"), argv
+        else:
+            assert got == (code, out, err), (argv, got)
+            assert not os.path.exists(target), argv
+
+
+def check_outcome(argv, refused, code, out, err):
     assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
     # every drawn value reaches its flag, whatever its spelling
@@ -258,30 +292,30 @@ def check_contract(argv, refused):
 
 
 @settings(FUZZ, max_examples=200)
-@given(curve_argv(), FORMAT)
-def test_curve_keeps_the_contract(drawn, fmt):
-    check_contract(drawn[0] + fmt, drawn[1])
+@given(curve_argv(), FORMAT, OUTPUT)
+def test_curve_keeps_the_contract(drawn, fmt, output):
+    check_contract(drawn[0] + fmt, drawn[1], output)
 
 
 @settings(FUZZ, max_examples=250)
-@given(st.one_of(grid_argv(), st.just((["catalog"], False))), FORMAT)
-def test_grid_commands_keep_the_contract(drawn, fmt):
-    check_contract(drawn[0] + fmt, drawn[1])
+@given(st.one_of(grid_argv(), st.just((["catalog"], False))), FORMAT, OUTPUT)
+def test_grid_commands_keep_the_contract(drawn, fmt, output):
+    check_contract(drawn[0] + fmt, drawn[1], output)
 
 
 @settings(FUZZ, max_examples=150)
-@given(gaussbonnet_argv(), FORMAT)
-def test_gaussbonnet_keeps_the_contract(drawn, fmt):
-    check_contract(drawn[0] + fmt, drawn[1])
+@given(gaussbonnet_argv(), FORMAT, OUTPUT)
+def test_gaussbonnet_keeps_the_contract(drawn, fmt, output):
+    check_contract(drawn[0] + fmt, drawn[1], output)
 
 
 @settings(FUZZ, max_examples=200)
-@given(geodesic_argv(), FORMAT)
-def test_geodesic_keeps_the_contract(drawn, fmt):
-    check_contract(drawn[0] + fmt, drawn[1])
+@given(geodesic_argv(), FORMAT, OUTPUT)
+def test_geodesic_keeps_the_contract(drawn, fmt, output):
+    check_contract(drawn[0] + fmt, drawn[1], output)
 
 
 @settings(FUZZ, max_examples=60)
-@given(triangle_argv(), FORMAT)
-def test_triangle_keeps_the_contract(drawn, fmt):
-    check_contract(drawn[0] + fmt, drawn[1])
+@given(triangle_argv(), FORMAT, OUTPUT)
+def test_triangle_keeps_the_contract(drawn, fmt, output):
+    check_contract(drawn[0] + fmt, drawn[1], output)

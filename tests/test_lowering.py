@@ -1,5 +1,5 @@
 """Lowered 2-jet evaluation (`exprlang.lower_jet2`) of one, two or three
-coordinates against the tree-walking interpreter over `jets.Jet2_2`, which
+coordinates against the tree-walking interpreter over `oracle.Jet2_2`, which
 stays the oracle: bit-identical slots or the same exception, one lowering
 per metric, surface or curve, and byte-identical library and CLI output
 with the interpreter patched in.  Also the parse depth limit that keeps
@@ -17,11 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egregium import catalog, curves, exprlang, intrinsic, jets, surfaces
+from egregium import catalog, curves, exprlang, intrinsic, surfaces
 from egregium.cli import main
 from egregium.exprlang import (MAX_DEPTH, Binary, Constant, ParseError, Unary,
                                Variable, parse)
 
+import oracle
 from conftest import CORPUS_1V, CORPUS_2V, CORPUS_3V
 
 METRIC_SEEDS = {"u": 0, "v": 1, "p": 0, "q": 1}
@@ -34,10 +35,10 @@ def _reference_jet(index, value):
     """Coordinate `index` as `lower_jet2` seeds it: 0 along u, 1 along v,
     any later one held as a jet with zero derivatives."""
     if index == 0:
-        return jets.Jet2_2.variable_u(value)
+        return oracle.Jet2_2.variable_u(value)
     if index == 1:
-        return jets.Jet2_2.variable_v(value)
-    return jets.Jet2_2(value)
+        return oracle.Jet2_2.variable_v(value)
+    return oracle.Jet2_2(value)
 
 
 def interpreted(asts, seeds, order=2):
@@ -49,9 +50,9 @@ def interpreted(asts, seeds, order=2):
     def at(*coords):
         seeded = [_reference_jet(i, c) for i, c in enumerate(coords)]
         bindings = {name: seeded[i] for name, i in seeds.items()}
-        values = [exprlang.evaluate(ast, bindings) for ast in asts]
+        values = [oracle.evaluate(ast, bindings) for ast in asts]
         # a constant tree evaluates to a float: a jet without derivatives
-        return [(value.slots if jets.is_jet(value)
+        return [(value.slots if isinstance(value, oracle.Jet2_2)
                  else (float(value), 0.0, 0.0, 0.0, 0.0, 0.0))[:width]
                 for value in values]
 

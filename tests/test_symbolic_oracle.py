@@ -1,6 +1,7 @@
-"""An oracle independent of the jet engine: sympy reads each metric catalog
-entry's E, F and G, differentiates them symbolically, and gives the Gaussian
-curvature by Brioschi's formula."""
+"""An oracle independent of the jet engine: sympy differentiates the
+expression corpus, whose lowered jets must hold its partials, and reads each
+metric catalog entry's E, F and G, whose Gaussian curvature it gives by
+Brioschi's formula."""
 
 import pytest
 import sympy
@@ -9,7 +10,11 @@ from sympy.parsing.sympy_parser import (convert_xor, parse_expr,
 
 from egregium import catalog, intrinsic
 
-U, V = sympy.symbols("u v", real=True)
+from conftest import (CORPUS_1V, CORPUS_2V, CORPUS_3V, jet_eval_1, jet_eval_2,
+                      jet_eval_3, sample)
+
+SYMBOLS = {name: sympy.Symbol(name, real=True) for name in "uvxyz"}
+U, V = SYMBOLS["u"], SYMBOLS["v"]
 
 METRICS = sorted(name for name, entry in catalog.ENTRIES.items()
                  if entry.kind == "metric")
@@ -20,7 +25,7 @@ FRACTIONS = ((0.3, 0.6), (0.5, 0.25), (0.75, 0.8))
 
 def _read(text):
     """An expression of the catalog's grammar, `^` being the power."""
-    return parse_expr(text, local_dict={"u": U, "v": V},
+    return parse_expr(text, local_dict=SYMBOLS,
                       transformations=standard_transformations
                       + (convert_xor,))
 
@@ -55,3 +60,27 @@ def test_formula_egregia_matches_brioschi(name):
         # relative, except where the curvature is zero (flat charts, the
         # torus at cos(u) = 0)
         assert abs(got - want) <= 1e-9 * max(abs(want), 1e-6), (name, u, v)
+
+
+# each corpus entry with one box per variable, and its lowered jet: the
+# value, the first partials, then the second partials d_i d_j for i <= j
+CORPUS = [(text, (box,)) for text, box in CORPUS_1V] + CORPUS_2V + CORPUS_3V
+LOWERED = {1: jet_eval_1, 2: jet_eval_2, 3: jet_eval_3}
+
+
+@pytest.mark.parametrize("text, boxes", CORPUS)
+def test_lowered_partials_match_sympy(text, boxes, rng):
+    f = _read(text)
+    variables = [SYMBOLS[name] for name in "xyz"[:len(boxes)]]
+    partials = [f, *(sympy.diff(f, x) for x in variables),
+                *(sympy.diff(f, x, y) for i, x in enumerate(variables)
+                  for y in variables[i:])]
+    for _ in range(10):
+        point = [sample(rng, box) for box in boxes]
+        got = LOWERED[len(boxes)](text, *point)
+        assert len(got) == len(partials)
+        at = dict(zip(variables, point))
+        for k, partial in enumerate(partials):
+            want = float(partial.evalf(30, subs=at))
+            assert abs(got[k] - want) <= 1e-9 * max(abs(want), 1e-6), (
+                text, point, k)
