@@ -18,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from . import catalog, curves, exprlang, geodesics, intrinsic, quad, surfaces
-from .errors import InputError, NumericError
+from .errors import EVALUATION_ERRORS, InputError, NumericError
 
 CSV_SCHEMA = "# egregium-csv v1"
 
@@ -119,21 +119,20 @@ def _require_finite(columns, rows, summary):
             raise NumericError(f"non-finite summary {key}={value!r}")
 
 
-def _grid_rows(points, grid, point):
-    """Row tuples over grid points: the two coordinates, then the columns
-    `grid(u, v)` returns as arrays over all points at once.  Where `grid`
-    returns None, because some point fails, the rows come from
-    `point(u, v)` at each point in grid order instead, so that the first
-    failing point raises its own error."""
+def _grid_rows(points, columns):
+    """Row tuples over grid points: the two coordinates, then the values
+    `columns(u, v)` returns.  It runs once over arrays of all points, and
+    where that raises, because some point fails, at each point in grid
+    order instead, so that the first failing point raises its own error."""
     us = [pt[0] for pt in points]
     vs = [pt[1] for pt in points]
-    with np.errstate(all="ignore"):
-        columns = grid(np.array(us), np.array(vs))
-    if columns is None:
-        return [point(u, v) for u, v in points]
+    try:
+        with np.errstate(all="ignore"):
+            values = columns(np.array(us), np.array(vs))
+    except EVALUATION_ERRORS:
+        return [(u, v, *columns(u, v)) for u, v in points]
     # lists of floats first, so the arrays are freed before the rows exist
-    values = [column.tolist() for column in columns]
-    del columns
+    values = [column.tolist() for column in values]
     return list(zip(us, vs, *values))
 
 
@@ -243,8 +242,8 @@ def _ranges(args, entry, full_chart=False):
             defaults = entry.ranges
     if defaults is None:
         defaults = ((-1.0, 1.0), (-1.0, 1.0))
-    u_range = _parse_pair(args.urange, "--urange") if args.urange else defaults[0]
-    v_range = _parse_pair(args.vrange, "--vrange") if args.vrange else defaults[1]
+    u_range = _parse_pair(*args.urange) if args.urange else defaults[0]
+    v_range = _parse_pair(*args.vrange) if args.vrange else defaults[1]
     return u_range, v_range
 
 
@@ -318,29 +317,19 @@ def cmd_surface(args):
     columns = ["p", "q", "x", "y", "z", "X", "Y", "Z", "E", "F", "G",
                "kappa", "k_min", "k_max", "mean"]
 
-    def grid(p, q):
-        sg = surfaces.surface_grid(surface, p, q)
-        if sg is None:
-            return None
-        return (sg.x, sg.y, sg.z, sg.X, sg.Y, sg.Z, sg.fff.E, sg.fff.F,
-                sg.fff.G, sg.kappa, sg.k_min, sg.k_max, sg.mean)
+    def kernel(p, q):
+        comps = surfaces.embedding_jets(surface, p, q)
+        nd = surfaces.normal_from_jets(*comps)
+        fff = surfaces.fff_from_jets(*comps)
+        so = surfaces.second_order_from_jets(comps, nd)
+        k_min, k_max = surfaces.principal_values(fff, nd, so)
+        xj, yj, zj = comps
+        return (xj.v, yj.v, zj.v, nd.X, nd.Y, nd.Z, fff.E, fff.F, fff.G,
+                surfaces.gauss_from_forms(fff, so), k_min, k_max,
+                0.5 * (k_min + k_max))
 
-    rows = _grid_rows(intrinsic.grid_points(u_range, v_range, nu, nv),
-                      grid, lambda p, q: _surface_row(surface, p, q))
+    rows = _grid_rows(intrinsic.grid_points(u_range, v_range, nu, nv), kernel)
     _emit(args, columns, rows, {"n": len(rows)})
-
-
-def _surface_row(surface, p, q):
-    """One `surface` row from the per-point functions."""
-    comps = surfaces.embedding_jets(surface, p, q)
-    nd = surfaces.normal_from_jets(*comps)
-    fff = surfaces.fff_from_jets(*comps)
-    so = surfaces.second_order_from_jets(comps, nd)
-    k_min, k_max = surfaces.principal_values(fff, nd, so)
-    xj, yj, zj = comps
-    return (p, q, xj.v, yj.v, zj.v, nd.X, nd.Y, nd.Z, fff.E, fff.F, fff.G,
-            surfaces.gauss_from_forms(fff, so), k_min, k_max,
-            0.5 * (k_min + k_max))
 
 
 def cmd_egregia(args):
@@ -356,37 +345,26 @@ def cmd_egregia(args):
     if surface is not None:
         columns += ["kappa_extrinsic", "defect"]
 
-    def grid(u, v):
-        sg = None if surface is None else surfaces.surface_grid(surface, u, v)
+    def kernel(u, v):
+        # a given metric is checked first, then the embedding's first form,
+        # then its normal; one embedding evaluation serves both curvatures
+        if not induced:
+            k_int = intrinsic.formula_egregia(metric, u, v)
+            if surface is None:
+                return (k_int,)
+        comps = surfaces.embedding_jets(surface, u, v)
+        fff = surfaces.fff_from_jets(*comps)
         if induced:
-            # the surface kernel's first form: one embedding evaluation
-            # serves both curvatures
-            mj = None if sg is None else intrinsic.metric_from_fff(sg.fff)
-        else:
-            mj = metric.grid(u, v)
-        if mj is None or (surface is not None and sg is None):
-            return None
-        k_int = intrinsic.kappa_from_metric(mj)
-        if surface is None:
-            return (k_int,)
-        return k_int, sg.kappa, np.abs(k_int - sg.kappa)
+            k_int = intrinsic.kappa_from_metric(intrinsic.metric_from_fff(fff))
+        k_ext = surfaces.gauss_from_jets(comps, fff)
+        return k_int, k_ext, abs(k_int - k_ext)
 
-    rows = _grid_rows(intrinsic.grid_points(u_range, v_range, nu, nv),
-                      grid, lambda u, v: _egregia_row(metric, surface, u, v))
+    rows = _grid_rows(intrinsic.grid_points(u_range, v_range, nu, nv), kernel)
     summary = {"n": len(rows)}
     if surface is not None:
         # the defect is the last column
         summary["max_defect"] = max([0.0] + [row[-1] for row in rows])
     _emit(args, columns, rows, summary)
-
-
-def _egregia_row(metric, surface, u, v):
-    """One `egregia` row from the per-point functions."""
-    k_int = intrinsic.formula_egregia(metric, u, v)
-    if surface is None:
-        return u, v, k_int
-    k_ext = surfaces.gauss_curvature_parametric(surface, u, v)
-    return u, v, k_int, k_ext, abs(k_int - k_ext)
 
 
 def _require_positive(value, name):
@@ -401,13 +379,9 @@ def cmd_flatness(args):
     u_range, v_range = _ranges(args, entry)
     nu, nv = _parse_grid(args.grid)
 
-    def grid(u, v):
-        mj = metric.grid(u, v)
-        return None if mj is None else (intrinsic.residual_from_metric(mj),)
-
-    rows = _grid_rows(intrinsic.grid_points(u_range, v_range, nu, nv), grid,
-                      lambda u, v: (u, v,
-                                    intrinsic.flatness_residual(metric, u, v)))
+    rows = _grid_rows(
+        intrinsic.grid_points(u_range, v_range, nu, nv),
+        lambda u, v: (intrinsic.flatness_residual(metric, u, v),))
     worst = max([0.0] + [abs(row[2]) for row in rows])
     verdict = "FLAT" if worst <= args.tol else "NOT FLAT"
     _emit(args, ["u", "v", "residual"], rows,
@@ -461,7 +435,8 @@ def cmd_geodesic(args):
     u, v, pu, pv = _parse_point(args.start, 4, "--start")
     path = geodesics.integrate_geodesic(
         metric, geodesics.GeodesicState(u, v, pu, pv), args.length, args.step)
-    stride = max(1, len(path.states) // args.max_rows)
+    # every stride-th state, at most --max-rows of them
+    stride = -(-len(path.states) // args.max_rows)
     rows = []
     for i in range(0, len(path.states), stride):
         st = path.states[i]
@@ -497,9 +472,19 @@ def _add_input_flags(parser, metric=False):
         parser.add_argument(f"--{name}", type=float, default=None)
 
 
+class _RangeFlag(argparse.Action):
+    """Stores (value, flag as typed), so that an error in the range names
+    the spelling given, --prange or --urange."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, (values, option_string))
+
+
 def _add_range_flags(parser):
-    parser.add_argument("--urange", "--prange", dest="urange", default=None)
-    parser.add_argument("--vrange", "--qrange", dest="vrange", default=None)
+    parser.add_argument("--urange", "--prange", dest="urange",
+                        action=_RangeFlag)
+    parser.add_argument("--vrange", "--qrange", dest="vrange",
+                        action=_RangeFlag)
 
 
 def _curve_flags(p):

@@ -6,8 +6,9 @@ second-order combination (-E_vv + 2 F_uv - G_uu).  Metrics come either
 from text expressions in (u, v) (the (p, q) spelling is accepted too) or
 induced from a graph or parametric embedding, in which case all partials are
 obtained by differentiating through the composition with jet arithmetic;
-no symbolic differentiation is performed anywhere.  `MetricField.grid`
-evaluates a whole grid of points at once, bit for bit the values of `at`;
+no symbolic differentiation is performed anywhere.  `MetricField.at` takes
+a point, or 1-D float64 arrays of points whose elements hold the bits of
+the per-point values, and raises where some point fails;
 `MetricField.first_order` computes the first partials alone, which is all
 the geodesic equations and the metric's lengths and angles read.
 """
@@ -18,11 +19,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
+from numpy import ndarray
 
 from . import exprlang, jets, surfaces
-from .errors import (EVALUATION_ERRORS, DegenerateMetric, DomainError,
-                     NotIsometric)
+from .errors import DegenerateMetric, DomainError, NotIsometric
 
 EPS_REG = 1e-12
 
@@ -52,10 +52,9 @@ class MetricField:
     """Positive-definite coefficient field ds^2 = E du^2 + 2F du dv + G dv^2.
 
     Expression metrics are lowered once by `exprlang.lower_jet2`, at the
-    first call; every `at` call runs the lowered programs, and `grid` runs
-    the same programs once over arrays of points.  `first_order` runs one
-    first-order program of all three, emitted and compiled at its first
-    call.
+    first call; every `at` call runs the lowered programs, at a point or
+    once over arrays of points.  `first_order` runs one first-order program
+    of all three, emitted and compiled at its first call.
     """
 
     def __init__(self, e_ast, f_ast, g_ast):
@@ -77,8 +76,9 @@ class MetricField:
         return m
 
     def at(self, u, v):
-        """Metric data at (u, v); raises DegenerateMetric off the cone, or
-        for a surface DegenerateParametrization."""
+        """Metric data at (u, v), floats or 1-D float64 arrays; raises
+        DegenerateMetric off the cone, or for a surface
+        DegenerateParametrization, over arrays where some point does."""
         if self._surface is not None:
             return metric_from_fff(
                 surfaces.first_fundamental_form(self._surface, u, v))
@@ -98,28 +98,6 @@ class MetricField:
         (E, Eu, Ev), (F, Fu, Fv), (G, Gu, Gv) = self._first(u, v)
         _check(E, F, G, u, v)
         return E, F, G, Eu, Ev, Fu, Fv, Gu, Gv
-
-    def grid(self, u, v):
-        """`at` at every point (u[i], v[i]) of two 1-D float64 arrays: a
-        MetricJet of arrays whose element i has the bits of at(u[i], v[i]).
-
-        Returns None if `at` raises at some point, and for a surface also
-        where its normal degenerates; the caller then calls `at` per point
-        in grid order, so that the first failing point raises its own error.
-        """
-        if self._surface is not None:
-            grid = surfaces.surface_grid(self._surface, u, v)
-            return None if grid is None else metric_from_fff(grid.fff)
-        try:
-            e, f, g = self._jets(u, v)
-        except EVALUATION_ERRORS:
-            return None
-        with np.errstate(all="ignore"):
-            # the arithmetic and comparisons of `at` and _check
-            mj = _metric_jet(e, f, g)
-            if np.any((mj.E <= 0.0) | (mj.G <= 0.0) | (mj.disc <= EPS_REG)):
-                return None
-        return mj
 
     def values(self, u, v):
         return self.first_order(u, v)[:3]
@@ -149,7 +127,12 @@ def metric_from_fff(fff):
 
 
 def _check(E, F, G, u, v):
-    if E <= 0.0 or G <= 0.0 or E * G - F * F <= EPS_REG:
+    if type(E) is ndarray:
+        failed = ((E <= 0.0) | (G <= 0.0) | (E * G - F * F <= EPS_REG)).any()
+    else:
+        # short-circuits: geodesics run this at every RK4 stage
+        failed = E <= 0.0 or G <= 0.0 or E * G - F * F <= EPS_REG
+    if failed:
         raise DegenerateMetric(
             f"metric not positive definite at ({u}, {v}): "
             f"E={E!r}, F={F!r}, G={G!r}")

@@ -5,11 +5,12 @@ star-shaped about the centroid c of its vertices, is the image of
 (r, t) -> c + r (side(t) - c), r in [0, 1] and t along each side, and
 takes tensor Gauss-Legendre in (r, t): the sides enter as the curves they
 are, not as chords (Sommariva and Vianello, J. Comput. Appl. Math. 231,
-2009).  Panel sums are accumulated in a fixed order so results are
-reproducible bit for bit, whether the nodes are evaluated one by one or
-many at a time over arrays.  Singular chart edges (sphere poles) are
-handled by shrinking the rectangle with an explicit cutoff, not by
-adaptive refinement; corpus integrands vanish there, so cutoffs are benign.
+2009).  Each rule lists its nodes once, in summation order, and panel sums
+are accumulated in that fixed order, so results are reproducible bit for
+bit whether the nodes are evaluated one by one or many at a time over
+arrays.  Singular chart edges (sphere poles) are handled by shrinking the
+rectangle with an explicit cutoff, not by adaptive refinement; corpus
+integrands vanish there, so cutoffs are benign.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 
 import numpy as np
 
-from .errors import InputError, RegionNotSimple
+from .errors import EVALUATION_ERRORS, InputError, RegionNotSimple
 
 
 @dataclass(frozen=True)
@@ -70,11 +70,11 @@ def integrate(metric, field, region, order=32, grid_field=None):
 
     `grid_field`, if given, is the same integrand as a function of metric
     data (`intrinsic.kappa_from_metric` for the Gaussian curvature).  Each
-    pass then evaluates its nodes through `metric.grid`, up to GRID_CHUNK
-    at once, and sums them in the order of the node-by-node pass, so the
-    result has its bits; where `metric.grid` returns None, those nodes are
-    evaluated by `field` and `metric.area_element` one by one, and the
-    first failing node raises its error.
+    pass then calls `metric.at` on arrays of up to GRID_CHUNK nodes at
+    once, whose values have the bits of the node-by-node pass; where that
+    raises, the chunk's nodes are evaluated by `field` and
+    `metric.area_element` one by one, and the first failing node raises
+    its error.
     """
     coarse_order = max(1, order // 2)
     value = _integrate_once(metric, field, region, order, grid_field)
@@ -84,7 +84,7 @@ def integrate(metric, field, region, order=32, grid_field=None):
     return QuadResult(value, abs(value - coarse))
 
 
-# Nodes evaluated at once through `metric.grid`: at most this many, so that
+# Nodes evaluated at once through `metric.at`: at most this many, so that
 # memory stays bounded whatever the order.
 GRID_CHUNK = 1 << 14
 
@@ -96,52 +96,43 @@ def _integrate_once(metric, field, region, order, grid_field):
         rule = _star_rule
     else:
         raise TypeError(f"unknown region {type(region).__name__}")
-    # the rule yields each node (u, v) and is sent back (field, area
-    # element) there; a second walk of the same rule reads the nodes ahead
-    summation = rule(region, order)
-    values = (None if grid_field is None else
-              _grid_values(metric, field, grid_field, rule(region, order)))
-    try:
-        u, v = next(summation)
-        while True:
-            u, v = summation.send(
-                (field(u, v), metric.area_element(u, v)) if values is None
-                else next(values))
-    except StopIteration as done:
-        return done.value
+    us, vs, outer, inner, finish = rule(region, order)
+    values = _values(metric, field, grid_field, us, vs)
+    total = 0.0
+    for wo in outer:
+        part = 0.0
+        for wi, (f, a) in zip(inner, values):
+            part += wi * f * a
+        total += wo * part
+    return finish(total)
 
 
-def _grid_values(metric, field, grid_field, walk):
-    """(field, area element) at the nodes `walk` yields, in their order, as
-    Python floats: GRID_CHUNK nodes at a time through `metric.grid`, or node
-    by node where it returns None, so that the first failing node raises
-    its own error."""
-    nodes = _nodes(walk)
-    while chunk := list(islice(nodes, GRID_CHUNK)):
-        u, v = (np.array(coords) for coords in zip(*chunk))
-        with np.errstate(all="ignore"):
-            m = metric.grid(u, v)
-            # the per-point path's float operations, element by element
-            pairs = None if m is None else list(
-                zip(grid_field(m).tolist(), np.sqrt(m.disc).tolist()))
-        yield from pairs or ((field(u, v), metric.area_element(u, v))
-                             for u, v in chunk)
+def _values(metric, field, grid_field, us, vs):
+    """(field, area element) at the nodes (us[i], vs[i]), in order, as
+    Python floats: GRID_CHUNK nodes at a time through `metric.at` over
+    arrays if `grid_field` is given, and node by node without it or where
+    that raises, so that the first failing node raises its own error."""
+    for start in range(0, len(us), GRID_CHUNK):
+        u, v = us[start:start + GRID_CHUNK], vs[start:start + GRID_CHUNK]
+        pairs = None
+        if grid_field is not None:
+            try:
+                with np.errstate(all="ignore"):
+                    m = metric.at(np.array(u), np.array(v))
+                    # the per-node float operations, element by element
+                    pairs = list(zip(grid_field(m).tolist(),
+                                     np.sqrt(m.disc).tolist()))
+            except EVALUATION_ERRORS:
+                pass
+        yield from pairs or ((field(s, t), metric.area_element(s, t))
+                             for s, t in zip(u, v))
 
 
-def _nodes(walk):
-    """The nodes a rule yields, in order, when every node is sent zeros."""
-    try:
-        node = next(walk)
-        while True:
-            yield node
-            node = walk.send((0.0, 0.0))
-    except StopIteration:
-        return
-
-
-# The rules below are generators that walk the nodes of a region in a fixed
-# order, receive (f, a), the integrand and the area element at each node,
-# and return the sum of w * f * a over them.
+# A rule returns the nodes of a region in summation order, as two lists of
+# coordinates, with outer weights, inner weights and a finishing step: the
+# integral is finish(sum over i of outer[i] * sum over j of inner[j] * f a),
+# f and a being the integrand and the area element at node i * len(inner) + j,
+# each inner sum accumulated first.
 
 
 def _rect_rule(rect, order):
@@ -150,15 +141,10 @@ def _rect_rule(rect, order):
     mu = 0.5 * (rect.u1 + rect.u0)
     sv = 0.5 * (rect.v1 - rect.v0)
     mv = 0.5 * (rect.v1 + rect.v0)
-    total = 0.0
-    for xi, wi in zip(nodes, weights):
-        u = mu + su * xi
-        row = 0.0
-        for yj, wj in zip(nodes, weights):
-            f, a = yield u, mv + sv * yj
-            row += wj * f * a
-        total += wi * row
-    return total * su * sv
+    us = [mu + su * xi for xi in nodes]
+    vs = [mv + sv * yj for yj in nodes]
+    return ([u for u in us for _ in vs], vs * len(us), weights, weights,
+            lambda total: total * su * sv)
 
 
 def _star_rule(region, order):
@@ -180,14 +166,12 @@ def _star_rule(region, order):
     if len(signs) > 1:
         raise RegionNotSimple("the sides cross, or the region is not "
                               "star-shaped about the centroid of its vertices")
-    total = 0.0
-    for u, v, jac in rays:
-        ray = 0.0
-        for r, w in zip(radii, radial_weights):
-            f, a = yield cu + r * u, cv + r * v
-            ray += w * r * f * a
-        total += jac * ray
-    return -total if signs == {-1.0} else total
+    us = [cu + r * u for u, _, _ in rays for r in radii]
+    vs = [cv + r * v for _, v, _ in rays for r in radii]
+    flip = signs == {-1.0}
+    return (us, vs, [jac for _, _, jac in rays],
+            [w * r for r, w in zip(radii, radial_weights)],
+            lambda total: -total if flip else total)
 
 
 def _unit_rule(order):

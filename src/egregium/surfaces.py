@@ -8,9 +8,12 @@ the normal map onto the auxiliary unit sphere.
 
 Each per-point quantity is computed from one `embedding_jets` result by a
 `*_from_jets` or `*_from_forms` function; the public per-point functions
-evaluate the embedding once and delegate to them.  `surface_grid` is the
-same kernel over a whole grid at once, on float64 arrays with one element
-per point, bit for bit the per-point values.
+evaluate the embedding once and delegate to them.  The kernel that grids
+run (`embedding_jets`, `normal_from_jets`, `fff_from_jets`,
+`second_order_from_jets`, `gauss_from_forms`, `principal_values`) takes
+floats, or 1-D float64 arrays with one element per point whose elements
+hold the bits of the per-point values; over arrays a check raises where
+some point fails it.
 
 Orientation convention: parametric normal is (x_p x x_q) / |x_p x x_q|;
 graph surfaces use the normal with positive third component.  Gaussian
@@ -21,13 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from numpy import ndarray
 
 from . import exprlang, jets
-from .errors import (EVALUATION_ERRORS, DegenerateAngle,
+from .errors import (DegenerateAngle,
                      DegenerateParametrization, DomainError, InputError,
                      NotOnSurface, SingularGradient)
 
@@ -156,23 +158,6 @@ class PrincipalCurvatures:
         return 0.5 * (self.k_min + self.k_max)
 
 
-class SurfaceGrid(NamedTuple):
-    """The per-point kernel's columns over a grid, float64 arrays with one
-    element per point: position, unit normal, first form (its fields are
-    arrays), parametric curvature and the principal curvatures."""
-    x: ndarray
-    y: ndarray
-    z: ndarray
-    X: ndarray
-    Y: ndarray
-    Z: ndarray
-    fff: FirstFundamentalForm
-    kappa: ndarray
-    k_min: ndarray
-    k_max: ndarray
-    mean: ndarray
-
-
 def embedding_jets(surface, p, q):
     """2-jets of the three embedding components at (p, q), floats, or 1-D
     float64 arrays of points with every slot an array; a graph z = f(x, y)
@@ -190,11 +175,18 @@ def _cross(xj, yj, zj):
     return b * c1 - c * b1, c * a1 - a * c1, a * b1 - b * a1
 
 
+def _fails(test):
+    """A check's comparison at a point, or over arrays at some point; NaN
+    passes, as it does in a comparison."""
+    return test.any() if type(test) is ndarray else test
+
+
 def normal_from_jets(xj, yj, zj):
-    """Normal data from the embedding's 2-jets."""
+    """Normal data from the embedding's 2-jets, floats or arrays."""
     A, B, C = _cross(xj, yj, zj)
-    delta = math.sqrt(A * A + B * B + C * C)
-    if delta < EPS_REG:
+    norm2 = A * A + B * B + C * C
+    delta = np.sqrt(norm2) if type(norm2) is ndarray else math.sqrt(norm2)
+    if _fails(delta < EPS_REG):
         raise DegenerateParametrization(
             f"coordinate tangents are dependent (|x_p x x_q| = {delta!r})")
     return NormalData(A, B, C, delta, A / delta, B / delta, C / delta)
@@ -222,18 +214,8 @@ def first_fundamental_form(surface, p, q):
 
 
 def fff_from_jets(xj, yj, zj):
-    """First fundamental form from the embedding's 2-jets."""
-    fff = _first_form(xj, yj, zj)
-    E, F, G = fff.E, fff.F, fff.G
-    if E <= 0.0 or G <= 0.0 or E * G - F * F <= EPS_REG:
-        raise DegenerateParametrization(
-            f"first fundamental form not positive definite: "
-            f"E={E!r}, F={F!r}, G={G!r}")
-    return fff
-
-
-def _first_form(xj, yj, zj):
-    """E, F, G and their partials, floats or arrays, unchecked."""
+    """First fundamental form from the embedding's 2-jets, floats or
+    arrays."""
     comps = (xj, yj, zj)
     E = sum(c.du * c.du for c in comps)
     F = sum(c.du * c.dv for c in comps)
@@ -245,6 +227,10 @@ def _first_form(xj, yj, zj):
     G_p = 2.0 * sum(c.dv * c.duv for c in comps)
     G_q = 2.0 * sum(c.dv * c.dvv for c in comps)
     bracket = 2.0 * sum(c.duu * c.dvv - c.duv * c.duv for c in comps)
+    if _fails((E <= 0.0) | (G <= 0.0) | (E * G - F * F <= EPS_REG)):
+        raise DegenerateParametrization(
+            f"first fundamental form not positive definite: "
+            f"E={E!r}, F={F!r}, G={G!r}")
     return FirstFundamentalForm(E, F, G, E_p, E_q, F_p, F_q, G_p, G_q, bracket)
 
 
@@ -256,7 +242,8 @@ def second_order_scalars(surface, p, q):
 
 
 def second_order_from_jets(comps, nd):
-    """Second-order scalars from the embedding's 2-jets and their normal."""
+    """Second-order scalars from the embedding's 2-jets and their normal,
+    floats or arrays."""
     ABC = (nd.A, nd.B, nd.C)
     tp = tuple(c.du for c in comps)
     tq = tuple(c.dv for c in comps)
@@ -290,13 +277,15 @@ def gauss_curvature_parametric(surface, p, q):
 
 
 def gauss_from_jets(comps, fff):
-    """Parametric curvature from the embedding's 2-jets and their first form."""
+    """Parametric curvature from the embedding's 2-jets and their first
+    form, floats or arrays."""
     nd = normal_from_jets(*comps)
     return gauss_from_forms(fff, second_order_from_jets(comps, nd))
 
 
 def gauss_from_forms(fff, so):
-    """Parametric curvature from the first form and the second-order scalars."""
+    """Parametric curvature from the first form and the second-order
+    scalars, floats or arrays."""
     disc = fff.E * fff.G - fff.F * fff.F
     return (so.D * so.D2 - so.D1 * so.D1) / (disc * disc)
 
@@ -397,38 +386,6 @@ def principal_from_forms(fff, nd, so):
 
     return PrincipalCurvatures(k_min, k_max, direction(k_min),
                                direction(k_max), False)
-
-
-def surface_grid(surface, p, q):
-    """The per-point kernel at every point (p[i], q[i]) of two 1-D float64
-    arrays, with one embedding evaluation for all of them.
-
-    Element i of each column holds the bits of the per-point functions at
-    (p[i], q[i]): `embedding_jets`, `normal_from_jets`, `fff_from_jets`,
-    `second_order_from_jets`, `gauss_from_forms` and `principal_values`.
-    Returns None if any of them would raise at some point; the caller then
-    evaluates per point in grid order, so that the first failing point
-    raises its own error.
-    """
-    try:
-        comps = embedding_jets(surface, p, q)
-    except EVALUATION_ERRORS:
-        return None
-    with np.errstate(all="ignore"):
-        A, B, C = _cross(*comps)
-        delta = np.sqrt(A * A + B * B + C * C)
-        fff = _first_form(*comps)
-        E, F, G = fff.E, fff.F, fff.G
-        # the comparisons of normal_from_jets and fff_from_jets: NaN passes
-        if np.any((delta < EPS_REG) | (E <= 0.0) | (G <= 0.0)
-                  | (E * G - F * F <= EPS_REG)):
-            return None
-        nd = NormalData(A, B, C, delta, A / delta, B / delta, C / delta)
-        so = second_order_from_jets(comps, nd)
-        k_min, k_max = principal_values(fff, nd, so)
-        return SurfaceGrid(comps[0].v, comps[1].v, comps[2].v,
-                           nd.X, nd.Y, nd.Z, fff, gauss_from_forms(fff, so),
-                           k_min, k_max, 0.5 * (k_min + k_max))
 
 
 def euler_normal_section(k_min_dirwise, k_max_dirwise, theta):

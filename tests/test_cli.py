@@ -303,6 +303,25 @@ class TestGeodesicCommand:
         assert code == 0
         assert float(csv_summary(out)["energy_drift"]) <= 1e-7
 
+    @pytest.mark.parametrize("length", ["3", "1000"])
+    @pytest.mark.parametrize("max_rows", [1, 2, 3, 200])
+    def test_max_rows_bounds_the_rows(self, capsys, length, max_rows):
+        # a straight line with unit steps: 4 and 1,001 states
+        argv = ("geodesic", "--metric", "1,0,1", "--start", "0,0,1,0",
+                "--length", length, "--step", "1")
+        _, out, _ = run_cli(capsys, *argv, "--max-rows", str(max_rows))
+        _, every, _ = run_cli(capsys, *argv, "--max-rows", "2000")
+        states = int(length) + 1
+        assert int(csv_summary(every)["n_steps"]) == states - 1
+        assert len(csv_rows(every)) == states
+        # every stride-th state from the first, with the smallest stride
+        # that prints at most --max-rows
+        stride = min(k for k in range(1, states + 1)
+                     if len(range(0, states, k)) <= max_rows)
+        rows = csv_rows(out)
+        assert len(rows) <= max_rows
+        assert rows == csv_rows(every)[::stride]
+
     def test_zero_max_rows_rejected(self, capsys):
         code, out, err = run_cli(capsys, "geodesic", "--catalog",
                                  "sphere_metric", "--start", "1.5,0,0,1",
@@ -498,6 +517,20 @@ def test_non_finite_coordinate_is_bad_input(capsys, argv, flag, text):
         2, "", f"error: {flag} must be finite, got {shown!r}\n")
 
 
+@pytest.mark.parametrize("flag", ["--urange", "--prange", "--vrange",
+                                  "--qrange"])
+@pytest.mark.parametrize("text, message", [
+    ("-inf:0", "{flag} must be finite, got '-inf:0'"),
+    ("a:b", "non-numeric {flag} 'a:b'"),
+    ("1", "expected {flag} as lo:hi, got '1'"),
+])
+def test_range_error_names_the_flag_typed(capsys, flag, text, message):
+    # --prange and --qrange share a range with --urange and --vrange
+    for tokens in ([f"{flag}={text}"], [flag, text]):
+        assert run_cli(capsys, "egregia", "--metric", "1,0,1", *tokens) == (
+            2, "", "error: " + message.format(flag=flag) + "\n")
+
+
 @pytest.mark.parametrize("catalog_name, cutoff", [
     ("sphere_metric", "-0.5"), ("torus", "-1"), ("torus", "-inf")])
 def test_negative_or_non_finite_pole_cutoff_is_bad_input(capsys, catalog_name,
@@ -511,19 +544,24 @@ def test_negative_or_non_finite_pole_cutoff_is_bad_input(capsys, catalog_name,
 
 
 class TestSurfaceKernel:
-    """Every surface column comes from one grid-kernel call per invocation,
-    with no per-point embedding evaluation, and matches the public
-    per-quantity functions bit for bit."""
+    """Every surface column comes from one kernel call over arrays per
+    invocation, with no per-point embedding evaluation, and matches the
+    public per-quantity functions bit for bit."""
+
+    # the kernel functions counted, each with the argument whose type tells
+    # arrays from points
+    COUNTED = {"embedding_jets": lambda surface, p, q: p,
+               "principal_values": lambda fff, nd, so: fff.E}
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
-        # (name, type of p) -> calls
+        # (name, type of the point) -> calls
         calls = {}
-        for name in ("embedding_jets", "surface_grid"):
+        for name, point in self.COUNTED.items():
             original = getattr(surfaces, name)
 
-            def counting(*args, _name=name, _original=original):
-                key = _name, type(args[1]).__name__
+            def counting(*args, _name=name, _point=point, _original=original):
+                key = _name, type(_point(*args)).__name__
                 calls[key] = calls.get(key, 0) + 1
                 return _original(*args)
 
@@ -536,15 +574,32 @@ class TestSurfaceKernel:
                              "--grid", "4x5")
         assert code == 0
         assert kernel_calls == {("embedding_jets", "ndarray"): 1,
-                                ("surface_grid", "ndarray"): 1}
+                                ("principal_values", "ndarray"): 1}
 
     def test_egregia_evaluates_embedding_once_per_grid(
             self, capsys, kernel_calls):
         code, _, _ = run_cli(capsys, "egregia", "--catalog", "torus",
                              "--grid", "4x5")
         assert code == 0
-        assert kernel_calls == {("embedding_jets", "ndarray"): 1,
-                                ("surface_grid", "ndarray"): 1}
+        assert kernel_calls == {("embedding_jets", "ndarray"): 1}
+
+    @pytest.mark.parametrize("argv", [
+        ("--catalog", "catenoid"), ("--graph", "x*y"),
+        ("--catalog", "sphere", "--grid", "3x3", "--urange", "0:1")])
+    def test_egregia_computes_no_principal_curvatures(self, capsys,
+                                                      monkeypatch, argv):
+        # egregia prints the parametric curvature only, on the grid path
+        # and, past the sphere's pole at p = 0, on the per-point loop
+        calls = []
+        original = surfaces.principal_values
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(surfaces, "principal_values", counting)
+        code, _, _ = run_cli(capsys, "egregia", *argv)
+        assert code in (0, 3)
+        assert len(calls) == 0
 
     @pytest.mark.parametrize("argv, surface", [
         (("--catalog", "torus"),

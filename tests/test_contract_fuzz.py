@@ -20,14 +20,19 @@ import os
 import re
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from egregium import catalog, cli, exprlang
 from egregium.cli import main
 from egregium.exprlang import Binary, Constant, Unary, Variable
 
-FUZZ = settings(suppress_health_check=[HealthCheck.too_slow])
+# no shrinking: every shrink step reruns `main`, so a failure took minutes
+# to report; the examples are derandomized, so the same ones are drawn and
+# fail, only the one reported is not minimized
+FUZZ = settings(suppress_health_check=[HealthCheck.too_slow],
+                phases=(Phase.explicit, Phase.reuse, Phase.generate,
+                        Phase.target))
 
 # literals of the expression grammar: non-negative, up to 1e999 (inf)
 LITERALS = st.one_of(st.floats(0.0, 4.0), st.sampled_from(

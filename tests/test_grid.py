@@ -1,12 +1,14 @@
 """Grid evaluation against the per-point path, which stays the reference.
 
 Lowered programs over float64 arrays hold the bits of scalar calls; the
-surface kernel and `MetricField.grid` hold the bits of the per-point
-functions; and a CLI run that takes the grid path prints what the per-point
-loop prints, byte for byte, errors included: same exit code, same class and
-message, same first failing point."""
+surface kernel and `MetricField.at` over arrays hold the bits of their calls
+at each point, and raise where some point raises; and a CLI run that takes
+the grid path prints what the per-point loop prints, byte for byte, errors
+included: same exit code, same class and message, same first failing
+point."""
 
 import contextlib
+import math
 import io
 import struct
 
@@ -17,7 +19,8 @@ from hypothesis import strategies as st
 
 from egregium import catalog, exprlang, intrinsic, surfaces
 from egregium.cli import main
-from egregium.errors import EVALUATION_ERRORS
+from egregium.errors import (EVALUATION_ERRORS, DegenerateMetric,
+                             DegenerateParametrization)
 from egregium.exprlang import Binary, Unary, Variable, parse
 
 from conftest import CORPUS_2V
@@ -102,7 +105,7 @@ def test_constant_slots_are_broadcast():
     assert bits(v[0]) == bits([-0.0, 3.0])
 
 
-# --- surface kernel and MetricField.grid ------------------------------------
+# --- the geometry kernel and MetricField.at over arrays ----------------------
 
 def axes(points):
     return (np.array([p for p, _ in points]), np.array([q for _, q in points]))
@@ -117,11 +120,24 @@ SURFACES = [
 ]
 
 
+def kernel(surface, p, q):
+    """The `surface` command's columns from the kernel, floats or arrays."""
+    comps = surfaces.embedding_jets(surface, p, q)
+    nd = surfaces.normal_from_jets(*comps)
+    fff = surfaces.fff_from_jets(*comps)
+    so = surfaces.second_order_from_jets(comps, nd)
+    return ([c.v for c in comps] + [nd.X, nd.Y, nd.Z]
+            + [getattr(fff, f) for f in fff.__dataclass_fields__]
+            + [surfaces.gauss_from_forms(fff, so),
+               *surfaces.principal_values(fff, nd, so)])
+
+
 @pytest.mark.parametrize("name, build", SURFACES, ids=[s[0] for s in SURFACES])
 def test_surface_grid_matches_per_point_functions(name, build):
     surface = build()
     grid = intrinsic.grid_points((0.2, 1.4), (-1.0, 2.0), 6, 5)
-    sg = surfaces.surface_grid(surface, *axes(grid))
+    with np.errstate(all="ignore"):
+        columns = kernel(surface, *axes(grid))
     for i, (p, q) in enumerate(grid):
         comps = surfaces.embedding_jets(surface, p, q)
         nd = surfaces.normal_from_jets(*comps)
@@ -130,11 +146,8 @@ def test_surface_grid_matches_per_point_functions(name, build):
         want = ([c.v for c in comps] + [nd.X, nd.Y, nd.Z]
                 + [getattr(fff, f) for f in fff.__dataclass_fields__]
                 + [surfaces.gauss_curvature_parametric(surface, p, q),
-                   pc.k_min, pc.k_max, pc.mean])
-        got = ([sg.x[i], sg.y[i], sg.z[i], sg.X[i], sg.Y[i], sg.Z[i]]
-               + [getattr(sg.fff, f)[i] for f in fff.__dataclass_fields__]
-               + [sg.kappa[i], sg.k_min[i], sg.k_max[i], sg.mean[i]])
-        assert bits(got) == bits(want)
+                   pc.k_min, pc.k_max])
+        assert bits(column[i] for column in columns) == bits(want)
 
 
 METRICS = [
@@ -153,7 +166,8 @@ METRICS = [
 def test_metric_grid_matches_at(name, build):
     metric = build()
     grid = intrinsic.grid_points((0.1, 0.9), (-0.5, 0.7), 5, 4)
-    mj = metric.grid(*axes(grid))
+    with np.errstate(all="ignore"):
+        mj = metric.at(*axes(grid))
     for i, (u, v) in enumerate(grid):
         assert bits(column[i] for column in mj) == bits(metric.at(u, v))
 
@@ -163,21 +177,51 @@ def test_metric_grid_matches_at(name, build):
     (("1", "0", "log(u)"), [2.0, 1.5, -1.0]),     # DomainError
     (("1", "0", "x"), [1.0, 2.0, 3.0]),            # UnboundVariable
 ])
-def test_metric_grid_is_none_where_at_raises(metric, u):
+def test_metric_grid_raises_where_at_raises(metric, u):
     m = intrinsic.MetricField.from_expressions(*metric)
-    assert m.grid(np.array(u), np.zeros(3)) is None
-    with pytest.raises(EVALUATION_ERRORS):
-        for a in u:
+    passing, errors = [], set()
+    for a in u:
+        try:
             m.at(a, 0.0)
+            passing.append(a)
+        except EVALUATION_ERRORS as exc:
+            errors.add(type(exc))
+    (error,) = errors
+    with np.errstate(all="ignore"):
+        with pytest.raises(error):
+            m.at(np.array(u), np.zeros(len(u)))
+        if passing:
+            m.at(np.array(passing), np.zeros(len(passing)))
 
 
-def test_surface_grid_is_none_at_a_degenerate_point():
-    # the cone's apex at p = 0 has no normal
+def test_nan_passes_the_checks_at_points_and_over_arrays():
+    # a comparison with NaN is false, so NaN fails no check, at a point or
+    # at an element
+    metric = intrinsic.MetricField.from_expressions("1", "0", "1+0*u")
+    with np.errstate(all="ignore"):
+        mj = metric.at(np.array([1.0, math.nan]), np.zeros(2))
+    assert math.isnan(metric.at(math.nan, 0.0).G)
+    assert bits(column[1] for column in mj) == bits(metric.at(math.nan, 0.0))
+
+
+def test_surface_grid_raises_at_a_degenerate_point():
+    # the cone's apex at p = 0 has no normal and a degenerate first form
     cone = surfaces.ParametricSurface(parse("p*cos(q)"), parse("p*sin(q)"),
                                       parse("p"))
     p, q = np.array([1.0, 0.0, 0.5]), np.array([0.3, 0.3, 0.3])
-    assert surfaces.surface_grid(cone, p, q) is None
-    assert surfaces.surface_grid(cone, p[[0, 2]], q[[0, 2]]) is not None
+    with np.errstate(all="ignore"):
+        comps = surfaces.embedding_jets(cone, p, q)
+        for check in (surfaces.normal_from_jets, surfaces.fff_from_jets):
+            with pytest.raises(DegenerateParametrization):
+                check(*comps)
+        kernel(cone, p[[0, 2]], q[[0, 2]])
+        # tangents of length 1e-4: the normal passes, the first form fails
+        flat = surfaces.ParametricSurface(parse("0.0001*p"), parse("0.0001*q"),
+                                          parse("0"))
+        comps = surfaces.embedding_jets(flat, p, q)
+        surfaces.normal_from_jets(*comps)
+        with pytest.raises(DegenerateParametrization):
+            surfaces.fff_from_jets(*comps)
 
 
 # --- CLI: grid path against the per-point loop ------------------------------
@@ -189,12 +233,25 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def points_only(original):
+    """`original` refusing arrays with an evaluation error, so that a grid
+    run falls back to its per-point loop."""
+    def refuse(owner, u, v):
+        if type(u) is np.ndarray:
+            raise DegenerateMetric("arrays refused")
+        return original(owner, u, v)
+    return refuse
+
+
 def both_paths(argv):
-    """(grid path, per-point loop) results of one CLI run."""
+    """(grid path, per-point loop) results of one CLI run: every grid
+    command starts with `embedding_jets` or `MetricField.at`."""
     grid = run_cli(argv)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(surfaces, "surface_grid", lambda surface, p, q: None)
-        mp.setattr(intrinsic.MetricField, "grid", lambda self, u, v: None)
+        mp.setattr(surfaces, "embedding_jets",
+                   points_only(surfaces.embedding_jets))
+        mp.setattr(intrinsic.MetricField, "at",
+                   points_only(intrinsic.MetricField.at))
         per_point = run_cli(argv)
     return grid, per_point
 
@@ -283,30 +340,30 @@ def test_first_failing_point_decides():
 
 @pytest.fixture
 def calls(monkeypatch):
+    """Calls of `embedding_jets` and `MetricField.at`, by the type of their
+    first coordinate."""
     counts = {}
     for owner, name in ((surfaces, "embedding_jets"),
-                        (surfaces, "surface_grid"),
-                        (intrinsic.MetricField, "at"),
-                        (intrinsic.MetricField, "grid")):
+                        (intrinsic.MetricField, "at")):
         original = getattr(owner, name)
-        counts[name] = 0
 
-        def counting(*args, _name=name, _original=original):
-            counts[_name] += 1
-            return _original(*args)
+        def counting(first, u, v, _name=name, _original=original):
+            key = _name, type(u).__name__
+            counts[key] = counts.get(key, 0) + 1
+            return _original(first, u, v)
 
         monkeypatch.setattr(owner, name, counting)
     return counts
 
 
-# the one embedding evaluation is surface_grid's, over arrays
+# one evaluation over arrays: a given metric's and the embedding's, and an
+# induced metric's `at` evaluates the embedding
 @pytest.mark.parametrize("argv, want", [
     (("egregia", "--metric", "1,0,exp(2*u)", "--graph", "x*y"),
-     {"embedding_jets": 1, "surface_grid": 1, "at": 0, "grid": 1}),
-    (("flatness", "--catalog", "cone_metric"),
-     {"embedding_jets": 0, "surface_grid": 0, "at": 0, "grid": 1}),
+     {("at", "ndarray"): 1, ("embedding_jets", "ndarray"): 1}),
+    (("flatness", "--catalog", "cone_metric"), {("at", "ndarray"): 1}),
     (("flatness", "--catalog", "torus"),
-     {"embedding_jets": 1, "surface_grid": 1, "at": 0, "grid": 1}),
+     {("at", "ndarray"): 1, ("embedding_jets", "ndarray"): 1}),
 ])
 def test_one_grid_evaluation_per_invocation(calls, argv, want):
     code, _, err = run_cli(argv + ("--grid", "4x3"))
@@ -320,4 +377,4 @@ def test_failing_grid_falls_back_to_per_point_calls(calls):
     assert code == 3 and out == ""
     assert err == ("numeric failure: metric not positive definite at "
                    "(-1.0, -1.0): E=1.0, F=0.0, G=-1.0\n")
-    assert calls["grid"] == 1 and calls["at"] == 1
+    assert calls == {("at", "ndarray"): 1, ("at", "float"): 1}

@@ -3,6 +3,7 @@
 import math
 import struct
 
+import numpy as np
 import pytest
 
 from egregium import catalog, geodesics, intrinsic, quad
@@ -136,7 +137,7 @@ class TestStarRegion:
         with pytest.raises(RegionNotSimple):
             integrate(SPHERE, kappa_field(SPHERE), region, order=16,
                       grid_field=intrinsic.kappa_from_metric)
-        assert metric_calls == {"at": 0, "grid": 0}
+        assert metric_calls == {}
 
     def test_metric_area_element(self):
         # hyperbolic area of a chart triangle vs an independent composite
@@ -177,15 +178,16 @@ def _outcome(fn):
 
 @pytest.fixture
 def metric_calls(monkeypatch):
-    """Calls of MetricField.at and MetricField.grid."""
-    calls = {"at": 0, "grid": 0}
-    for name in calls:
-        original = getattr(MetricField, name)
+    """Calls of MetricField.at, over arrays ("ndarray") and at points
+    ("float")."""
+    calls = {}
+    original = MetricField.at
 
-        def counting(self, u, v, name=name, original=original):
-            calls[name] += 1
-            return original(self, u, v)
-        monkeypatch.setattr(MetricField, name, counting)
+    def counting(self, u, v):
+        key = type(u).__name__
+        calls[key] = calls.get(key, 0) + 1
+        return original(self, u, v)
+    monkeypatch.setattr(MetricField, "at", counting)
     return calls
 
 
@@ -193,8 +195,9 @@ FULL = 2.0 * math.pi
 
 
 class TestGridPath:
-    """With `grid_field` a pass evaluates its nodes through MetricField.grid
-    and keeps the bits of the node-by-node pass, value and error."""
+    """With `grid_field` a pass evaluates its nodes through MetricField.at
+    over arrays and keeps the bits of the node-by-node pass, value and
+    error."""
 
     @pytest.mark.parametrize("name, region", [
         ("sphere_metric", Rect(1e-4, math.pi - 1e-4, 0.0, FULL)),
@@ -210,9 +213,9 @@ class TestGridPath:
         field = kappa_field(metric)
         got = integrate(metric, field, region, order=order,
                         grid_field=intrinsic.kappa_from_metric)
-        assert metric_calls == {"at": 0, "grid": 2}
+        assert metric_calls == {"ndarray": 2}
         want = integrate(metric, field, region, order=order)
-        assert metric_calls["grid"] == 2 and metric_calls["at"] > 0
+        assert metric_calls["ndarray"] == 2 and metric_calls["float"] > 0
         assert _bits(got) == _bits(want)
 
     @pytest.mark.parametrize("name, vertices", [
@@ -224,7 +227,13 @@ class TestGridPath:
         metric = catalog.build_metric(catalog.lookup(name))
         triangle = geodesics.build_triangle(metric, *vertices)
         got = geodesics.excess_from_triangle(metric, triangle)
-        monkeypatch.setattr(MetricField, "grid", lambda self, u, v: None)
+        at = MetricField.at
+
+        def points_only(self, u, v):
+            if type(u) is np.ndarray:
+                raise DegenerateMetric("arrays refused")
+            return at(self, u, v)
+        monkeypatch.setattr(MetricField, "at", points_only)
         want = geodesics.excess_from_triangle(metric, triangle)
         assert struct.pack("dd", *got) == struct.pack("dd", *want)
 
@@ -234,7 +243,7 @@ class TestGridPath:
         got = integrate(TORUS, kappa_field(TORUS), region, order=7,
                         grid_field=intrinsic.kappa_from_metric)
         # 49 nodes in five chunks, then the 9 of the half order in one
-        assert metric_calls == {"at": 0, "grid": 6}
+        assert metric_calls == {"ndarray": 6}
         want = integrate(TORUS, kappa_field(TORUS), region, order=7)
         assert _bits(got) == _bits(want)
 
@@ -251,7 +260,7 @@ class TestGridPath:
             return integrate(metric, kappa_field(metric), region, order=3,
                              grid_field=grid_field)
         got = _outcome(lambda: run(intrinsic.kappa_from_metric))
-        assert metric_calls["grid"] == (1 if chunk > 9 else 3)
+        assert metric_calls["ndarray"] == (1 if chunk > 9 else 3)
         assert got == _outcome(lambda: run(None))
         assert got == (DegenerateMetric,
                        "metric not positive definite at (0.0, 0.0): "

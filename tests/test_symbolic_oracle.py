@@ -1,23 +1,27 @@
 """An oracle independent of the jet engine: sympy differentiates the
-expression corpus, whose lowered jets must hold its partials, and reads each
+expression corpus, whose lowered jets must hold its partials, reads each
 metric catalog entry's E, F and G, whose Gaussian curvature it gives by
-Brioschi's formula."""
+Brioschi's formula, and gives each surface catalog entry's Gaussian
+curvature from the first and second fundamental forms of its embedding."""
 
+import numpy as np
 import pytest
 import sympy
 from sympy.parsing.sympy_parser import (convert_xor, parse_expr,
                                         standard_transformations)
 
-from egregium import catalog, intrinsic
+from egregium import catalog, intrinsic, surfaces
 
 from conftest import (CORPUS_1V, CORPUS_2V, CORPUS_3V, jet_eval_1, jet_eval_2,
                       jet_eval_3, sample)
 
-SYMBOLS = {name: sympy.Symbol(name, real=True) for name in "uvxyz"}
+SYMBOLS = {name: sympy.Symbol(name, real=True) for name in "uvxyzpq"}
 U, V = SYMBOLS["u"], SYMBOLS["v"]
 
 METRICS = sorted(name for name, entry in catalog.ENTRIES.items()
                  if entry.kind == "metric")
+SURFACES = sorted(name for name, entry in catalog.ENTRIES.items()
+                  if entry.kind == "surface")
 
 # fractions of each chart range: interior points, away from the edges
 FRACTIONS = ((0.3, 0.6), (0.5, 0.25), (0.75, 0.8))
@@ -60,6 +64,47 @@ def test_formula_egregia_matches_brioschi(name):
         # relative, except where the curvature is zero (flat charts, the
         # torus at cos(u) = 0)
         assert abs(got - want) <= 1e-9 * max(abs(want), 1e-6), (name, u, v)
+
+
+def fundamental_forms_kappa(texts):
+    """K = (LN - M^2) / (EG - F^2) of an embedding, and its two chart
+    coordinates; a graph z = f(x, y) embeds as (x, y, f)."""
+    if "graph" in texts:
+        s, t = SYMBOLS["x"], SYMBOLS["y"]
+        r = sympy.Matrix([s, t, _read(texts["graph"])])
+    else:
+        s, t = SYMBOLS["p"], SYMBOLS["q"]
+        r = sympy.Matrix([_read(texts[axis]) for axis in "xyz"])
+    rs, rt = r.diff(s), r.diff(t)
+    normal = rs.cross(rt)
+    normal = normal / sympy.sqrt(normal.dot(normal))
+    E, F, G = rs.dot(rs), rs.dot(rt), rt.dot(rt)
+    L = r.diff(s, s).dot(normal)
+    M = r.diff(s, t).dot(normal)
+    N = r.diff(t, t).dot(normal)
+    return (L * N - M * M) / (E * G - F * F), (s, t)
+
+
+@pytest.mark.parametrize("name", SURFACES)
+def test_surface_kernel_matches_fundamental_forms(name):
+    entry = catalog.lookup(name)
+    kappa, (s, t) = fundamental_forms_kappa(catalog.resolve(entry))
+    surface = catalog.build_surface(entry)
+    (p0, p1), (q0, q1) = entry.ranges
+    points = [(p0 + fp * (p1 - p0), q0 + fq * (q1 - q0))
+              for fp, fq in FRACTIONS]
+    with np.errstate(all="ignore"):
+        over_arrays = surfaces.gauss_curvature_parametric(
+            surface, np.array([p for p, _ in points]),
+            np.array([q for _, q in points]))
+    for (p, q), from_arrays in zip(points, over_arrays.tolist()):
+        want = float(kappa.evalf(30, subs={s: p, t: q}))
+        at_point = surfaces.gauss_curvature_parametric(surface, p, q)
+        # relative, except where the curvature is zero (plane, cylinder,
+        # cone, the torus at cos(p) = 0)
+        for got in (at_point, from_arrays):
+            assert abs(got - want) <= 1e-9 * max(abs(want), 1e-6), (
+                name, p, q)
 
 
 # each corpus entry with one box per variable, and its lowered jet: the
