@@ -13,7 +13,9 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -598,19 +600,33 @@ def _mark(token):
     return token
 
 
+@cache
+def _flag_names(command):
+    names = {"-h", "--help"}
+    flags = SimpleNamespace(add_argument=lambda *n, **_: names.update(n))
+    _COMMANDS[command][1](flags)
+    _add_common(flags)
+    return names
+
+
 def _merge_value_flags(argv):
     """Join `--flag value` into `--flag=value` for values that may start
     with '-' (ranges, vertices, velocities, floats), and mark the
-    expressions that follow --parametric, which may start with '-' too."""
+    expressions that follow --parametric, which may start with '-' too.
+    A flag may be abbreviated to any prefix that argparse reads as it."""
     count = _PARAMETRIC_VALUES.get(argv[0]) if argv else None
+    names = _flag_names(argv[0]) if argv and argv[0] in _COMMANDS else ()
     merged = []
     i = 0
     while i < len(argv):
-        token = argv[i]
-        if token in _VALUE_FLAGS and i + 1 < len(argv):
+        token = flag = argv[i]
+        if token.startswith("--") and token not in names:
+            matches = [name for name in names if name.startswith(token)]
+            flag = matches[0] if len(matches) == 1 else token
+        if flag in _VALUE_FLAGS and i + 1 < len(argv):
             merged.append(f"{token}={argv[i + 1]}")
             i += 2
-        elif token == "--parametric" and count and i + count < len(argv):
+        elif flag == "--parametric" and count and i + count < len(argv):
             merged += [token, *map(_mark, argv[i + 1:i + 1 + count])]
             i += 1 + count
         else:

@@ -10,6 +10,12 @@ path's dense output is the cubic Hermite interpolant of its states
 (Hairer, Norsett and Wanner, Solving ODEs I, section II.6), and the excess
 law integrates the curvature over the region these curves bound, with all
 quadrature nodes of a pass evaluated at once.
+
+Shooting (Stoer and Bulirsch, Introduction to Numerical Analysis, section
+7.3) runs a secant on the initial angle over shots at a quarter of the final
+step, then returns one shot at the final step.  A miss is read at the closest
+approach on the shot's Hermite interpolant, where the side ends; the
+secant's last slope judges the conjugate locus.
 """
 
 from __future__ import annotations
@@ -30,6 +36,10 @@ MAX_GEODESIC_STEPS = 10**6
 
 # secant iterations one shooting solve may take
 MAX_SECANT_ITERATIONS = 50
+
+# RK4 steps over a shot's length: the secant runs on coarse shots, and the
+# side returned is one fine shot, whose knots the dense output reads
+COARSE_STEPS, FINE_STEPS = 200, 800
 
 # Gauss-Legendre nodes per triangle side in the excess integral; each ray
 # from the centroid takes half as many
@@ -58,18 +68,14 @@ class GeodesicPath:
     def end(self):
         return self.states[-1]
 
-    def dense(self, t):
-        """(u, v, du/dt, dv/dt) at the fraction t in [0, 1] of the path's
-        arclength, from the cubic Hermite interpolant of its states at the
-        knots `s`.  The interpolant's slopes are the states' (pu, pv), which
-        are d(u, v)/ds on a unit-speed path such as `connect_geodesic`
-        returns; the path must hold two states or more."""
-        s = self.s
-        scale = s[-1] - s[0]
-        tau = s[0] + t * scale
-        i = min(max(bisect_right(s, tau) - 1, 0), len(s) - 2)
-        h = s[i + 1] - s[i]
-        x = (tau - s[i]) / h
+    def at(self, s):
+        """(u, v, du/ds, dv/ds) at the arclength s on the cubic Hermite
+        interpolant of two or more states at the knots `s`, whose slopes
+        (pu, pv) are d(u, v)/ds on a unit-speed path (a shot)."""
+        knots = self.s
+        i = min(max(bisect_right(knots, s) - 1, 0), len(knots) - 2)
+        h = knots[i + 1] - knots[i]
+        x = (s - knots[i]) / h
         a, b = self.states[i], self.states[i + 1]
         # Hermite basis at x and its derivative in x
         x2, x3 = x * x, x * x * x
@@ -79,8 +85,14 @@ class GeodesicPath:
         d11 = 3.0 * x2 - 2.0 * x
         return (h00 * a.u + h10 * a.pu + h01 * b.u + h11 * b.pu,
                 h00 * a.v + h10 * a.pv + h01 * b.v + h11 * b.pv,
-                scale * (d00 * (a.u - b.u) + d10 * a.pu + d11 * b.pu),
-                scale * (d00 * (a.v - b.v) + d10 * a.pv + d11 * b.pv))
+                d00 * (a.u - b.u) + d10 * a.pu + d11 * b.pu,
+                d00 * (a.v - b.v) + d10 * a.pv + d11 * b.pv)
+
+    def dense(self, t):
+        """(u, v, du/dt, dv/dt) of `at` at the fraction t of the arclength."""
+        scale = self.s[-1] - self.s[0]
+        u, v, du, dv = self.at(self.s[0] + t * scale)
+        return u, v, scale * du, scale * dv
 
 
 @dataclass(frozen=True)
@@ -218,13 +230,10 @@ def clairaut_drift(revolution, path):
     return worst
 
 
-def _closest_approach(path, target):
-    best_i, best_d2 = 0, float("inf")
-    for i, st in enumerate(path.states):
-        d2 = (st.u - target[0]) ** 2 + (st.v - target[1]) ** 2
-        if d2 < best_d2:
-            best_i, best_d2 = i, d2
-    return best_i, math.sqrt(best_d2)
+def _nearest_sample(path, target):
+    d2 = [(st.u - target[0]) ** 2 + (st.v - target[1]) ** 2
+          for st in path.states]
+    return d2.index(min(d2))
 
 
 def _chord_metric_length(metric, a, b, samples=33):
@@ -249,11 +258,15 @@ def _shoot(metric, a, angle, length, step):
 
 def connect_geodesic(metric, a, b, tol=1e-6):
     """Geodesic from a to b by shooting: secant iteration on the initial
-    direction angle, bracketed around the straight-chord direction.
+    direction angle, bracketed around the straight-chord direction, over
+    shots of COARSE_STEPS steps; then one shot of FINE_STEPS steps from the
+    best angle is the side, and where it misses, the secant goes on at that
+    step with the slope it carries.  A miss is read, and the side ends, at
+    the closest approach to b on the shot's Hermite interpolant.
 
     Raises NoConvergence (with the best residual) when the iteration stalls
-    or the endpoint stays insensitive to the angle, as happens at conjugate
-    points.
+    or the last secant slope shows the endpoint insensitive to the angle,
+    as happens at conjugate points.
     """
     a = (float(a[0]), float(a[1]))
     b = (float(b[0]), float(b[1]))
@@ -264,81 +277,72 @@ def connect_geodesic(metric, a, b, tol=1e-6):
     # the straight chord is itself a competitor curve, so the geodesic
     # distance never exceeds its metric length
     length = 1.25 * _chord_metric_length(metric, a, b)
-    step = max(length / 800.0, 1e-4)
+    step = max(length / COARSE_STEPS, 1e-4)
+    fine = max(length / FINE_STEPS, 1e-4)
     phi0 = math.atan2(chord[1], chord[0])
 
     goal = 0.5 * tol
     bracket = math.pi / 3.0
     phi_lo, phi_hi = phi0 - bracket, phi0 + bracket
     x0, x1 = phi0, phi0 + 0.05 * bracket
-    f0, path0, i0 = _lateral_miss(metric, a, b, x0, length, step)
-    best = (abs(f0), x0, path0, i0)
-    f1, path1, i1 = _lateral_miss(metric, a, b, x1, length, step)
+    f0, shot0 = _lateral_miss(metric, a, b, x0, length, step)
+    best = (abs(f0), x0, shot0)
+    f1, shot1 = _lateral_miss(metric, a, b, x1, length, step)
     if abs(f1) < best[0]:
-        best = (abs(f1), x1, path1, i1)
+        best = (abs(f1), x1, shot1)
+    dx, df = x1 - x0, f1 - f0
     for _ in range(MAX_SECANT_ITERATIONS):
         if best[0] <= goal:
-            break
-        denom = f1 - f0
-        if abs(denom) < 1e-15 * (1.0 + abs(f1)):
+            if step == fine:
+                break
+            step, x1 = fine, best[1]
+            f1, shot = _lateral_miss(metric, a, b, x1, length, step)
+            best = (abs(f1), x1, shot)
+            continue
+        if abs(df) < 1e-15 * (1.0 + abs(f1)):
             raise NoConvergence(
                 "secant step degenerate: endpoint insensitive to direction",
                 best_residual=best[0])
-        x2 = x1 - f1 * (x1 - x0) / denom
-        x2 = min(max(x2, phi_lo), phi_hi)
-        f2, path2, i2 = _lateral_miss(metric, a, b, x2, length, step)
+        x2 = min(max(x1 - f1 * dx / df, phi_lo), phi_hi)
+        f2, shot = _lateral_miss(metric, a, b, x2, length, step)
         if abs(f2) < best[0]:
-            best = (abs(f2), x2, path2, i2)
-        x0, f0, x1, f1 = x1, f1, x2, f2
-    if best[0] > goal:
+            best = (abs(f2), x2, shot)
+        dx, df, x1, f1 = x2 - x1, f2 - f1, x2, f2
+    else:
         raise NoConvergence(
             f"shooting did not reach the target within {tol!r}",
             best_residual=best[0])
-
-    residual, angle, path, idx = best
-    _reject_conjugate(metric, a, b, angle, length, step, tol)
-    truncated = GeodesicPath(path.s[:idx + 1], path.states[:idx + 1])
-    return _refine_endpoint(metric, truncated, b)
+    # near a conjugate point the miss stops responding to the angle
+    if abs(df) < 0.05 * length * abs(dx):
+        raise NoConvergence(
+            "endpoint insensitive to shooting angle (conjugate locus)",
+            best_residual=best[0])
+    return _refine_endpoint(metric, *best[2])
 
 
 def _lateral_miss(metric, a, b, angle, length, step):
-    """Shot from a at the given angle: signed perpendicular deviation from b
-    at closest approach, the path, and the closest sample's index."""
+    """Shot from a at the given angle: its signed perpendicular miss of b
+    at the closest approach, which Newton projection on the Hermite
+    interpolant finds, and (path, nearest sample, arclength there)."""
     path = _shoot(metric, a, angle, length, step)
-    i, _ = _closest_approach(path, b)
+    i = _nearest_sample(path, b)
+    s = path.s[i]
+    # each step shrinks the error by about the miss times the curvature
+    for _ in range(8):
+        u, v, du, dv = path.at(s)
+        s += ((b[0] - u) * du + (b[1] - v) * dv) / (du * du + dv * dv)
+        s = min(max(s, path.s[0]), path.s[-1])
+    u, v, du, dv = path.at(s)
+    lateral = (du * (b[1] - v) - dv * (b[0] - u)) / math.hypot(du, dv)
+    return lateral, (path, i, s)
+
+
+def _refine_endpoint(metric, path, i, s):
+    """The path to sample i, its state replaced by an RK4 step of s - s[i]."""
     st = path.states[i]
-    # the along-track gap is discretization residue and is fixed later
-    speed = math.hypot(st.pu, st.pv)
-    lateral = (st.pu * (b[1] - st.v) - st.pv * (b[0] - st.u)) / speed
-    return lateral, path, i
-
-
-def _reject_conjugate(metric, a, b, angle, length, step, tol):
-    # near a conjugate point every nearby angle still hits the target, so
-    # the lateral deviation stops responding to the direction
-    probe = 1e-3
-    lateral = abs(_lateral_miss(metric, a, b, angle + probe, length, step)[0])
-    if lateral < 0.05 * probe * length:
-        raise NoConvergence(
-            "endpoint insensitive to shooting angle (conjugate locus)",
-            best_residual=lateral)
-
-
-def _refine_endpoint(metric, path, b):
-    """One fractional RK4 step from the final state so that it lands on b.
-    The step goes backwards when the final sample is past b, so the refined
-    state replaces that sample as the last knot, at the arclength of the
-    step taken with its sign."""
-    st = path.end
-    gap = (b[0] - st.u, b[1] - st.v)
-    speed2 = st.pu ** 2 + st.pv ** 2
-    if speed2 == 0.0:
-        return path
-    dt = (gap[0] * st.pu + gap[1] * st.pv) / speed2
-    y = _rk4_step(metric, (st.u, st.v, st.pu, st.pv), dt)
-    ds = math.sqrt(_metric_speed2(metric, *y)) * dt
-    kept = max(1, len(path.s) - 1)
-    return GeodesicPath(path.s[:kept] + (path.s[-1] + ds,),
+    y = _rk4_step(metric, (st.u, st.v, st.pu, st.pv), s - path.s[i])
+    kept = max(1, i)
+    return GeodesicPath(path.s[:kept] + (s,),
                         path.states[:kept] + (GeodesicState(*y),))
 
 

@@ -11,11 +11,15 @@ tables of `jets.FUNCTION_TABLES`, as `exprlang.evaluate` does.
 
 `fd_oracle` gives central-difference partials of any float function: an
 oracle that shares no arithmetic with the jets.
+
+`probe_refuses` is the conjugate-locus check that shooting made with one
+probe shot past the converged angle, before `geodesics.connect_geodesic`
+read the locus from its last secant slope.
 """
 
 import math
 
-from egregium import exprlang, jets
+from egregium import exprlang, geodesics, jets
 from egregium.errors import DivisionByZero, DomainError, UnboundVariable
 from egregium.exprlang import Constant, Unary, Variable
 
@@ -256,3 +260,45 @@ def fd_oracle(f, point, h):
         return (f0, dx, dy, dz,
                 dxx, dmix(0, 1), dmix(0, 2), dyy, dmix(1, 2), dzz)
     raise ValueError(f"point must have 1, 2 or 3 coordinates, got {len(point)}")
+
+
+def _nearest_sample_miss(metric, a, b, angle, length, step):
+    """Signed perpendicular deviation of a shot from b at its sample
+    nearest b."""
+    path = geodesics._shoot(metric, a, angle, length, step)
+    st = path.states[geodesics._nearest_sample(path, b)]
+    speed = math.hypot(st.pu, st.pv)
+    return (st.pu * (b[1] - st.v) - st.pv * (b[0] - st.u)) / speed
+
+
+def probe_refuses(metric, a, b, tol=1e-6):
+    """Whether shooting from a to b refuses: the secant on the angle at
+    length/800 steps per shot, with the miss read at the nearest sample,
+    stalls or misses b by more than tol/2; or, once it converges, a probe
+    shot 1e-3 rad further misses b by less than 0.05 * 1e-3 * length, so
+    that the endpoint is insensitive to the angle (the conjugate locus)."""
+    chord = (b[0] - a[0], b[1] - a[1])
+    length = 1.25 * geodesics._chord_metric_length(metric, a, b)
+    step = max(length / 800.0, 1e-4)
+    phi0 = math.atan2(chord[1], chord[0])
+    bracket = math.pi / 3.0
+    x0, x1 = phi0, phi0 + 0.05 * bracket
+    f0 = _nearest_sample_miss(metric, a, b, x0, length, step)
+    f1 = _nearest_sample_miss(metric, a, b, x1, length, step)
+    best = min((abs(f0), x0), (abs(f1), x1))
+    for _ in range(50):
+        if best[0] <= 0.5 * tol:
+            break
+        if abs(f1 - f0) < 1e-15 * (1.0 + abs(f1)):
+            return True
+        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
+        x2 = min(max(x2, phi0 - bracket), phi0 + bracket)
+        f2 = _nearest_sample_miss(metric, a, b, x2, length, step)
+        best = min(best, (abs(f2), x2))
+        x0, f0, x1, f1 = x1, f1, x2, f2
+    if best[0] > 0.5 * tol:
+        return True
+    probe = 1e-3
+    lateral = _nearest_sample_miss(metric, a, b, best[1] + probe, length,
+                                   step)
+    return abs(lateral) < 0.05 * probe * length

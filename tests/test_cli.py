@@ -531,6 +531,31 @@ def test_range_error_names_the_flag_typed(capsys, flag, text, message):
             2, "", "error: " + message.format(flag=flag) + "\n")
 
 
+@pytest.mark.parametrize("argv, abbreviation, flag, text", [
+    (("egregia", "--metric", "1,0,1"), "--pran", "--prange", "-inf:0"),
+    (("egregia", "--metric", "1,0,1"), "--qran", "--qrange", "-inf:0"),
+    (("egregia", "--metric", "1,0,1"), "--ura", "--urange", "-inf:0"),
+    (("triangle", "--catalog", "sphere_isothermal"), "--vert", "--vertices",
+     "-nan,0;1,0;0,1"),
+])
+def test_abbreviated_value_flag_takes_a_value_starting_with_minus(
+        capsys, argv, abbreviation, flag, text):
+    # argparse reads the abbreviation as the flag, so its value is joined
+    # to it as the full spelling's is
+    expected = run_cli(capsys, *argv, flag, text)
+    assert expected[0] == 2 and "must be finite" in expected[2]
+    assert run_cli(capsys, *argv, abbreviation, text) == expected
+    assert run_cli(capsys, *argv, f"{abbreviation}={text}") == expected
+
+
+def test_ambiguous_abbreviation_is_refused(capsys):
+    # --p abbreviates --parametric and --prange alike
+    code, out, err = _outcome(capsys, main, ["egregia", "--metric", "1,0,1",
+                                             "--p", "-inf:0"])
+    assert (code, out) == (2, "")
+    assert "ambiguous option: --p could match" in err
+
+
 @pytest.mark.parametrize("catalog_name, cutoff", [
     ("sphere_metric", "-0.5"), ("torus", "-1"), ("torus", "-inf")])
 def test_negative_or_non_finite_pole_cutoff_is_bad_input(capsys, catalog_name,

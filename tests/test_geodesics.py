@@ -17,6 +17,8 @@ from egregium.geodesics import (GeodesicState, RevolutionSurface,
 from egregium.intrinsic import MetricField
 from egregium.surfaces import ParametricSurface
 
+import oracle
+
 FLAT = MetricField.from_expressions("1", "0", "1")
 SPHERE = MetricField.from_expressions("1", "0", "sin(u)^2")
 SPHERE_ISO = MetricField.from_expressions("(2/(1+u^2+v^2))^2", "0",
@@ -219,17 +221,74 @@ class TestConnectGeodesic:
     @pytest.mark.parametrize("a, b", [
         ((0.6, 0.1), (0.1, 0.5)), ((0.0, 0.0), (1.0, 0.0)),
         ((0.0, 0.0), (0.6, 0.1)), ((0.1, 0.5), (0.0, 0.0)),
-        ((0.7, -0.2), (0.1, 0.9))])
+        ((0.7, -0.2), (0.1, 0.9)), ((-0.5, -0.5), (0.7, -0.2)),
+        ((0.1, 0.9), (-0.5, -0.5))])
     def test_arclength_is_the_great_circle_length(self, a, b):
-        # the refine step goes backwards on the first four sides, so the
-        # final arclength counts it with its sign; the end state misses b
-        # by up to 1.4e-7 along the side (within tol), so the length is
-        # read to the end state, and to b where the miss is below 1e-9
+        # the side ends one RK4 step from its nearest sample, at the
+        # closest approach on the Hermite curve: no gap to b along the
+        # side, and at most the tol/2 the shooting allows beside it, so
+        # the length is read to the end state, and to b where the miss is
+        # below 1e-9
         path = connect_geodesic(SPHERE_ISO, a, b)
-        end = (path.end.u, path.end.v)
-        assert abs(path.s[-1] - _great_circle(a, end)) <= 1e-10
-        if math.hypot(end[0] - b[0], end[1] - b[1]) <= 1e-9:
+        end = path.end
+        gap = (b[0] - end.u, b[1] - end.v)
+        speed = math.hypot(end.pu, end.pv)
+        assert abs(gap[0] * end.pu + gap[1] * end.pv) / speed <= 1e-12
+        assert abs(end.pu * gap[1] - end.pv * gap[0]) / speed <= 0.5e-6
+        assert abs(path.s[-1] - _great_circle(a, (end.u, end.v))) <= 1e-10
+        if math.hypot(*gap) <= 1e-9:
             assert abs(path.s[-1] - _great_circle(a, b)) <= 1e-8
+
+    @pytest.mark.parametrize("delta", [0.1 + 0.005 * k for k in range(21)])
+    @pytest.mark.parametrize("a, b", [
+        ((math.pi / 2.0, 0.0), (math.pi / 2.0, math.pi)),
+        ((math.pi / 2.0 - 0.3, 0.0), (math.pi / 2.0 + 0.3, math.pi))])
+    def test_conjugate_refusal_matches_the_probe_shot(self, a, b, delta):
+        # near the antipode the secant's slope and the probe shot both
+        # find the endpoint insensitive to the angle; both give way
+        # between delta = 0.185 and 0.19
+        b = (b[0], b[1] - delta)
+        try:
+            connect_geodesic(SPHERE, a, b)
+            refused = False
+        except NoConvergence:
+            refused = True
+        assert refused == oracle.probe_refuses(SPHERE, a, b)
+        assert refused == (delta < 0.1875)
+
+
+class TestShootingWork:
+    def test_secant_on_coarse_shots_returns_one_fine_shot(self,
+                                                          monkeypatch):
+        # counted as bench/spans.py counts them, through the integrator
+        shots = []
+        integrate = geodesics.integrate_geodesic
+        connect = geodesics.connect_geodesic
+
+        def counted_integrate(metric, start, length, step):
+            path = integrate(metric, start, length, step)
+            shots[-1].append((step, len(path.states) - 1))
+            return path
+
+        def counted_connect(*args, **kwargs):
+            shots.append([])
+            return connect(*args, **kwargs)
+
+        monkeypatch.setattr(geodesics, "integrate_geodesic",
+                            counted_integrate)
+        monkeypatch.setattr(geodesics, "connect_geodesic", counted_connect)
+        tri = build_triangle(SPHERE_ISO, (0.0, 0.0), (0.6, 0.1), (0.1, 0.5))
+        assert sum(n for side in shots for _, n in side) <= 5000
+        assert len(shots) == 3
+        for side, path in zip(shots, tri.sides):
+            steps = [step for step, _ in side]
+            fine = min(steps)
+            assert steps.count(fine) == 1
+            assert max(steps) == pytest.approx(4.0 * fine)
+            # the returned side is the fine shot, cut at the approach
+            gaps = [t - s for s, t in zip(path.s[:-2], path.s[1:-1])]
+            assert gaps == pytest.approx([fine] * len(gaps),
+                                         rel=1.0 / geodesics.FINE_STEPS)
 
 
 def _great_circle(a, b):
