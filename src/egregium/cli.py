@@ -250,20 +250,16 @@ def _ranges(args, entry, full_chart=False):
 
 
 def cmd_curve(args):
-    rows = []
     columns = ["param", "x", "y", "Tx", "Ty", "Nx", "Ny", "kappa"]
     if args.implicit:
         curve = curves.ImplicitCurve(exprlang.parse(args.implicit))
         if not args.at:
             raise InputError("--implicit needs at least one --at x,y point")
+        rows = []
         for i, text in enumerate(args.at):
             x, y = _parse_point(text, 2, "--at")
-            # one jet of W feeds both the curvature and the frame
-            wj, grad2, grad_norm, num = curves._implicit_parts(curve, x, y)
-            kappa = curves._implicit_curvature(grad2, grad_norm, num)
-            norm = math.hypot(wj.du, wj.dv)
-            rows.append((float(i), x, y, -wj.dv / norm, wj.du / norm,
-                         wj.du / norm, wj.dv / norm, kappa))
+            rows.append((float(i), x, y,
+                         *curves.implicit_columns(curve, x, y)))
         _emit(args, columns, rows, {"n": len(rows)})
         return
 
@@ -291,25 +287,9 @@ def cmd_curve(args):
     n = args.n
     if n < 1:
         raise InputError(f"--n must be at least 1, got {n}")
-    for i in range(n):
-        t = lo + (hi - lo) * i / (n - 1) if n > 1 else lo
-        # one jet per expression feeds both the frame and the curvature;
-        # x and y are printed from float evaluations, whose bits a jet's
-        # value slot does not always share (jet / c multiplies by 1 / c)
-        if isinstance(curve, curves.GraphCurve):
-            (fj,) = curves._jets(curve, t)
-            frame = curves._graph_frame(fj)
-            kappa = curves._graph_curvature(fj)
-            point = (t, exprlang.evaluate(curve.f, {"x": t}))
-        else:
-            xj, yj = curves._jets(curve, t)
-            kappa = curves._param_curvature(xj, yj, t)
-            frame = curves._param_frame(xj, yj, t)
-            point = (exprlang.evaluate(curve.x, {"t": t}),
-                     exprlang.evaluate(curve.y, {"t": t}))
-        rows.append((t, point[0], point[1], frame.T[0], frame.T[1],
-                     frame.N[0], frame.N[1], kappa))
-    _emit(args, columns, rows, {"n": len(rows)})
+    ts = [lo + (hi - lo) * i / (n - 1) for i in range(n)] if n > 1 else [lo]
+    rows = [(t, *curves.curve_columns(curve, t)) for t in ts]
+    _emit(args, columns, rows, {"n": n})
 
 
 def cmd_surface(args):

@@ -4,6 +4,11 @@ Signed curvature follows the counterclockwise convention: the unit normal
 N is the unit tangent T rotated by +pi/2, so a graph curve has curvature
 f'' / (1 + f'^2)^(3/2).  Implicit curvature is reported as a magnitude with
 a gradient-side tag, since the implicit derivation pins only its square.
+
+Frames, curvatures, osculating circles and the `curve` command's rows are
+read from two kernels over one jet per expression: `curve_columns` (point,
+frame and signed curvature of graph and parametric curves, the point from
+the value slots) and `implicit_columns` (frame and |kappa|).
 """
 
 from __future__ import annotations
@@ -61,9 +66,6 @@ class ImplicitCurve:
                            exprlang.lower_jet2((self.w,), {"x": 0, "y": 1}))
 
 
-CurveDef = GraphCurve | ParametricCurve | ImplicitCurve
-
-
 @dataclass(frozen=True)
 class SignedCurvature:
     value: float
@@ -102,52 +104,58 @@ def arc_length(curve, x1, x2, order=8, panels=8):
     return total
 
 
+def curve_columns(curve, t):
+    """(x, y, Tx, Ty, Nx, Ny, kappa) of a graph or parametric curve at t,
+    the abscissa of a graph, from one jet per expression.  The point is
+    read from the value slots; N is the unit tangent rotated +pi/2 and
+    kappa the signed curvature."""
+    if isinstance(curve, GraphCurve):
+        (fj,) = _jets(curve, t)
+        w = 1.0 + fj.du * fj.du
+        s = math.sqrt(w)
+        return (t, fj.v, 1.0 / s, fj.du / s, -fj.du / s, 1.0 / s,
+                fj.duu / (w * s))
+    if not isinstance(curve, ParametricCurve):
+        raise TypeError(f"unknown curve {type(curve).__name__}")
+    xj, yj = _jets(curve, t)
+    speed2 = xj.du * xj.du + yj.du * yj.du
+    if speed2 < EPS_REG * EPS_REG:
+        raise SingularPoint(f"velocity vanishes at t={t!r}")
+    kappa = (xj.du * yj.duu - yj.du * xj.duu) / (speed2 * math.sqrt(speed2))
+    speed = _speed(xj, yj, t)
+    tx, ty = xj.du / speed, yj.du / speed
+    return xj.v, yj.v, tx, ty, -ty, tx, kappa
+
+
+def _speed(xj, yj, t):
+    """|(x'(t), y'(t))|, or SingularPoint where it vanishes."""
+    speed = math.hypot(xj.du, yj.du)
+    if speed < EPS_REG:
+        raise SingularPoint(f"velocity vanishes at t={t!r}")
+    return speed
+
+
 def frame_graph(f, x):
     """Unit tangent (1, f') and normal (-f', 1), both normalized."""
-    return _graph_frame(*_jets(GraphCurve(f), x))
-
-
-def _graph_frame(fj):
-    s = math.sqrt(1.0 + fj.du * fj.du)
-    return UnitFrame((1.0 / s, fj.du / s), (-fj.du / s, 1.0 / s))
+    columns = curve_columns(GraphCurve(f), x)
+    return UnitFrame(columns[2:4], columns[4:6])
 
 
 def frame_parametric(x_ast, y_ast, t):
     """Unit tangent along increasing t, with N the tangent rotated +pi/2."""
-    return _param_frame(*_jets(ParametricCurve(x_ast, y_ast), t), t)
-
-
-def _param_frame(xj, yj, t):
-    speed = math.hypot(xj.du, yj.du)
-    if speed < EPS_REG:
-        raise SingularPoint(f"velocity vanishes at t={t!r}")
-    tangent = (xj.du / speed, yj.du / speed)
-    return UnitFrame(tangent, (-tangent[1], tangent[0]))
+    columns = curve_columns(ParametricCurve(x_ast, y_ast), t)
+    return UnitFrame(columns[2:4], columns[4:6])
 
 
 def curvature_graph(f, x):
     """c = f'' / (1 + f'^2)^(3/2)."""
-    return SignedCurvature(_graph_curvature(*_jets(GraphCurve(f), x)),
-                           CCW_NORMAL)
-
-
-def _graph_curvature(fj):
-    w = 1.0 + fj.du * fj.du
-    return fj.duu / (w * math.sqrt(w))
+    return SignedCurvature(curve_columns(GraphCurve(f), x)[6], CCW_NORMAL)
 
 
 def curvature_parametric(x_ast, y_ast, t):
     """c = (x' y'' - y' x'') / (x'^2 + y'^2)^(3/2); reversing t flips it."""
-    xj, yj = _jets(ParametricCurve(x_ast, y_ast), t)
-    return SignedCurvature(_param_curvature(xj, yj, t), CCW_NORMAL)
-
-
-def _param_curvature(xj, yj, t):
-    speed2 = xj.du * xj.du + yj.du * yj.du
-    if speed2 < EPS_REG * EPS_REG:
-        raise SingularPoint(f"velocity vanishes at t={t!r}")
-    num = xj.du * yj.duu - yj.du * xj.duu
-    return num / (speed2 * math.sqrt(speed2))
+    return SignedCurvature(
+        curve_columns(ParametricCurve(x_ast, y_ast), t)[6], CCW_NORMAL)
 
 
 def _implicit_parts(curve, x, y):
@@ -166,16 +174,21 @@ def _implicit_parts(curve, x, y):
     return wj, grad2, grad_norm, num
 
 
+def implicit_columns(curve, x, y):
+    """(Tx, Ty, Nx, Ny, |kappa|) of an implicit curve at an on-curve regular
+    point, from one jet of W: N is the unit gradient and T is N rotated
+    -pi/2."""
+    wj, grad2, grad_norm, num = _implicit_parts(curve, x, y)
+    norm = math.hypot(wj.du, wj.dv)
+    return (-wj.dv / norm, wj.du / norm, wj.du / norm, wj.dv / norm,
+            abs(num) / (grad2 * grad_norm))
+
+
 def curvature_implicit(w, x, y):
     """|c| = |W_xx W_y^2 - 2 W_xy W_x W_y + W_yy W_x^2| / |grad W|^3
     at an on-curve regular point."""
-    _, grad2, grad_norm, num = _implicit_parts(ImplicitCurve(w), x, y)
-    return SignedCurvature(_implicit_curvature(grad2, grad_norm, num),
+    return SignedCurvature(implicit_columns(ImplicitCurve(w), x, y)[4],
                            GRADIENT_SIDE)
-
-
-def _implicit_curvature(grad2, grad_norm, num):
-    return abs(num) / (grad2 * grad_norm)
 
 
 def menger_curvature(p1, p2, p3):
@@ -198,26 +211,6 @@ def osculating_circle(curve, at):
     `at` is the abscissa for graphs, the parameter for parametric curves,
     and an (x, y) point for implicit curves.
     """
-    if isinstance(curve, GraphCurve):
-        (fj,) = _jets(curve, at)
-        c = _graph_curvature(fj)
-        if abs(c) < EPS_REG:
-            raise ZeroCurvature(f"curvature vanishes at {at!r}")
-        point = (at, fj.v)
-        s = math.sqrt(1.0 + fj.du * fj.du)
-        normal = (-fj.du / s, 1.0 / s)
-        radius = 1.0 / abs(c)
-        center = (point[0] + normal[0] / c, point[1] + normal[1] / c)
-        return center, radius
-    if isinstance(curve, ParametricCurve):
-        xj, yj = _jets(curve, at)
-        c = _param_curvature(xj, yj, at)
-        if abs(c) < EPS_REG:
-            raise ZeroCurvature(f"curvature vanishes at t={at!r}")
-        speed = math.hypot(xj.du, yj.du)
-        normal = (-yj.du / speed, xj.du / speed)  # tangent rotated +pi/2
-        center = (xj.v + normal[0] / c, yj.v + normal[1] / c)
-        return center, 1.0 / abs(c)
     if isinstance(curve, ImplicitCurve):
         x, y = at
         wj, grad2, grad_norm, num = _implicit_parts(curve, x, y)
@@ -228,7 +221,11 @@ def osculating_circle(curve, at):
         scale = grad2 / num
         center = (x - scale * wj.du, y - scale * wj.dv)
         return center, grad2 * grad_norm / abs(num)
-    raise TypeError(f"unknown curve {type(curve).__name__}")
+    x, y, _, _, nx, ny, c = curve_columns(curve, at)
+    if abs(c) < EPS_REG:
+        where = f"t={at!r}" if isinstance(curve, ParametricCurve) else repr(at)
+        raise ZeroCurvature(f"curvature vanishes at {where}")
+    return (x + nx / c, y + ny / c), 1.0 / abs(c)
 
 
 def arclength_reparametrize(curve, t0, t1, samples):
@@ -244,11 +241,7 @@ def arclength_reparametrize(curve, t0, t1, samples):
     nodes, weights = quad.gauss_legendre(REPARAMETRIZE_ORDER)
 
     def speed(t):
-        xj, yj = _jets(curve, t)
-        sp = math.hypot(xj.du, yj.du)
-        if sp < EPS_REG:
-            raise SingularPoint(f"velocity vanishes at t={t!r}")
-        return sp
+        return _speed(*_jets(curve, t), t)
 
     speed(t0)
     table = [(0.0, t0)]

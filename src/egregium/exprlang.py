@@ -16,14 +16,14 @@ parsed expression is C^2 wherever it evaluates.  Implicit multiplication
 every recursive walk of a tree inside Python's recursion limit.  A parsed
 tree is immutable and can be shared freely.
 
-`evaluate` walks a tree over plain floats.  Every derivative comes from
+`evaluate` walks a tree over plain floats, for constant folding and the
+public API only.  Every value and derivative at a point or grid comes from
 trees lowered once by `lower_jet2`, for functions of one, two or three
 variables: into closures over 2-jet slot tuples, which also run once on
 float64 arrays of a grid's coordinates, or, for the first-order slots
 alone (v, du, dv), into one straight-line Python function, emitted as
-source and compiled.  Their reference is a tree walk over a 2-jet class
-with operators, which performs the same float operations; it lives with
-the tests, in `tests/oracle.py`.
+source and compiled.  Their reference, a tree walk over a 2-jet class with
+operators that performs the same float operations, is `tests/oracle.py`.
 """
 
 from __future__ import annotations

@@ -203,11 +203,13 @@ def clairaut_drift(revolution, path):
     """Max deviation of r(p) sin(theta) from its initial value along a
     geodesic, theta being the metric angle with the meridian."""
     surface = revolution.surface
+    # r(p) lowered once; r is its value slot
+    radius = exprlang.lower_jet2((revolution.radius,), {"p": 0, "u": 0})
     probe = [path.states[0], path.states[len(path.states) // 2],
              path.states[-1]]
     for st in probe:
         fff = surfaces.first_fundamental_form(surface, st.u, st.v)
-        r = exprlang.evaluate(revolution.radius, {"p": st.u, "u": st.u})
+        r = radius(st.u)[0][0]
         if (abs(fff.F) > 1e-8 * (1.0 + fff.E + fff.G)
                 or abs(fff.G - r * r) > 1e-8 * (1.0 + abs(fff.G))):
             raise NotRevolution(
@@ -221,7 +223,7 @@ def clairaut_drift(revolution, path):
         E, F, G = metric.values(st.u, st.v)
         speed = math.sqrt(E * st.pu ** 2 + 2.0 * F * st.pu * st.pv
                           + G * st.pv ** 2)
-        r = exprlang.evaluate(revolution.radius, {"p": st.u, "u": st.u})
+        r = radius(st.u)[0][0]
         value = r * (math.sqrt(G) * st.pv / speed)
         if first is None:
             first = value

@@ -881,9 +881,9 @@ def test_csv_text_matches_per_value_formatting(table):
 
 
 class TestCurveEvaluations:
-    """A curve's expressions are lowered once per invocation; the frame and
-    the curvature of a point share its jets, which no tree walk computes,
-    and x and y come from float evaluations."""
+    """A curve's expressions are lowered once per invocation; the point,
+    the frame and the curvature of a point are all read from its jets,
+    which no tree walk computes, and no float evaluation runs."""
 
     @pytest.fixture
     def evaluations(self, monkeypatch):
@@ -904,19 +904,17 @@ class TestCurveEvaluations:
         monkeypatch.setattr(exprlang, "lower_jet2", counting_lower)
         return calls
 
-    @pytest.mark.parametrize("argv, floats_per_point", [
-        (("--graph", "x^3 - x", "--n", "5"), 1),
-        (("--parametric", "2*cos(t)", "sin(t)", "--n", "5"), 2),
-        (("--implicit", "x^2 + y^2 - 4", "--at", "2,0", "--at", "0,2",
-          "--at", "-2,0", "--at", "0,-2", "--at", "1.2,1.6"), 0),
+    @pytest.mark.parametrize("argv", [
+        ("--graph", "x^3 - x", "--n", "5"),
+        ("--parametric", "2*cos(t)", "sin(t)", "--n", "5"),
+        ("--implicit", "x^2 + y^2 - 4", "--at", "2,0", "--at", "0,2",
+         "--at", "-2,0", "--at", "0,-2", "--at", "1.2,1.6"),
     ])
-    def test_evaluations_per_point(self, capsys, evaluations, argv,
-                                   floats_per_point):
+    def test_evaluations_per_point(self, capsys, evaluations, argv):
         code, out, err = run_cli(capsys, "curve", *argv)
         assert code == 0, err
         assert len(csv_rows(out)) == 5
-        assert evaluations == {"lower": 1, "jet": 0,
-                               "float": 5 * floats_per_point}
+        assert evaluations == {"lower": 1, "jet": 0, "float": 0}
 
     @pytest.mark.parametrize("argv, error", [
         (("--parametric", "t^2", "t^3", "--range", "0:1", "--n", "3"),

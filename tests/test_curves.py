@@ -2,15 +2,18 @@
 cross-representation and convergence invariants."""
 
 import math
+import re
 
 import pytest
 
-from egregium import curves, exprlang, quad
+from conftest import CORPUS_1V
+from egregium import cli, curves, exprlang, quad
 from egregium.curves import (GraphCurve, ImplicitCurve, ParametricCurve,
                              arc_length, arclength_reparametrize,
                              curvature_graph, curvature_implicit,
                              curvature_parametric, frame_graph,
-                             menger_curvature, osculating_circle)
+                             frame_parametric, menger_curvature,
+                             osculating_circle)
 from egregium.errors import (CoincidentPoints, InputError, NotOnCurve,
                              SingularGradient, SingularPoint, ZeroCurvature)
 from egregium.exprlang import parse
@@ -344,3 +347,83 @@ class TestCrossRepresentation:
                             curvature_parametric(cx, cy, t).value,
                             curvature_implicit(w, t, t * t).value))
         self._agree(samples)
+
+
+def _nodes(ast):
+    """The nodes of a tree, parents first."""
+    yield ast
+    for child in (getattr(ast, "child", None), getattr(ast, "left", None),
+                  getattr(ast, "right", None)):
+        if child is not None:
+            yield from _nodes(child)
+
+
+def _value_slot_is_exact(ast):
+    """Whether a jet's value slot has the bits of the float walk: no
+    division, and no power with a variable in its exponent."""
+    return not any(
+        isinstance(node, exprlang.Binary)
+        and (node.op == "/" or node.op == "^" and any(
+            isinstance(leaf, exprlang.Variable) for leaf in _nodes(node.right)))
+        for node in _nodes(ast))
+
+
+def _curve_rows(capsys, *argv):
+    assert cli.main(["curve", *argv]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if not line.startswith("#")]
+    return [tuple(map(float, line.split(","))) for line in lines[1:]]
+
+
+def _assert_value(got, ast, bindings):
+    want = exprlang.evaluate(ast, bindings)
+    if _value_slot_is_exact(ast):
+        assert got.hex() == want.hex()
+    else:
+        assert abs(got - want) <= 2.0 * math.ulp(max(abs(want), 1.0))
+
+
+def _in_t(text):
+    return re.sub(r"\bx\b", "t", text)
+
+
+# each corpus expression as x(t), the next one as y(t), on both boxes; two
+# even functions have zero velocity at t = 0, which an even number of
+# points on a symmetric box steps over
+PAIRS_1V = [(_in_t(x_text), _in_t(y_text), (max(xa, ya), min(xb, yb)))
+            for (x_text, (xa, xb)), (y_text, (ya, yb))
+            in zip(CORPUS_1V, CORPUS_1V[1:] + CORPUS_1V[:1])]
+
+
+class TestCurveCommandColumns:
+    """The `curve` command reads each row from one kernel call: x and y are
+    the float walk's values, bit for bit where the value slot is exact and
+    within 2 ulps elsewhere, and T, N and kappa are those of `frame_*` and
+    `curvature_*` at the same t, bit for bit."""
+
+    @pytest.mark.parametrize("text, box", CORPUS_1V)
+    def test_graph(self, capsys, text, box):
+        f = parse(text)
+        rows = _curve_rows(capsys, "--graph", text,
+                           "--range", f"{box[0]}:{box[1]}", "--n", "32")
+        assert len(rows) == 32
+        for t, x, y, *rest in rows:
+            assert x == t
+            _assert_value(y, f, {"x": t})
+            frame = frame_graph(f, t)
+            want = (*frame.T, *frame.N, curvature_graph(f, t).value)
+            assert [v.hex() for v in rest] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("x_text, y_text, box", PAIRS_1V)
+    def test_parametric(self, capsys, x_text, y_text, box):
+        cx, cy = parse(x_text), parse(y_text)
+        rows = _curve_rows(capsys, "--parametric", x_text, y_text,
+                           "--range", f"{box[0]}:{box[1]}", "--n", "32")
+        assert len(rows) == 32
+        for t, x, y, *rest in rows:
+            _assert_value(x, cx, {"t": t})
+            _assert_value(y, cy, {"t": t})
+            frame = frame_parametric(cx, cy, t)
+            want = (*frame.T, *frame.N,
+                    curvature_parametric(cx, cy, t).value)
+            assert [v.hex() for v in rest] == [v.hex() for v in want]
