@@ -17,8 +17,6 @@ from functools import cache
 from itertools import chain
 from types import SimpleNamespace
 
-import numpy as np
-
 from . import catalog, curves, exprlang, geodesics, intrinsic, quad, surfaces
 from .errors import EVALUATION_ERRORS, InputError, NumericError
 
@@ -126,6 +124,7 @@ def _grid_rows(points, columns):
     `columns(u, v)` returns.  It runs once over arrays of all points, and
     where that raises, because some point fails, at each point in grid
     order instead, so that the first failing point raises its own error."""
+    import numpy as np
     us = [pt[0] for pt in points]
     vs = [pt[1] for pt in points]
     try:

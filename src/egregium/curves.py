@@ -118,11 +118,9 @@ def curve_columns(curve, t):
     if not isinstance(curve, ParametricCurve):
         raise TypeError(f"unknown curve {type(curve).__name__}")
     xj, yj = _jets(curve, t)
-    speed2 = xj.du * xj.du + yj.du * yj.du
-    if speed2 < EPS_REG * EPS_REG:
-        raise SingularPoint(f"velocity vanishes at t={t!r}")
-    kappa = (xj.du * yj.duu - yj.du * xj.duu) / (speed2 * math.sqrt(speed2))
     speed = _speed(xj, yj, t)
+    speed2 = xj.du * xj.du + yj.du * yj.du
+    kappa = (xj.du * yj.duu - yj.du * xj.duu) / (speed2 * math.sqrt(speed2))
     tx, ty = xj.du / speed, yj.du / speed
     return xj.v, yj.v, tx, ty, -ty, tx, kappa
 

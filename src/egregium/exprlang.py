@@ -33,9 +33,6 @@ from dataclasses import dataclass
 from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
 
-import numpy as np
-from numpy import ndarray
-
 from . import jets
 from .errors import DivisionByZero, DomainError, InputError, NumericError, \
     UnboundVariable
@@ -330,6 +327,7 @@ def _float_pow(base, exponent):
 # raises.
 
 _ONE = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+_SCALARS = (float, int)  # a point's coordinates; a grid's are arrays
 
 
 def lower_jet2(asts, seeds, order=2):
@@ -377,11 +375,11 @@ def lower_jet2(asts, seeds, order=2):
         if programs is None:
             programs = [_program(_lower_with(ast, seeds, _NODES))
                         for ast in trees]
-        if type(coords[0]) is ndarray:
-            values = _run_columns(programs, coords)
-        else:
+        if isinstance(coords[0], _SCALARS):
             C = _seeded(*coords)
             values = [program(C) for program in programs]
+        else:
+            values = _run_columns(programs, coords)
         return [values[i] for i in picks]
 
     return run
@@ -535,7 +533,7 @@ def _elementwise(table):
     element (`jets.tabulate`), never numpy's exp, log or power, whose last
     bits differ from libm's."""
     tabulate = jets.tabulate
-    return lambda v: tabulate(table, v) if type(v) is ndarray else table(v)
+    return lambda v: table(v) if isinstance(v, _SCALARS) else tabulate(table, v)
 
 
 def _closure_nodes():
@@ -615,13 +613,14 @@ _NODES = _closure_nodes()
 def _run_columns(programs, coords):
     """The programs over arrays of points, with every slot an array (a slot
     that does not depend on the point stays a float until here)."""
+    import numpy as np
     # seeded as `_seeded` seeds scalars, with the arrays as values
     C = tuple((c,) + slots[1:]
               for c, slots in zip(coords, _seeded(*[0.0] * len(coords))))
     shape = coords[0].shape
     with np.errstate(all="ignore"):
         values = [program(C) for program in programs]
-    return [tuple(slot if type(slot) is ndarray else np.full(shape, slot)
+    return [tuple(slot if type(slot) is np.ndarray else np.full(shape, slot)
                   for slot in slots)
             for slots in values]
 
@@ -635,7 +634,7 @@ def _first_order(trees, seeds, picks):
 
     def run(*coords):
         nonlocal program
-        if type(coords[0]) is ndarray:
+        if not isinstance(coords[0], _SCALARS):
             raise ValueError("order-1 programs take scalar coordinates")
         if program is None:
             source, namespace = _first_order_source(trees, seeds, picks)

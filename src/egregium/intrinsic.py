@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from numpy import ndarray
-
 from . import exprlang, jets, surfaces
 from .errors import DegenerateMetric, DomainError, NotIsometric
 
@@ -127,11 +125,11 @@ def metric_from_fff(fff):
 
 
 def _check(E, F, G, u, v):
-    if type(E) is ndarray:
-        failed = ((E <= 0.0) | (G <= 0.0) | (E * G - F * F <= EPS_REG)).any()
-    else:
+    if isinstance(E, float):
         # short-circuits: geodesics run this at every RK4 stage
         failed = E <= 0.0 or G <= 0.0 or E * G - F * F <= EPS_REG
+    else:
+        failed = ((E <= 0.0) | (G <= 0.0) | (E * G - F * F <= EPS_REG)).any()
     if failed:
         raise DegenerateMetric(
             f"metric not positive definite at ({u}, {v}): "

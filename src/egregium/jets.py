@@ -28,8 +28,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DivisionByZero, DomainError
 
 INT_EXP_LIMIT = 64  # larger integer exponents fall through to the pow rule
@@ -78,6 +76,7 @@ def tabulate(table, values):
     array, as a tuple of arrays.  The table runs as Python scalar code, so
     each element has the bits of a scalar call, and the first element that
     raises raises."""
+    import numpy as np
     return tuple(np.array(column)
                  for column in zip(*map(table, values.tolist())))
 

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import EVALUATION_ERRORS, InputError, RegionNotSimple
 
 
@@ -50,6 +48,7 @@ Region = Rect | StarRegion
 @lru_cache(maxsize=None)
 def gauss_legendre(n):
     """Nodes and weights on [-1, 1]."""
+    import numpy as np
     nodes, weights = np.polynomial.legendre.leggauss(n)
     return tuple(nodes.tolist()), tuple(weights.tolist())
 
@@ -112,6 +111,7 @@ def _values(metric, field, grid_field, us, vs):
     Python floats: GRID_CHUNK nodes at a time through `metric.at` over
     arrays if `grid_field` is given, and node by node without it or where
     that raises, so that the first failing node raises its own error."""
+    import numpy as np
     for start in range(0, len(us), GRID_CHUNK):
         u, v = us[start:start + GRID_CHUNK], vs[start:start + GRID_CHUNK]
         pairs = None

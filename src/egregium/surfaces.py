@@ -25,9 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-from numpy import ndarray
-
 from . import exprlang, jets
 from .errors import (DegenerateAngle,
                      DegenerateParametrization, DomainError, InputError,
@@ -178,14 +175,18 @@ def _cross(xj, yj, zj):
 def _fails(test):
     """A check's comparison at a point, or over arrays at some point; NaN
     passes, as it does in a comparison."""
-    return test.any() if type(test) is ndarray else test
+    return test if type(test) is bool else test.any()
 
 
 def normal_from_jets(xj, yj, zj):
     """Normal data from the embedding's 2-jets, floats or arrays."""
     A, B, C = _cross(xj, yj, zj)
     norm2 = A * A + B * B + C * C
-    delta = np.sqrt(norm2) if type(norm2) is ndarray else math.sqrt(norm2)
+    if isinstance(norm2, float):
+        delta = math.sqrt(norm2)
+    else:
+        import numpy as np
+        delta = np.sqrt(norm2)
     if _fails(delta < EPS_REG):
         raise DegenerateParametrization(
             f"coordinate tangents are dependent (|x_p x x_q| = {delta!r})")
@@ -351,10 +352,11 @@ def principal_values(fff, nd, so):
     mean = (e * G - 2.0 * f * F + g * E) / (2.0 * disc)
     gauss = (e * g - f * f) / disc
     radic = mean * mean - gauss
-    if type(radic) is ndarray:
-        root = np.sqrt(np.maximum(radic, 0.0))
-    else:
+    if isinstance(radic, float):
         root = math.sqrt(max(radic, 0.0))
+    else:
+        import numpy as np
+        root = np.sqrt(np.maximum(radic, 0.0))
     return mean - root, mean + root
 
 

@@ -8,6 +8,7 @@ included: same exit code, same class and message, same first failing
 point."""
 
 import contextlib
+import dataclasses
 import math
 import io
 import struct
@@ -202,6 +203,56 @@ def test_nan_passes_the_checks_at_points_and_over_arrays():
         mj = metric.at(np.array([1.0, math.nan]), np.zeros(2))
     assert math.isnan(metric.at(math.nan, 0.0).G)
     assert bits(column[1] for column in mj) == bits(metric.at(math.nan, 0.0))
+
+
+def flat(result):
+    """The floats or arrays of a kernel result, in field order."""
+    if dataclasses.is_dataclass(result):
+        result = [getattr(result, f.name) for f in dataclasses.fields(result)]
+    if isinstance(result, (tuple, list)):
+        return [x for part in result for x in flat(part)]
+    return [result]
+
+
+DISPATCH_TREES = [parse("exp(2*u)*(1+v^2)"), parse("0.1*u*v"),
+                  parse("sqrt(1+u^2+v^2)")]
+
+
+def torus_normal(p, q):
+    torus = catalog.build_surface(catalog.lookup("torus"))
+    return surfaces.normal_from_jets(*surfaces.embedding_jets(torus, p, q))
+
+
+DISPATCH = {
+    "MetricField.at": lambda: intrinsic.MetricField.from_expressions(
+        "exp(2*u)*(1+v^2)", "0.1*u*v", "1+u^2.5+sqrt(1+v^2)").at,
+    "lower_jet2 order 2": lambda: exprlang.lower_jet2(DISPATCH_TREES,
+                                                      METRIC_SEEDS),
+    "normal_from_jets": lambda: torus_normal,
+}
+
+
+@pytest.mark.parametrize("name", DISPATCH)
+def test_a_point_of_any_scalar_type_takes_the_point_path(name):
+    # int, float and np.float64 coordinates give the same bits, which are
+    # those of element 0 over one-element arrays
+    call = DISPATCH[name]()
+    want = bits(flat(call(1, 2)))
+    assert bits(flat(call(1.0, 2.0))) == want
+    assert bits(flat(call(np.float64(1.0), np.float64(2.0)))) == want
+    with np.errstate(all="ignore"):
+        columns = flat(call(np.array([1.0]), np.array([2.0])))
+    assert bits(column[0] for column in columns) == want
+
+
+def test_order_1_takes_scalars_of_any_type_and_refuses_arrays():
+    run = exprlang.lower_jet2(DISPATCH_TREES, METRIC_SEEDS, order=1)
+    order2 = exprlang.lower_jet2(DISPATCH_TREES, METRIC_SEEDS)
+    want = bits(x for slots in order2(1.0, 2.0) for x in slots[:3])
+    for u, v in ((1, 2), (1.0, 2.0), (np.float64(1.0), np.float64(2.0))):
+        assert bits(flat(run(u, v))) == want
+    with pytest.raises(ValueError, match="scalar coordinates"):
+        run(np.array([1.0]), np.array([2.0]))
 
 
 def test_surface_grid_raises_at_a_degenerate_point():
