@@ -18,17 +18,20 @@ tree is immutable and can be shared freely.
 
 `evaluate` walks a tree over plain floats, for constant folding and the
 public API only.  Every value and derivative at a point or grid comes from
-trees lowered once by `lower_jet2`, for functions of one, two or three
-variables: into closures over 2-jet slot tuples, which also run once on
+trees lowered once, for functions of one, two or three variables: by
+`lower_jet2` into closures over 2-jet slot tuples, which also run once on
 float64 arrays of a grid's coordinates, or, for the first-order slots
-alone (v, du, dv), into one straight-line Python function, emitted as
-source and compiled.  Their reference, a tree walk over a 2-jet class with
-operators that performs the same float operations, is `tests/oracle.py`.
+alone (v, du, dv), by `first_order_function` into one straight-line Python
+function, emitted as source with a caller's function body and compiled.
+Their reference, a tree walk over a 2-jet class with operators that
+performs the same float operations, is `tests/oracle.py`.
 """
 
 from __future__ import annotations
 
+import keyword
 import math
+import re
 from dataclasses import dataclass
 from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
@@ -330,12 +333,9 @@ _ONE = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 _SCALARS = (float, int)  # a point's coordinates; a grid's are arrays
 
 
-def lower_jet2(asts, seeds, order=2):
+def lower_jet2(asts, seeds):
     """Compile trees once into a function (*coords) -> list of 2-jet slot
-    tuples (v, du, dv, duu, duv, dvv), one per tree in `asts`.  With
-    `order=1` the tuples are (v, du, dv), with the bits of the first three
-    order-2 slots and the same exceptions, and cost only the first-order
-    arithmetic.
+    tuples (v, du, dv, duu, duv, dvv), one per tree in `asts`.
 
     `seeds` maps variable names to coordinate indices; any other name raises
     UnboundVariable when evaluated.  The function seeds coordinate 0 along
@@ -346,28 +346,19 @@ def lower_jet2(asts, seeds, order=2):
     once.  Results are those of the operator-jet tree walk in
     `tests/oracle.py` with the same seeding, bit for bit.
 
-    At order 2 the trees become closures, lowered at the first call.  The
-    coordinates may also be 1-D float64 arrays of one length, the points of
-    a grid; every slot is then an array, and element i holds the bits of the
-    scalar call at the i-th point.  If any point fails, some error is
-    raised, not necessarily the one of the first failing point.  Points and
-    grids run the same closures.
-
-    At order 1 the trees become one straight-line Python function, emitted
-    and compiled at the first call, which takes scalar coordinates only.  A
-    subtree that equals an earlier one is computed once; no text of an
-    expression reaches the emitted source.
+    The trees become closures, lowered at the first call.  The coordinates
+    may also be 1-D float64 arrays of one length, the points of a grid;
+    every slot is then an array, and element i holds the bits of the scalar
+    call at the i-th point.  If any point fails, some error is raised, not
+    necessarily the one of the first failing point.  Points and grids run
+    the same closures.
     """
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order!r}")
     trees, picks, index = [], [], {}
     for ast in asts:
         if ast not in index:
             index[ast] = len(trees)
             trees.append(ast)
         picks.append(index[ast])
-    if order == 1:
-        return _first_order(trees, seeds, picks)
     programs = None
 
     def run(*coords):
@@ -627,48 +618,44 @@ def _run_columns(programs, coords):
 
 # order 1: one emitted function
 
-def _first_order(trees, seeds, picks):
-    """`lower_jet2` at order 1, of trees without repeats, returning the jet
-    of trees[i] for each i in `picks`."""
-    program = None
+def first_order_function(asts, seeds, names, body, params, namespace):
+    """One straight-line function of `params`, float coordinates first,
+    that computes the order-1 jets (v, du, dv) of `asts`, with the bits of
+    the first three slots of `lower_jet2(asts, seeds)` and its exceptions,
+    and then runs `body`: the source of a function body over `params`, the
+    names of `namespace`, and names[i] for the slots of asts[i].
 
-    def run(*coords):
-        nonlocal program
-        if not isinstance(coords[0], _SCALARS):
-            raise ValueError("order-1 programs take scalar coordinates")
-        if program is None:
-            source, namespace = _first_order_source(trees, seeds, picks)
-            exec(compile(source, "<order-1 program>", "exec"), namespace)
-            program = namespace["program"]
-        return program(*coords)
-
-    return run
-
-
-def _first_order_source(trees, seeds, picks):
-    """(source, namespace) of the order-1 program of `trees`: a function
-    `program(c0, c1=None, *held)` that returns [(v, du, dv), ...], the jet
-    of trees[i] for each i in `picks`."""
+    The jets cost only the first-order arithmetic.  A subtree that equals an
+    earlier one is computed once, and every name in the body becomes a
+    generated one, so the source holds only generated names and float
+    literals."""
     emitter = _FirstOrderSource()
-    results = []
-    for ast in trees:
+    args = [f"c{i}" for i in range(len(params))]
+    rename = dict(zip(params, args))
+    rename.update((name, emitter._bind(obj))
+                  for name, obj in namespace.items())
+    for ast, jet_names in zip(asts, names):
         node = _lower_with(ast, seeds, emitter.nodes)
-        results.append((emitter.literal(float(node)), 0.0, 0.0)
-                       if _folded(node) else node)
-    return emitter.source([results[i] for i in picks]), emitter.namespace
+        jet = ((emitter.literal(float(node)), 0.0, 0.0) if _folded(node)
+               else node)
+        rename.update((name, f"({slot!r})" if type(slot) is float else slot)
+                      for name, slot in zip(jet_names, jet))
 
+    def generated(match):
+        name = match.group()
+        if not keyword.iskeyword(name) and name not in rename:
+            rename[name] = emitter._fresh()
+        return rename.get(name, name)
 
-# the coordinates as `_seeded` takes them, converted with float()
-_FIRST_ORDER_HEAD = """\
-def program(c0, c1=None, *held):
-    c0 = float(c0)
-    if c1 is not None:
-        c1 = float(c1)
-        if held:
-            held = [float(c) for c in held]
-"""
+    lines = emitter.lines + re.sub(_IDENTIFIER, generated, body).splitlines()
+    return emitter.compiled(f"def program({', '.join(args)}):\n" + "".join(
+        f"    {line}\n" for line in lines))
+
 
 _ARITHMETIC = {"+": add, "-": sub, "*": mul}
+
+# a name in Python source; `re` compiles it at the first emission
+_IDENTIFIER = r"(?<![\w.])[A-Za-z_]\w*"
 
 
 class _Text(str):
@@ -697,7 +684,6 @@ class _FirstOrderSource:
         self._named = {}  # text of an emitted operation -> its name
         self._calls = {}  # text of an emitted table call -> its three names
         self._powers = {}  # exponent -> its power table
-        self._held = {}  # index of a held coordinate -> its name
         self.nodes = _Nodes(
             self.neg, self.function,
             {"+": self.add, "-": self.sub, "*": self.mul, "/": self.div,
@@ -710,12 +696,9 @@ class _FirstOrderSource:
              "^": self.c_pow},
             self.variable, self.raising)
 
-    def source(self, results):
-        """The function's source, returning the jets `results`."""
-        rows = ", ".join(f"({', '.join(map(_slot_source, jet))})"
-                         for jet in results)
-        return _FIRST_ORDER_HEAD + "".join(
-            f"    {line}\n" for line in self.lines + [f"return [{rows}]"])
+    def compiled(self, source):
+        exec(compile(source, "<order-1 program>", "exec"), self.namespace)
+        return self.namespace["program"]
 
     def literal(self, x):
         """A constant slot: a literal when finite, else a bound name."""
@@ -776,16 +759,9 @@ class _FirstOrderSource:
                           self._op(f1, "*", a[2]))
 
     def variable(self, coordinate):
-        if coordinate == 0:
-            return ("c0", 1.0, 0.0)
-        if coordinate == 1:
-            return ("c1", 0.0, 1.0)
-        name = self._held.get(coordinate)
-        if name is None:
-            name = self._held[coordinate] = self._fresh()
-            read = self._bind(itemgetter(coordinate - 2))
-            self.lines.append(f"{name} = {read}(held)")
-        return (name, 0.0, 0.0)
+        # coordinate i is the parameter c{i}, seeded as `_seeded` seeds it
+        return (f"c{coordinate}", float(coordinate == 0),
+                float(coordinate == 1))
 
     def raising(self, raise_error):
         names = (self._fresh(), self._fresh(), self._fresh())

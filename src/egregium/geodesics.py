@@ -2,20 +2,21 @@
 Clairaut's relation on surfaces of revolution, and the angle-excess law
 for geodesic triangles.
 
-Connection coefficients come from the metric's first partials
-(`MetricField.first_order`), in one fused right-hand side over plain
-floats; the integrator is classical fixed-step RK4 with an energy-drift
-guard instead of adaptive stepping, so fixtures are deterministic.  A
-path's dense output is the cubic Hermite interpolant of its states
-(Hairer, Norsett and Wanner, Solving ODEs I, section II.6), and the excess
-law integrates the curvature over the region these curves bound, with all
-quadrature nodes of a pass evaluated at once.
+The right-hand side contracts connection coefficients from the metric's
+first partials in one emitted function per metric, which also returns the
+E, F, G it read (`MetricField.first_order_function`); the integrator is
+classical fixed-step RK4, whose first stages feed an energy-drift guard,
+instead of adaptive stepping, so fixtures are deterministic.  A path's dense
+output is the cubic Hermite interpolant of its states (Hairer, Norsett and
+Wanner, Solving ODEs I, section II.6), and the excess law integrates the
+curvature over the region these curves bound, with all quadrature nodes of
+a pass evaluated at once.
 
 Shooting (Stoer and Bulirsch, Introduction to Numerical Analysis, section
 7.3) runs a secant on the initial angle over shots at a quarter of the final
-step, then returns one shot at the final step.  A miss is read at the closest
-approach on the shot's Hermite interpolant, where the side ends; the
-secant's last slope judges the conjugate locus.
+step, then returns one shot at the final step.  A miss is read at the
+closest approach on the shot's Hermite interpolant, where the side ends, and
+the secant's last slope judges the conjugate locus.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import exprlang, intrinsic, quad, surfaces
 from .errors import InputError, NoConvergence, NotRevolution, StepTooLarge
@@ -45,9 +47,23 @@ COARSE_STEPS, FINE_STEPS = 200, 800
 # from the centroid takes half as many
 EXCESS_ORDER = 16
 
+# (u'', v'', E, F, G) of the geodesic system at (u, v, pu, pv): connection
+# coefficients (c for the u equation, d for the v equation) from the metric's
+# first partials, contracted with the velocity
+_CONTRACTION = """\
+inv = 0.5 / (E * G - F * F)
+cuu = (G * Eu - 2.0 * F * Fu + F * Ev) * inv
+cuv = (G * Ev - F * Gu) * inv
+cvv = (2.0 * G * Fv - G * Gu - F * Gv) * inv
+duu = (2.0 * E * Fu - E * Ev - F * Eu) * inv
+duv = (E * Gu - F * Ev) * inv
+dvv = (E * Gv - 2.0 * F * Fv + F * Gu) * inv
+return (-(cuu * pu * pu + 2.0 * cuv * pu * pv + cvv * pv * pv),
+        -(duu * pu * pu + 2.0 * duv * pu * pv + dvv * pv * pv), E, F, G)
+"""
 
-@dataclass(frozen=True)
-class GeodesicState:
+
+class GeodesicState(NamedTuple):
     u: float
     v: float
     pu: float
@@ -56,9 +72,12 @@ class GeodesicState:
 
 @dataclass(frozen=True)
 class GeodesicPath:
-    """Sampled trajectory; `s` is cumulative arclength per sample."""
+    """Sampled trajectory; `s` is cumulative arclength per sample, and
+    `energies` the metric speed^2 at each integrated state (all but a
+    side's refined end)."""
     s: tuple
     states: tuple
+    energies: tuple
 
     @property
     def start(self):
@@ -110,36 +129,23 @@ class RevolutionSurface:
     radius: exprlang.ExprAst
 
 
-def _acceleration(first_order, u, v, pu, pv):
-    """(u'', v'') of the geodesic system at a state: the connection
-    coefficients (c for the u equation, d for the v equation) from the
-    metric's first partials, contracted with the velocity."""
-    E, F, G, Eu, Ev, Fu, Fv, Gu, Gv = first_order(u, v)
-    inv = 0.5 / (E * G - F * F)
-    cuu = (G * Eu - 2.0 * F * Fu + F * Ev) * inv
-    cuv = (G * Ev - F * Gu) * inv
-    cvv = (2.0 * G * Fv - G * Gu - F * Gv) * inv
-    duu = (2.0 * E * Fu - E * Ev - F * Eu) * inv
-    duv = (E * Gu - F * Ev) * inv
-    dvv = (E * Gv - 2.0 * F * Fv + F * Gu) * inv
-    return (-(cuu * pu * pu + 2.0 * cuv * pu * pv + cvv * pv * pv),
-            -(duu * pu * pu + 2.0 * duv * pu * pv + dvv * pv * pv))
+def _right_hand_side(metric):
+    return metric.first_order_function(_CONTRACTION, ("pu", "pv"))
 
 
-def _rk4_step(metric, y, dt):
-    """One classical RK4 step of the geodesic system from state y; stage k
-    has slopes (pu_k, pv_k, au_k, av_k)."""
-    first_order = metric.first_order
+def _rk4_step(rhs, y, dt, first):
+    """One classical RK4 step of the geodesic system from state y, whose
+    right-hand side `first` = rhs(*y) is the first stage; stage k has slopes
+    (pu_k, pv_k, au_k, av_k)."""
     u, v, pu, pv = y
     h = 0.5 * dt
-    au, av = _acceleration(first_order, u, v, pu, pv)
+    au, av = first[0], first[1]
     pu2, pv2 = pu + h * au, pv + h * av
-    au2, av2 = _acceleration(first_order, u + h * pu, v + h * pv, pu2, pv2)
+    au2, av2, _, _, _ = rhs(u + h * pu, v + h * pv, pu2, pv2)
     pu3, pv3 = pu + h * au2, pv + h * av2
-    au3, av3 = _acceleration(first_order, u + h * pu2, v + h * pv2, pu3, pv3)
+    au3, av3, _, _, _ = rhs(u + h * pu2, v + h * pv2, pu3, pv3)
     pu4, pv4 = pu + dt * au3, pv + dt * av3
-    au4, av4 = _acceleration(first_order, u + dt * pu3, v + dt * pv3, pu4,
-                             pv4)
+    au4, av4, _, _, _ = rhs(u + dt * pu3, v + dt * pv3, pu4, pv4)
     d6 = dt / 6.0
     return (u + d6 * (pu + 2.0 * pu2 + 2.0 * pu3 + pu4),
             v + d6 * (pv + 2.0 * pv2 + 2.0 * pv3 + pv4),
@@ -147,14 +153,16 @@ def _rk4_step(metric, y, dt):
             pv + d6 * (av + 2.0 * av2 + 2.0 * av3 + av4))
 
 
-def _metric_speed2(metric, u, v, pu, pv):
-    E, F, G = metric.values(u, v)
+def _metric_speed2(first, pu, pv):
+    """E pu^2 + 2F pu pv + G pv^2, with E, F, G of a right-hand side."""
+    _, _, E, F, G = first
     return E * pu * pu + 2.0 * F * pu * pv + G * pv * pv
 
 
 def integrate_geodesic(metric, start, length, step):
     """Fixed-step RK4 trajectory of the geodesic system over the given
-    arclength; metric speed is conserved along the way (guarded)."""
+    arclength; metric speed is conserved along the way (guarded by the E, F,
+    G of each step's first stage)."""
     if step <= 0.0:
         raise InputError(f"step must be positive, got {step!r}")
     if abs(length) / step > MAX_GEODESIC_STEPS:
@@ -164,37 +172,44 @@ def integrate_geodesic(metric, start, length, step):
     for flag, value in (("--length", length), ("--step", step)):
         if not math.isfinite(value):
             raise InputError(f"{flag} must be finite, got {value!r}")
-    speed0 = math.sqrt(_metric_speed2(metric, start.u, start.v,
-                                      start.pu, start.pv))
+    rhs = _right_hand_side(metric)
+    first = rhs(float(start.u), float(start.v), start.pu, start.pv)
+    energy = _metric_speed2(first, start.pu, start.pv)
+    speed0 = math.sqrt(energy)
     if speed0 <= 0.0:
         raise InputError("initial velocity must be nonzero")
     n_steps = max(1, math.ceil(abs(length) / step))
     dt = (length / speed0) / n_steps
     energy0 = speed0 * speed0
 
-    y = (start.u, start.v, start.pu, start.pv)
-    s_values = [0.0]
-    states = [start]
+    y = start
+    s_values, states, energies = [0.0], [start], [energy]
     for k in range(n_steps):
-        y = _rk4_step(metric, y, dt)
+        y = _rk4_step(rhs, y, dt, first)
+        first = rhs(*y)  # the next step's first stage
+        energy = _metric_speed2(first, y[2], y[3])
         if k % 8 == 0 or k == n_steps - 1:
-            energy = _metric_speed2(metric, *y)
             if abs(energy - energy0) > ENERGY_DRIFT_LIMIT * energy0:
                 raise StepTooLarge(
                     f"energy drift {abs(energy - energy0) / energy0!r} after "
                     f"{k + 1} steps of {step!r}")
         s_values.append(abs(dt) * (k + 1) * speed0)
-        states.append(GeodesicState(*y))
-    return GeodesicPath(tuple(s_values), tuple(states))
+        states.append(GeodesicState._make(y))
+        energies.append(energy)
+    return GeodesicPath(tuple(s_values), tuple(states), tuple(energies))
 
 
 def energy_drift(metric, path):
-    """Max relative metric-speed drift along a path."""
-    e0 = _metric_speed2(metric, path.start.u, path.start.v,
-                        path.start.pu, path.start.pv)
+    """Max relative metric-speed drift along a path; the speed^2 of a state
+    that the integrator did not evaluate, a side's refined end, is
+    evaluated here."""
+    rhs = _right_hand_side(metric)
+    energies = path.energies + tuple(
+        _metric_speed2(rhs(*st), st.pu, st.pv)
+        for st in path.states[len(path.energies):])
+    e0 = energies[0]
     worst = 0.0
-    for st in path.states:
-        e = _metric_speed2(metric, st.u, st.v, st.pu, st.pv)
+    for e in energies:
         worst = max(worst, abs(e - e0) / e0)
     return worst
 
@@ -275,7 +290,7 @@ def connect_geodesic(metric, a, b, tol=1e-6):
     chord = (b[0] - a[0], b[1] - a[1])
     if math.hypot(*chord) < tol:
         state = GeodesicState(a[0], a[1], 0.0, 0.0)
-        return GeodesicPath((0.0,), (state,))
+        return GeodesicPath((0.0,), (state,), ())
     # the straight chord is itself a competitor curve, so the geodesic
     # distance never exceeds its metric length
     length = 1.25 * _chord_metric_length(metric, a, b)
@@ -340,12 +355,14 @@ def _lateral_miss(metric, a, b, angle, length, step):
 
 
 def _refine_endpoint(metric, path, i, s):
-    """The path to sample i, its state replaced by an RK4 step of s - s[i]."""
-    st = path.states[i]
-    y = _rk4_step(metric, (st.u, st.v, st.pu, st.pv), s - path.s[i])
+    """The path to sample i, its state replaced by an RK4 step of s - s[i]
+    whose end state keeps no speed^2."""
+    rhs = _right_hand_side(metric)
+    y = _rk4_step(rhs, path.states[i], s - path.s[i], rhs(*path.states[i]))
     kept = max(1, i)
-    return GeodesicPath(path.s[:kept] + (s,),
-                        path.states[:kept] + (GeodesicState(*y),))
+    return GeodesicPath(
+        path.s[:kept] + (s,), path.states[:kept] + (GeodesicState._make(y),),
+        path.energies[:kept])
 
 
 def _vertex_angle(metric, vertex, d1, d2):

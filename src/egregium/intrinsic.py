@@ -10,7 +10,8 @@ no symbolic differentiation is performed anywhere.  `MetricField.at` takes
 a point, or 1-D float64 arrays of points whose elements hold the bits of
 the per-point values, and raises where some point fails;
 `MetricField.first_order` computes the first partials alone, which is all
-the geodesic equations and the metric's lengths and angles read.
+the metric's lengths and angles read, and `first_order_function` runs them
+in one emitted function with a body such as the geodesic right-hand side.
 """
 
 from __future__ import annotations
@@ -26,6 +27,15 @@ EPS_REG = 1e-12
 
 # a metric may name its coordinates u, v or p, q
 _SEEDS = {"u": 0, "v": 1, "p": 0, "q": 1}
+
+# a `first_order_function` body reads the values of `first_order` by name:
+# an expression metric binds its jets and tests them as `_check` does, and a
+# surface unpacks what its `first_order` returns
+_VALUES = "E, F, G, Eu, Ev, Fu, Fv, Gu, Gv"
+_JETS = (("E", "Eu", "Ev"), ("F", "Fu", "Fv"), ("G", "Gu", "Gv"))
+_CHECK = (f"if E <= 0.0 or G <= 0.0 or E * G - F * F <= {EPS_REG!r}:\n"
+          "    check(E, F, G, u, v)\n")
+_UNPACK, _RETURN = f"{_VALUES} = first_order(u, v)\n", f"return {_VALUES}"
 
 
 class MetricJet(NamedTuple):
@@ -51,15 +61,16 @@ class MetricField:
 
     Expression metrics are lowered once by `exprlang.lower_jet2`, at the
     first call; every `at` call runs the lowered programs, at a point or
-    once over arrays of points.  `first_order` runs one first-order program
-    of all three, emitted and compiled at its first call.
+    once over arrays of points.  `first_order_function` emits and compiles
+    one first-order program of all three fused with a function body, and
+    `first_order` runs the one that returns the values.
     """
 
     def __init__(self, e_ast, f_ast, g_ast):
         self._asts = (e_ast, f_ast, g_ast)
         self._jets = exprlang.lower_jet2(self._asts, _SEEDS)
-        self._first = None
         self._surface = None
+        self._functions = {}
 
     @classmethod
     def from_expressions(cls, e_text, f_text, g_text):
@@ -69,8 +80,9 @@ class MetricField:
     @classmethod
     def from_surface(cls, surface):
         m = cls.__new__(cls)
-        m._jets = m._first = None
+        m._asts, m._jets = (), None
         m._surface = surface
+        m._functions = {}
         return m
 
     def at(self, u, v):
@@ -91,11 +103,22 @@ class MetricField:
         derivatives, so there they come from `at`."""
         if self._surface is not None:
             return self.at(u, v)[:9]
-        if self._first is None:
-            self._first = exprlang.lower_jet2(self._asts, _SEEDS, order=1)
-        (E, Eu, Ev), (F, Fu, Fv), (G, Gu, Gv) = self._first(u, v)
-        _check(E, F, G, u, v)
-        return E, F, G, Eu, Ev, Fu, Fv, Gu, Gv
+        return self.first_order_function(_RETURN, ())(float(u), float(v))
+
+    def first_order_function(self, body, params):
+        """A function (u, v, *params) of float coordinates that runs `body`,
+        function body source over u, v, `params` and the values of
+        `first_order(u, v)` by name, after its check: emitted once per body,
+        in one frame with an expression metric's order-1 program."""
+        if body not in self._functions:
+            if self._surface is None:
+                head, namespace = _CHECK, {"check": _check}
+            else:
+                head, namespace = _UNPACK, {"first_order": self.first_order}
+            self._functions[body] = exprlang.first_order_function(
+                self._asts, _SEEDS, _JETS, head + body, ("u", "v") + params,
+                namespace)
+        return self._functions[body]
 
     def values(self, u, v):
         return self.first_order(u, v)[:3]
@@ -126,7 +149,7 @@ def metric_from_fff(fff):
 
 def _check(E, F, G, u, v):
     if isinstance(E, float):
-        # short-circuits: geodesics run this at every RK4 stage
+        # short-circuits at a point
         failed = E <= 0.0 or G <= 0.0 or E * G - F * F <= EPS_REG
     else:
         failed = ((E <= 0.0) | (G <= 0.0) | (E * G - F * F <= EPS_REG)).any()

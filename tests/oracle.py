@@ -15,6 +15,10 @@ oracle that shares no arithmetic with the jets.
 `probe_refuses` is the conjugate-locus check that shooting made with one
 probe shot past the converged angle, before `geodesics.connect_geodesic`
 read the locus from its last secant slope.
+
+`energy_drift` is `geodesics.energy_drift` with the metric evaluated again
+at every state of the path, where the geodesic code reads the values its
+integrator's first stages computed.
 """
 
 import math
@@ -302,3 +306,17 @@ def probe_refuses(metric, a, b, tol=1e-6):
     lateral = _nearest_sample_miss(metric, a, b, best[1] + probe, length,
                                    step)
     return abs(lateral) < 0.05 * probe * length
+
+
+def energy_drift(metric, path):
+    """Max relative metric-speed drift along a path, the metric evaluated
+    at every state."""
+    def speed2(st):
+        E, F, G = metric.values(st.u, st.v)
+        return E * st.pu * st.pu + 2.0 * F * st.pu * st.pv + G * st.pv * st.pv
+
+    e0 = speed2(path.start)
+    worst = 0.0
+    for st in path.states:
+        worst = max(worst, abs(speed2(st) - e0) / e0)
+    return worst

@@ -296,6 +296,23 @@ class TestGeodesicCommand:
                                "--step", "0.01")
         assert code == 3
 
+    def test_degenerate_metric_is_named_where_a_stage_meets_it(self, capsys):
+        # the path crosses u = 0 within a step; the failing point is the
+        # first RK4 stage that evaluates there
+        assert run_cli(capsys, "geodesic", "--metric", "u,0,1", "--start",
+                       "0.5,0,-1,0.1", "--length", "2", "--step",
+                       "0.01") == (
+            3, "", "numeric failure: metric not positive definite at "
+            "(-0.013294030798171375, 0.033606722016672246): "
+            "E=-0.013294030798171375, F=0.0, G=1.0\n")
+
+    def test_step_guard_names_the_step_count(self, capsys):
+        assert run_cli(capsys, "geodesic", "--catalog", "sphere_metric",
+                       "--start", "0.3,0,1,1", "--length", "20", "--step",
+                       "0.05") == (
+            3, "", "numeric failure: energy drift 0.0022506512718718638 "
+            "after 57 steps of 0.05\n")
+
     def test_catalog_surface_induces_metric(self, capsys):
         code, out, _ = run_cli(capsys, "geodesic", "--catalog", "torus",
                                "--start", "0.4,0,0.5,0.25",
@@ -936,7 +953,10 @@ class TestWorkBudgets:
         def no_step(*args):
             raise AssertionError("integrated past the step budget")
 
+        # every step goes through _rk4_step, and the start's first stage
+        # through _right_hand_side
         monkeypatch.setattr(geodesics, "_rk4_step", no_step)
+        monkeypatch.setattr(geodesics, "_right_hand_side", no_step)
         code, out, err = run_cli(capsys, "geodesic", "--catalog",
                                  "sphere_metric", "--start", "1.5,0,0,1",
                                  "--length", "1e12", "--step", "1e-9")

@@ -88,8 +88,44 @@ class TestIntegrateGeodesic:
 
     def test_step_guard(self):
         start = GeodesicState(0.3, 0.0, 1.0, 1.0)
-        with pytest.raises(StepTooLarge):
+        with pytest.raises(StepTooLarge) as caught:
             integrate_geodesic(SPHERE, start, 20.0, 2.0)
+        assert str(caught.value) == \
+            "energy drift 292.75130710516606 after 1 steps of 2.0"
+
+    @pytest.mark.parametrize("metric, step, message", [
+        (SPHERE, 0.05,
+         "energy drift 0.0022506512718718638 after 57 steps of 0.05"),
+        (HYPERBOLIC, 0.3,
+         "energy drift 0.00013737245964509485 after 9 steps of 0.3")])
+    def test_step_guard_reads_every_eighth_state(self, metric, step,
+                                                 message):
+        # the guard reads the states after 1, 9, 17, ... steps and the last
+        start = GeodesicState(0.3, 0.0, 1.0, 1.0)
+        with pytest.raises(StepTooLarge) as caught:
+            integrate_geodesic(metric, start, 20.0, step)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("metric, start", [
+        (FLAT, GeodesicState(0.0, 0.0, 1.0, 0.2)),
+        (SPHERE, GeodesicState(1.2, 0.0, 0.3, 0.9)),
+        (SPHERE_ISO, GeodesicState(0.1, -0.2, 0.8, 0.1)),
+        (HYPERBOLIC, GeodesicState(0.0, 0.1, 0.5, 0.2)),
+        (MetricField.from_surface(TORUS_SURF),
+         GeodesicState(0.4, 0.0, 0.5, 0.25))])
+    def test_energy_drift_reads_the_states_the_metric_gives(self, metric,
+                                                            start):
+        # the integrator's first stages give E, F, G at every state, with
+        # the bits of evaluating the metric there again; energy_drift
+        # evaluates a side's refined end state, which shooting leaves out
+        path = integrate_geodesic(metric, start, 1.3, 1e-2)
+        side = connect_geodesic(metric, (start.u, start.v),
+                                (path.states[90].u, path.states[90].v))
+        assert len(path.energies) == len(path.states)
+        assert len(side.energies) == len(side.states) - 1
+        for path in (path, side):
+            assert struct.pack("d", energy_drift(metric, path)) == \
+                struct.pack("d", oracle.energy_drift(metric, path))
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(InputError):
@@ -101,7 +137,10 @@ class TestIntegrateGeodesic:
         def no_step(*args):
             raise AssertionError("integrated past the step budget")
 
+        # the loop takes every step through _rk4_step, and the start's
+        # first stage comes from _right_hand_side
         monkeypatch.setattr(geodesics, "_rk4_step", no_step)
+        monkeypatch.setattr(geodesics, "_right_hand_side", no_step)
         with pytest.raises(InputError, match=r"budget of 1000000 steps$"):
             integrate_geodesic(FLAT, GeodesicState(0, 0, 1, 0), length, 1e-9)
 
@@ -139,8 +178,14 @@ def test_rk4_step_matches_reference_bitwise(metric):
     for i in range(40):
         y = (0.3 + 0.02 * i, 0.2 - 0.03 * i, math.cos(i), math.sin(1.7 * i))
         dt = (0.013 + 0.0071 * i) * (-1.0 if i % 3 == 0 else 1.0)
-        assert _outcome(geodesics._rk4_step, metric, y, dt) == \
+        assert _outcome(_rk4_step, metric, y, dt) == \
             _outcome(_reference_rk4_step, metric, y, dt)
+
+
+def _rk4_step(metric, y, dt):
+    """geodesics._rk4_step from y, its first stage evaluated here."""
+    rhs = geodesics._right_hand_side(metric)
+    return geodesics._rk4_step(rhs, y, dt, rhs(*y))
 
 
 def _outcome(step, *args):
@@ -278,7 +323,7 @@ class TestShootingWork:
                             counted_integrate)
         monkeypatch.setattr(geodesics, "connect_geodesic", counted_connect)
         tri = build_triangle(SPHERE_ISO, (0.0, 0.0), (0.6, 0.1), (0.1, 0.5))
-        assert sum(n for side in shots for _, n in side) <= 5000
+        assert sum(n for side in shots for _, n in side) <= 4400
         assert len(shots) == 3
         for side, path in zip(shots, tri.sides):
             steps = [step for step, _ in side]

@@ -246,13 +246,14 @@ def test_a_point_of_any_scalar_type_takes_the_point_path(name):
 
 
 def test_order_1_takes_scalars_of_any_type_and_refuses_arrays():
-    run = exprlang.lower_jet2(DISPATCH_TREES, METRIC_SEEDS, order=1)
-    order2 = exprlang.lower_jet2(DISPATCH_TREES, METRIC_SEEDS)
-    want = bits(x for slots in order2(1.0, 2.0) for x in slots[:3])
+    # MetricField.first_order runs the emitted order-1 program at a point
+    metric = intrinsic.MetricField(*DISPATCH_TREES)
+    e, f, g = exprlang.lower_jet2(DISPATCH_TREES, METRIC_SEEDS)(1.0, 2.0)
+    want = bits([e[0], f[0], g[0], e[1], e[2], f[1], f[2], g[1], g[2]])
     for u, v in ((1, 2), (1.0, 2.0), (np.float64(1.0), np.float64(2.0))):
-        assert bits(flat(run(u, v))) == want
-    with pytest.raises(ValueError, match="scalar coordinates"):
-        run(np.array([1.0]), np.array([2.0]))
+        assert bits(metric.first_order(u, v)) == want
+    with pytest.raises(TypeError):
+        metric.first_order(np.array([1.0, 1.5]), np.array([2.0, 2.5]))
 
 
 def test_surface_grid_raises_at_a_degenerate_point():

@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egregium import catalog, curves, exprlang, intrinsic, surfaces
+from egregium import catalog, curves, exprlang, geodesics, intrinsic, surfaces
 from egregium.cli import main
+from egregium.errors import NumericError
 from egregium.exprlang import (MAX_DEPTH, Binary, Constant, ParseError, Unary,
                                Variable, parse)
 
@@ -170,11 +171,27 @@ def test_random_trees_of_one_and_three_coordinates_match_interpreter(
 
 # --- order 1: the first three slots of order 2 -----------------------------
 
+def first_order(asts, seeds):
+    """(*coords) -> [(v, du, dv), ...]: `exprlang.first_order_function` of
+    `asts` with a body that returns their jets, at float() of the
+    coordinates as `MetricField.first_order` calls it."""
+    names = [(f"v{i}", f"du{i}", f"dv{i}") for i in range(len(asts))]
+    body = f"return [{', '.join('(%s, %s, %s)' % jet for jet in names)}]"
+
+    def run(*coords):
+        params = [f"x{i}" for i in range(len(coords))]
+        function = exprlang.first_order_function(asts, seeds, names, body,
+                                                 params, {})
+        return function(*map(float, coords))
+
+    return run
+
+
 def assert_first_order_is_truncation(asts, seeds, *coords):
     """Order-1 slots carry the bits of the first three order-2 slots, or
     both orders raise the same exception class and message."""
     full = outcome(exprlang.lower_jet2(asts, seeds), *coords)
-    first = outcome(exprlang.lower_jet2(asts, seeds, order=1), *coords)
+    first = outcome(first_order(asts, seeds), *coords)
     if isinstance(full, list):
         full = [slots[:3] for slots in full]
     assert first == full
@@ -220,12 +237,15 @@ def test_first_order_random_trees_of_one_and_three_coordinates(
 
 
 def test_first_order_takes_no_arrays_and_no_other_order():
-    run = exprlang.lower_jet2([parse("u*v")], METRIC_SEEDS, order=1)
+    # the order-1 jets come from `first_order_function` at a point, and
+    # `lower_jet2` lowers to order 2 alone
+    run = first_order([parse("u*v")], METRIC_SEEDS)
     assert run(2.0, 3.0) == [(6.0, 3.0, 2.0)]
-    with pytest.raises(ValueError):
-        run(np.array([2.0]), np.array([3.0]))
-    with pytest.raises(ValueError):
-        exprlang.lower_jet2([parse("u")], METRIC_SEEDS, order=3)
+    metric = intrinsic.MetricField.from_expressions("1+u^2", "0", "1+v^2")
+    with pytest.raises(TypeError):
+        metric.first_order(np.array([2.0, 1.0]), np.array([3.0, 1.0]))
+    with pytest.raises(TypeError):
+        exprlang.lower_jet2([parse("u")], METRIC_SEEDS, order=1)
 
 
 @pytest.mark.parametrize("text, u, v, error", [
@@ -266,8 +286,8 @@ def test_errors_match_interpreter(text, u, v, error):
     assert_same(asts, METRIC_SEEDS, u, v)
     assert_first_order_is_truncation(asts, METRIC_SEEDS, u, v)
     want = outcome(interpreted(asts, METRIC_SEEDS), u, v)
-    for order in (1, 2):
-        run = exprlang.lower_jet2(asts, METRIC_SEEDS, order=order)
+    for run in (first_order(asts, METRIC_SEEDS),
+                exprlang.lower_jet2(asts, METRIC_SEEDS)):
         assert outcome(run, u, v) == want
         with pytest.raises(Exception) as err:
             run(u, v)
@@ -296,26 +316,62 @@ INF, NAN = math.inf, math.nan
 ])
 def test_first_order_bits(text, seeds, coords, want):
     asts = [parse(text)]
-    got = outcome(exprlang.lower_jet2(asts, seeds, order=1), *coords)
+    got = outcome(first_order(asts, seeds), *coords)
     assert got == outcome(interpreted(asts, seeds, order=1), *coords)
-    (slots,) = exprlang.lower_jet2(asts, seeds, order=1)(*coords)
+    (slots,) = first_order(asts, seeds)(*coords)
     assert [math.isnan(w) or struct.pack("d", s) == struct.pack("d", w)
             for s, w in zip(slots, want)] == [True] * 3
     assert [math.isnan(s) for s in slots] == [math.isnan(w) for w in want]
 
 
-# identifiers of the emitted function that no expression provides
-EMITTED_KEYWORDS = {"def", "program", "float", "if", "is", "not", "None",
-                    "for", "in", "held", "c", "return"}
+# identifiers of the emitted functions that no expression provides
+EMITTED_KEYWORDS = {"def", "program", "if", "or", "return"}
 
 
-def test_emitted_source_takes_no_text_from_the_expression():
+def test_emitted_source_takes_no_text_from_the_expression(monkeypatch):
     texts = ("sin(x)*exp(y) + log(x+2)^y - tan(z/y) + 1e999*sqrt(x)",
              "atan(t)^2.5 - cosh(x)/sinh(y) + tanh(z) - 1/(1-1)",
              "2^cos(x) - (0-3)^y + q")
     seeds = {"x": 0, "y": 1, "z": 2, "t": 3}
-    source, _ = exprlang._first_order_source(
-        [parse(text) for text in texts], seeds, [0, 1, 2, 0])
+    sources = compiled_sources(monkeypatch)
+    run = first_order([parse(text) for text in texts + texts[:1]], seeds)
+    with pytest.raises(NumericError):
+        run(0.5, 0.25, 2.0, 3.0)
+    (source,) = sources
+    assert_generated_only(source)
+
+
+@pytest.mark.parametrize("texts", [
+    ("sin(u)*exp(v) + log(u+2)^v - tan(u/v) + 1e999*sqrt(u)",
+     "atan(p)^2.5 - cosh(q)/sinh(u) - 1/(1-1)", "2^cos(u) - (0-3)^v + x"),
+    ("1", "0", "sin(u)^2"),
+    ("(2/(1-u^2-v^2))^2", "0", "(2/(1-u^2-v^2))^2")])
+def test_emitted_right_hand_side_takes_no_text_from_the_expression(
+        monkeypatch, texts):
+    # the geodesic right-hand side: the order-1 program, the metric's
+    # check and the contraction, in one emitted function
+    sources = compiled_sources(monkeypatch)
+    geodesics._right_hand_side(intrinsic.MetricField.from_expressions(*texts))
+    (source,) = sources
+    assert_generated_only(source)
+
+
+def compiled_sources(monkeypatch):
+    """The list that receives the source of each emitted function."""
+    sources = []
+    compiled = exprlang._FirstOrderSource.compiled
+
+    def capture(self, source):
+        sources.append(source)
+        return compiled(self, source)
+
+    monkeypatch.setattr(exprlang._FirstOrderSource, "compiled", capture)
+    return sources
+
+
+def assert_generated_only(source):
+    """The source holds no identifier of the expression language, only
+    generated names and keywords, no strings, and only float literals."""
     tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     names = {tok.string for tok in tokens if tok.type == tokenize.NAME}
     assert not names & (exprlang.VARIABLE_NAMES | exprlang.FUNCTION_NAMES)
@@ -439,13 +495,13 @@ def test_cli_metric_run_lowers_once(capsys, counters):
 def test_only_geodesic_commands_lower_first_order_programs(
         capsys, monkeypatch, argv, first_order):
     emitted = []
-    original = exprlang._first_order_source
+    original = exprlang.first_order_function
 
-    def counting(trees, seeds, picks):
-        emitted.append(trees)
-        return original(trees, seeds, picks)
+    def counting(asts, *args):
+        emitted.append(asts)
+        return original(asts, *args)
 
-    monkeypatch.setattr(exprlang, "_first_order_source", counting)
+    monkeypatch.setattr(exprlang, "first_order_function", counting)
     main(list(argv))
     capsys.readouterr()
     assert bool(emitted) == first_order
@@ -562,11 +618,27 @@ def test_cli_output_equals_interpreted_output(capsys, monkeypatch, argv):
     monkeypatch.setattr(exprlang, "lower_jet2",
                         lambda asts, seeds, order=2: calls.append(order)
                         or interpreted(asts, seeds, order))
+    monkeypatch.setattr(exprlang, "first_order_function",
+                        lambda *args: calls.append("fused")
+                        or interpreted_function(*args))
     assert _run(capsys, argv) == lowered
     assert calls
-    # geodesics run on first-order programs, so those are checked too
-    assert (1 in calls) == (argv[0] in ("geodesic", "triangle"))
+    # geodesics run on first-order programs and on the fused right-hand
+    # side, so those are checked too
+    assert ("fused" in calls) == (argv[0] in ("geodesic", "triangle"))
     assert lowered[0] in (0, 3)
+
+
+def interpreted_function(asts, seeds, names, body, params, namespace):
+    """`exprlang.first_order_function`'s contract met by the interpreted
+    order-1 jets and `body` as written."""
+    jets = ", ".join(f"({', '.join(jet)})" for _, jet in zip(asts, names))
+    source = (f"def function({', '.join(params)}):\n"
+              f"    [{jets}] = interpreted_jets({params[0]}, {params[1]})\n"
+              + "".join(f"    {line}\n" for line in body.splitlines()))
+    scope = dict(namespace, interpreted_jets=interpreted(asts, seeds, 1))
+    exec(source, scope)
+    return scope["function"]
 
 
 # --- parse depth limit -------------------------------------------------------
