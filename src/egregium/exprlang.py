@@ -325,9 +325,12 @@ def _float_pow(base, exponent):
 # where C holds one slot tuple per coordinate.  At order 1 it is the triple
 # (v, du, dv) of one straight-line Python function that `_FirstOrderSource`
 # emits.  That function performs the part of the order-2 operations that
-# yields the first three slots: none of those reads a second-order slot, and
-# every table of f, f', f'' is still called whole, so it raises where order 2
-# raises.
+# yields the first three slots: none of those reads a second-order slot.  A
+# table of f, f', f'' is called whole, so it raises where order 2 raises,
+# except four kinds whose f'' cannot raise where f and f' did not (integer
+# powers from 2, the reciprocal, sin and cos): their f and f' are emitted
+# inline with the table's own float operations, and the table is called
+# only where those raise, so it alone decides the error.
 
 _ONE = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 _SCALARS = (float, int)  # a point's coordinates; a grid's are arrays
@@ -741,20 +744,33 @@ class _FirstOrderSource:
             self.lines.append(f"{', '.join(targets)} = {', '.join(values)}")
         return tuple(jet)
 
-    def _call(self, table, slot):
-        """The names of (f, f', f'') that `table` returns at `slot`."""
-        call = f"{self._bind(table)}({_slot_source(slot)})"
+    def _call(self, table, slot, form=None):
+        """The names of (f, f') that `table` returns at `slot`: a table
+        call, or the statements of its inline `form` (see `_FORMS`) whose
+        error calls the table."""
+        x = _slot_source(slot)
+        call = f"{self._bind(table)}({x})"
         names = self._calls.get(call)
         if names is None:
             names = self._calls[call] = (self._fresh(), self._fresh(),
                                          self._fresh())
-            self.lines.append(f"{', '.join(names)} = {call}")
-        return names
+            statement = f"{', '.join(names)} = {call}"
+            if form is None:
+                self.lines.append(statement)
+            else:
+                f0, f1 = names[:2]
+                value, slope = form(f"({x})" if type(slot) is float else x,
+                                    f0, self._bind)
+                self.lines += ["try:", f"    {f0} = {value}",
+                               f"    {f1} = {slope}",
+                               f"except {self._bind(_FORM_ERRORS)}:",
+                               f"    {statement}"]
+        return names[:2]
 
-    def _chain(self, a, table):
+    def _chain(self, a, table, form=None):
         """f(a) from the table of f, f', f'' at a's value, as
         `jets.compose_slots` takes its first three slots."""
-        f0, f1, _ = self._call(table, a[0])
+        f0, f1 = self._call(table, a[0], form)
         return self._emit(f0, self._op(f1, "*", a[1]),
                           self._op(f1, "*", a[2]))
 
@@ -801,10 +817,13 @@ class _FirstOrderSource:
                           op(op(adv, "*", bv), "+", op(av, "*", bdv)))
 
     def function(self, name, a):
-        return self._chain(a, jets.FUNCTION_TABLES[name])
+        return self._chain(a, jets.FUNCTION_TABLES[name], _FORMS.get(name))
+
+    def _recip(self, b):
+        return self._chain(b, jets.recip_table, _FORMS["recip"])
 
     def div(self, a, b):
-        return self.mul(a, self._chain(b, jets.recip_table))
+        return self.mul(a, self._recip(b))
 
     def div_c(self, a, c):
         if c == 0.0:
@@ -812,7 +831,7 @@ class _FirstOrderSource:
         return self.scale(a, 1.0 / c)
 
     def c_div(self, c, b):
-        return self.scale(self._chain(b, jets.recip_table), c)
+        return self.scale(self._recip(b), c)
 
     def pow(self, a, b):
         """a^b as exp(b * log a): the base's check after both operands."""
@@ -828,13 +847,41 @@ class _FirstOrderSource:
         # NaN equals no other key and gets a table of its own
         if e not in self._powers:
             self._powers[e] = jets.power_table(e)
-        return self._chain(a, self._powers[e])
+        form = None
+        if e.is_integer() and 2.0 <= e <= jets.INT_EXP_LIMIT:
+            form = _power_form(e)
+        return self._chain(a, self._powers[e], form)
 
     def c_pow(self, c, b):
         if c <= 0.0:
             return self.raising(_raiser(
                 DomainError, f"power with non-positive base {c!r}"))
         return self.function("exp", self.scale(b, math.log(c)))
+
+
+# Inline forms: (x, f, bind) -> the sources of f and f' at the source x
+# with the float operations of a table, where f' may read f by its name and
+# `bind` names a callable.  The f'' they leave out cannot raise where f and
+# f' did not: for a power v^n from n = 2, |v|^(n-2) overflows only where
+# |v|^n does.  A negative power's f'' can overflow alone, and sqrt's has its
+# own check, so their tables are called.
+def _power_form(e):
+    """v^e for an integer 2 <= e <= INT_EXP_LIMIT, as `jets.power_table`
+    computes it (v ** n of an int n rounds as v ** float(n))."""
+    return lambda x, f, bind: (f"{x} ** {e!r}",
+                               f"{e!r} * {x} ** {e - 1.0!r}")
+
+
+_FORMS = {
+    "recip": lambda x, f, bind: (f"1.0 / {x}", f"-{f} * {f}"),
+    "sin": lambda x, f, bind: (f"{bind(math.sin)}({x})",
+                               f"{bind(math.cos)}({x})"),
+    "cos": lambda x, f, bind: (f"{bind(math.cos)}({x})",
+                               f"-{bind(math.sin)}({x})"),
+}
+
+# what an inline form raises where its table raises a NumericError
+_FORM_ERRORS = (ArithmeticError, ValueError)
 
 
 def _slot_source(slot):

@@ -7,10 +7,11 @@ first partials in one emitted function per metric, which also returns the
 E, F, G it read (`MetricField.first_order_function`); the integrator is
 classical fixed-step RK4, whose first stages feed an energy-drift guard,
 instead of adaptive stepping, so fixtures are deterministic.  A path's dense
-output is the cubic Hermite interpolant of its states (Hairer, Norsett and
-Wanner, Solving ODEs I, section II.6), and the excess law integrates the
-curvature over the region these curves bound, with all quadrature nodes of
-a pass evaluated at once.
+output is the quintic Hermite interpolant of its states and the
+accelerations the first stages gave (Hairer, Norsett and Wanner, Solving
+ODEs I, section II.6), and the excess law integrates the curvature over the
+region these curves bound, with all quadrature nodes of a pass evaluated at
+once.
 
 Shooting (Stoer and Bulirsch, Introduction to Numerical Analysis, section
 7.3) runs a secant on the initial angle over shots at a quarter of the final
@@ -41,7 +42,7 @@ MAX_SECANT_ITERATIONS = 50
 
 # RK4 steps over a shot's length: the secant runs on coarse shots, and the
 # side returned is one fine shot, whose knots the dense output reads
-COARSE_STEPS, FINE_STEPS = 200, 800
+COARSE_STEPS, FINE_STEPS = 200, 400
 
 # Gauss-Legendre nodes per triangle side in the excess integral; each ray
 # from the centroid takes half as many
@@ -73,11 +74,12 @@ class GeodesicState(NamedTuple):
 @dataclass(frozen=True)
 class GeodesicPath:
     """Sampled trajectory; `s` is cumulative arclength per sample, and
-    `energies` the metric speed^2 at each integrated state (all but a
-    side's refined end)."""
+    `energies` and `accelerations` the metric speed^2 and (u'', v'') at
+    each state."""
     s: tuple
     states: tuple
     energies: tuple
+    accelerations: tuple
 
     @property
     def start(self):
@@ -88,24 +90,38 @@ class GeodesicPath:
         return self.states[-1]
 
     def at(self, s):
-        """(u, v, du/ds, dv/ds) at the arclength s on the cubic Hermite
+        """(u, v, du/ds, dv/ds) at the arclength s on the quintic Hermite
         interpolant of two or more states at the knots `s`, whose slopes
-        (pu, pv) are d(u, v)/ds on a unit-speed path (a shot)."""
+        (pu, pv) are d(u, v)/ds and whose accelerations are d^2(u, v)/ds^2
+        on a unit-speed path (a shot)."""
         knots = self.s
         i = min(max(bisect_right(knots, s) - 1, 0), len(knots) - 2)
         h = knots[i + 1] - knots[i]
         x = (s - knots[i]) / h
         a, b = self.states[i], self.states[i + 1]
-        # Hermite basis at x and its derivative in x
-        x2, x3 = x * x, x * x * x
-        h00, h10 = 2.0 * x3 - 3.0 * x2 + 1.0, (x3 - 2.0 * x2 + x) * h
-        h01, h11 = 3.0 * x2 - 2.0 * x3, (x3 - x2) * h
-        d00, d10 = (6.0 * x2 - 6.0 * x) / h, 3.0 * x2 - 4.0 * x + 1.0
-        d11 = 3.0 * x2 - 2.0 * x
-        return (h00 * a.u + h10 * a.pu + h01 * b.u + h11 * b.pu,
-                h00 * a.v + h10 * a.pv + h01 * b.v + h11 * b.pv,
-                d00 * (a.u - b.u) + d10 * a.pu + d11 * b.pu,
-                d00 * (a.v - b.v) + d10 * a.pv + d11 * b.pv)
+        (aau, aav), (bau, bav) = self.accelerations[i:i + 2]
+        # quintic Hermite basis at x: value, slope and acceleration at 0
+        # (h0, h1, h2) and at 1 (h5, h4, h3), slopes scaled by h and
+        # accelerations by h^2, and its derivative in s
+        x2, y = x * x, 1.0 - x
+        x3, y2 = x2 * x, y * y
+        half = 0.5 * h
+        h5 = x3 * (10.0 - 15.0 * x + 6.0 * x2)
+        h0 = 1.0 - h5
+        h1 = x * y * y2 * (1.0 + 3.0 * x) * h
+        h4 = -x3 * y * (4.0 - 3.0 * x) * h
+        h2, h3 = x2 * y * y2 * half * h, x3 * y2 * half * h
+        d5 = 30.0 * x2 * y2 / h
+        d1 = y2 * (1.0 + 5.0 * x) * (1.0 - 3.0 * x)
+        d4 = x2 * (x * (28.0 - 15.0 * x) - 12.0)
+        d2 = x * y2 * (2.0 - 5.0 * x) * half
+        d3 = x2 * y * (3.0 - 5.0 * x) * half
+        return (h0 * a.u + h5 * b.u + h1 * a.pu + h4 * b.pu
+                + h2 * aau + h3 * bau,
+                h0 * a.v + h5 * b.v + h1 * a.pv + h4 * b.pv
+                + h2 * aav + h3 * bav,
+                d5 * (b.u - a.u) + d1 * a.pu + d4 * b.pu + d2 * aau + d3 * bau,
+                d5 * (b.v - a.v) + d1 * a.pv + d4 * b.pv + d2 * aav + d3 * bav)
 
     def dense(self, t):
         """(u, v, du/dt, dv/dt) of `at` at the fraction t of the arclength."""
@@ -184,6 +200,7 @@ def integrate_geodesic(metric, start, length, step):
 
     y = start
     s_values, states, energies = [0.0], [start], [energy]
+    accelerations = [first[:2]]
     for k in range(n_steps):
         y = _rk4_step(rhs, y, dt, first)
         first = rhs(*y)  # the next step's first stage
@@ -196,17 +213,18 @@ def integrate_geodesic(metric, start, length, step):
         s_values.append(abs(dt) * (k + 1) * speed0)
         states.append(GeodesicState._make(y))
         energies.append(energy)
-    return GeodesicPath(tuple(s_values), tuple(states), tuple(energies))
+        accelerations.append(first[:2])
+    return GeodesicPath(tuple(s_values), tuple(states), tuple(energies),
+                        tuple(accelerations))
 
 
 def energy_drift(metric, path):
-    """Max relative metric-speed drift along a path; the speed^2 of a state
-    that the integrator did not evaluate, a side's refined end, is
-    evaluated here."""
-    rhs = _right_hand_side(metric)
-    energies = path.energies + tuple(
-        _metric_speed2(rhs(*st), st.pu, st.pv)
-        for st in path.states[len(path.energies):])
+    """Max relative metric-speed drift along a path, read from the speed^2
+    its integration kept at each state; a path of fewer than two states
+    has none."""
+    energies = path.energies
+    if len(energies) < 2:
+        return 0.0
     e0 = energies[0]
     worst = 0.0
     for e in energies:
@@ -290,7 +308,7 @@ def connect_geodesic(metric, a, b, tol=1e-6):
     chord = (b[0] - a[0], b[1] - a[1])
     if math.hypot(*chord) < tol:
         state = GeodesicState(a[0], a[1], 0.0, 0.0)
-        return GeodesicPath((0.0,), (state,), ())
+        return GeodesicPath((0.0,), (state,), (0.0,), ((0.0, 0.0),))
     # the straight chord is itself a competitor curve, so the geodesic
     # distance never exceeds its metric length
     length = 1.25 * _chord_metric_length(metric, a, b)
@@ -356,13 +374,16 @@ def _lateral_miss(metric, a, b, angle, length, step):
 
 def _refine_endpoint(metric, path, i, s):
     """The path to sample i, its state replaced by an RK4 step of s - s[i]
-    whose end state keeps no speed^2."""
+    whose end state keeps the speed^2 and acceleration the right-hand side
+    gives there."""
     rhs = _right_hand_side(metric)
-    y = _rk4_step(rhs, path.states[i], s - path.s[i], rhs(*path.states[i]))
+    y = _rk4_step(rhs, path.states[i], s - path.s[i], path.accelerations[i])
+    first = rhs(*y)
     kept = max(1, i)
     return GeodesicPath(
         path.s[:kept] + (s,), path.states[:kept] + (GeodesicState._make(y),),
-        path.energies[:kept])
+        path.energies[:kept] + (_metric_speed2(first, y[2], y[3]),),
+        path.accelerations[:kept] + (first[:2],))
 
 
 def _vertex_angle(metric, vertex, d1, d2):

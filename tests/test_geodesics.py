@@ -6,7 +6,7 @@ import struct
 
 import pytest
 
-from egregium import geodesics, intrinsic, surfaces
+from egregium import catalog, geodesics, intrinsic, surfaces
 from egregium.errors import (DegenerateMetric, InputError, NoConvergence,
                              NotRevolution, StepTooLarge)
 from egregium.exprlang import parse
@@ -115,17 +115,27 @@ class TestIntegrateGeodesic:
          GeodesicState(0.4, 0.0, 0.5, 0.25))])
     def test_energy_drift_reads_the_states_the_metric_gives(self, metric,
                                                             start):
-        # the integrator's first stages give E, F, G at every state, with
-        # the bits of evaluating the metric there again; energy_drift
-        # evaluates a side's refined end state, which shooting leaves out
+        # the integrator's first stages give E, F, G at every state, and
+        # the right-hand side at a side's refined end gives its own, with
+        # the bits of evaluating the metric there again
         path = integrate_geodesic(metric, start, 1.3, 1e-2)
         side = connect_geodesic(metric, (start.u, start.v),
                                 (path.states[90].u, path.states[90].v))
-        assert len(path.energies) == len(path.states)
-        assert len(side.energies) == len(side.states) - 1
+        rhs = geodesics._right_hand_side(metric)
         for path in (path, side):
+            assert len(path.energies) == len(path.states)
             assert struct.pack("d", energy_drift(metric, path)) == \
                 struct.pack("d", oracle.energy_drift(metric, path))
+            # so do the accelerations the dense output reads
+            assert list(path.accelerations) == [rhs(*st)[:2]
+                                                for st in path.states]
+
+    def test_energy_drift_of_a_single_state_is_zero(self):
+        # endpoints closer than tol give a path of one state at rest
+        metric = catalog.build_metric(catalog.lookup("sphere_isothermal"))
+        path = connect_geodesic(metric, (0.0, 0.0), (0.0, 1e-8))
+        assert len(path.states) == len(path.energies) == 1
+        assert energy_drift(metric, path) == 0.0
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(InputError):
@@ -323,13 +333,14 @@ class TestShootingWork:
                             counted_integrate)
         monkeypatch.setattr(geodesics, "connect_geodesic", counted_connect)
         tri = build_triangle(SPHERE_ISO, (0.0, 0.0), (0.6, 0.1), (0.1, 0.5))
-        assert sum(n for side in shots for _, n in side) <= 4400
+        assert sum(n for side in shots for _, n in side) <= 3200
         assert len(shots) == 3
         for side, path in zip(shots, tri.sides):
             steps = [step for step, _ in side]
             fine = min(steps)
             assert steps.count(fine) == 1
-            assert max(steps) == pytest.approx(4.0 * fine)
+            assert max(steps) == pytest.approx(
+                geodesics.FINE_STEPS / geodesics.COARSE_STEPS * fine)
             # the returned side is the fine shot, cut at the approach
             gaps = [t - s for s, t in zip(path.s[:-2], path.s[1:-1])]
             assert gaps == pytest.approx([fine] * len(gaps),

@@ -5,6 +5,7 @@ per metric, surface or curve, and byte-identical library and CLI output
 with the interpreter patched in.  Also the parse depth limit that keeps
 every recursive walk inside Python's recursion limit."""
 
+import ast
 import io
 import math
 import re
@@ -17,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egregium import catalog, curves, exprlang, geodesics, intrinsic, surfaces
+from egregium import (catalog, curves, exprlang, geodesics, intrinsic, jets,
+                      surfaces)
 from egregium.cli import main
 from egregium.errors import NumericError
 from egregium.exprlang import (MAX_DEPTH, Binary, Constant, ParseError, Unary,
@@ -325,7 +327,7 @@ def test_first_order_bits(text, seeds, coords, want):
 
 
 # identifiers of the emitted functions that no expression provides
-EMITTED_KEYWORDS = {"def", "program", "if", "or", "return"}
+EMITTED_KEYWORDS = {"def", "program", "if", "or", "return", "try", "except"}
 
 
 def test_emitted_source_takes_no_text_from_the_expression(monkeypatch):
@@ -401,6 +403,80 @@ def test_equal_trees_are_lowered_once(monkeypatch):
     roots = [ast for ast in lowered if ast in (e, Constant(0.0))]
     assert len(roots) == 2
     assert ej == gj and fj == (0.0,) * 6
+
+
+# --- inline forms of tables in the order-1 program ---------------------------
+
+# the floats where tables raise, overflow, underflow or keep a sign
+EDGE_FLOATS = (0.0, -0.0, INF, -INF, NAN, 5e-324, -5e-324, 1e-310, -1e-310,
+               2.2250738585072014e-308, 1e-160, -1e-160, 1e160, -1e160)
+FORM_INPUTS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(),
+                        st.floats(-1e3, 1e3))
+
+
+def inline_pair(table, form):
+    """x -> (f, f') of `table` through its inline form, as the emitter
+    writes it into an order-1 program."""
+    emitter = exprlang._FirstOrderSource()
+    f0, f1 = emitter._call(table, "c0", form)
+    assert emitter.lines[0] == "try:"
+    lines = emitter.lines + [f"return {f0}, {f1}"]
+    return emitter.compiled("def program(c0):\n" + "".join(
+        f"    {line}\n" for line in lines))
+
+
+def pair_outcome(fn, x):
+    """The bits of (f, f') at x, or the type and message of the error.  A
+    NaN is only NaN: the sign of a product of NaNs depends on whether
+    CPython has specialized the multiplication yet."""
+    try:
+        return [math.isnan(y) or struct.pack("d", y) for y in fn(x)[:2]]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(n=st.integers(2, jets.INT_EXP_LIMIT), x=FORM_INPUTS)
+def test_power_form_matches_its_table(n, x):
+    table = jets.power_table(float(n))
+    run = inline_pair(table, exprlang._power_form(float(n)))
+    assert pair_outcome(run, x) == pair_outcome(table, x)
+
+
+@pytest.mark.parametrize("name", ["recip", "sin", "cos"])
+@settings(max_examples=300)
+@given(x=FORM_INPUTS)
+def test_function_forms_match_their_tables(name, x):
+    table = (jets.recip_table if name == "recip"
+             else jets.FUNCTION_TABLES[name])
+    run = inline_pair(table, exprlang._FORMS[name])
+    assert pair_outcome(run, x) == pair_outcome(table, x)
+
+
+@pytest.mark.parametrize("name", ["sphere_isothermal", "hyperbolic_disk",
+                                  "sphere_metric", "torus_metric"])
+def test_right_hand_sides_call_tables_only_where_a_form_raises(
+        monkeypatch, name):
+    namespaces = []
+    compiled = exprlang._FirstOrderSource.compiled
+
+    def capture(self, source):
+        namespaces.append((source, self.namespace))
+        return compiled(self, source)
+
+    monkeypatch.setattr(exprlang._FirstOrderSource, "compiled", capture)
+    geodesics._right_hand_side(
+        catalog.build_metric(catalog.lookup(name)))
+    ((source, namespace),) = namespaces
+    tree = ast.parse(source)
+    handled = {id(node) for handler in ast.walk(tree)
+               if isinstance(handler, ast.ExceptHandler)
+               for node in ast.walk(handler)}
+    callees = [namespace[node.func.id] for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and id(node) not in handled]
+    tables = [f for f in callees if f.__module__ == jets.__name__]
+    assert callees and not tables
+    assert source.count("except") >= 2
 
 
 # --- one lowering per object, no tree walk per point -------------------------
