@@ -327,10 +327,10 @@ def _float_pow(base, exponent):
 # emits.  That function performs the part of the order-2 operations that
 # yields the first three slots: none of those reads a second-order slot.  A
 # table of f, f', f'' is called whole, so it raises where order 2 raises,
-# except four kinds whose f'' cannot raise where f and f' did not (integer
-# powers from 2, the reciprocal, sin and cos): their f and f' are emitted
-# inline with the table's own float operations, and the table is called
-# only where those raise, so it alone decides the error.
+# but where f'' cannot raise unless f or f' does (integer powers from 2, as
+# |v|^(n-2) overflows only where |v|^n does, the reciprocal, sin and cos),
+# f and f' are inline source that calls the table only where it raises.
+# A negative power's f'' can overflow alone, and sqrt's has its own check.
 
 _ONE = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 _SCALARS = (float, int)  # a point's coordinates; a grid's are arrays
@@ -687,6 +687,7 @@ class _FirstOrderSource:
         self._named = {}  # text of an emitted operation -> its name
         self._calls = {}  # text of an emitted table call -> its three names
         self._powers = {}  # exponent -> its power table
+        self._forms = dict(_FORMS)  # table -> its inline form
         self.nodes = _Nodes(
             self.neg, self.function,
             {"+": self.add, "-": self.sub, "*": self.mul, "/": self.div,
@@ -744,10 +745,9 @@ class _FirstOrderSource:
             self.lines.append(f"{', '.join(targets)} = {', '.join(values)}")
         return tuple(jet)
 
-    def _call(self, table, slot, form=None):
-        """The names of (f, f') that `table` returns at `slot`: a table
-        call, or the statements of its inline `form` (see `_FORMS`) whose
-        error calls the table."""
+    def _call(self, table, slot):
+        """The names of (f, f') that `table` returns at `slot`: a call, or
+        the table's inline form, whose error makes the same call."""
         x = _slot_source(slot)
         call = f"{self._bind(table)}({x})"
         names = self._calls.get(call)
@@ -755,22 +755,24 @@ class _FirstOrderSource:
             names = self._calls[call] = (self._fresh(), self._fresh(),
                                          self._fresh())
             statement = f"{', '.join(names)} = {call}"
+            form = self._forms.get(table)
             if form is None:
                 self.lines.append(statement)
             else:
-                f0, f1 = names[:2]
-                value, slope = form(f"({x})" if type(slot) is float else x,
-                                    f0, self._bind)
-                self.lines += ["try:", f"    {f0} = {value}",
-                               f"    {f1} = {slope}",
+                value, slope = (part.format(
+                    x=f"({x})" if type(slot) is float else x, f=names[0],
+                    sin=self._bind(math.sin), cos=self._bind(math.cos))
+                    for part in form)
+                self.lines += ["try:", f"    {names[0]} = {value}",
+                               f"    {names[1]} = {slope}",
                                f"except {self._bind(_FORM_ERRORS)}:",
                                f"    {statement}"]
         return names[:2]
 
-    def _chain(self, a, table, form=None):
+    def _chain(self, a, table):
         """f(a) from the table of f, f', f'' at a's value, as
         `jets.compose_slots` takes its first three slots."""
-        f0, f1 = self._call(table, a[0], form)
+        f0, f1 = self._call(table, a[0])
         return self._emit(f0, self._op(f1, "*", a[1]),
                           self._op(f1, "*", a[2]))
 
@@ -817,13 +819,10 @@ class _FirstOrderSource:
                           op(op(adv, "*", bv), "+", op(av, "*", bdv)))
 
     def function(self, name, a):
-        return self._chain(a, jets.FUNCTION_TABLES[name], _FORMS.get(name))
-
-    def _recip(self, b):
-        return self._chain(b, jets.recip_table, _FORMS["recip"])
+        return self._chain(a, jets.FUNCTION_TABLES[name])
 
     def div(self, a, b):
-        return self.mul(a, self._recip(b))
+        return self.mul(a, self._chain(b, jets.recip_table))
 
     def div_c(self, a, c):
         if c == 0.0:
@@ -831,7 +830,7 @@ class _FirstOrderSource:
         return self.scale(a, 1.0 / c)
 
     def c_div(self, c, b):
-        return self.scale(self._recip(b), c)
+        return self.scale(self._chain(b, jets.recip_table), c)
 
     def pow(self, a, b):
         """a^b as exp(b * log a): the base's check after both operands."""
@@ -846,11 +845,12 @@ class _FirstOrderSource:
         # equal exponents have equal bits, as 0 and -0 do not get here; a
         # NaN equals no other key and gets a table of its own
         if e not in self._powers:
-            self._powers[e] = jets.power_table(e)
-        form = None
-        if e.is_integer() and 2.0 <= e <= jets.INT_EXP_LIMIT:
-            form = _power_form(e)
-        return self._chain(a, self._powers[e], form)
+            table = self._powers[e] = jets.power_table(e)
+            if e.is_integer() and 2.0 <= e <= jets.INT_EXP_LIMIT:
+                # v ** n of an int n rounds as v ** float(n)
+                self._forms[table] = (f"{{x}} ** {e!r}",
+                                      f"{e!r} * {{x}} ** {e - 1.0!r}")
+        return self._chain(a, self._powers[e])
 
     def c_pow(self, c, b):
         if c <= 0.0:
@@ -859,27 +859,13 @@ class _FirstOrderSource:
         return self.function("exp", self.scale(b, math.log(c)))
 
 
-# Inline forms: (x, f, bind) -> the sources of f and f' at the source x
-# with the float operations of a table, where f' may read f by its name and
-# `bind` names a callable.  The f'' they leave out cannot raise where f and
-# f' did not: for a power v^n from n = 2, |v|^(n-2) overflows only where
-# |v|^n does.  A negative power's f'' can overflow alone, and sqrt's has its
-# own check, so their tables are called.
-def _power_form(e):
-    """v^e for an integer 2 <= e <= INT_EXP_LIMIT, as `jets.power_table`
-    computes it (v ** n of an int n rounds as v ** float(n))."""
-    return lambda x, f, bind: (f"{x} ** {e!r}",
-                               f"{e!r} * {x} ** {e - 1.0!r}")
-
-
+# table -> the sources of its f and f' at {x} with its float operations, {f}
+# reading f (see above `_ONE`); each integer power from 2 adds its own
 _FORMS = {
-    "recip": lambda x, f, bind: (f"1.0 / {x}", f"-{f} * {f}"),
-    "sin": lambda x, f, bind: (f"{bind(math.sin)}({x})",
-                               f"{bind(math.cos)}({x})"),
-    "cos": lambda x, f, bind: (f"{bind(math.cos)}({x})",
-                               f"-{bind(math.sin)}({x})"),
+    jets.recip_table: ("1.0 / {x}", "-{f} * {f}"),
+    jets.FUNCTION_TABLES["sin"]: ("{sin}({x})", "{cos}({x})"),
+    jets.FUNCTION_TABLES["cos"]: ("{cos}({x})", "-{sin}({x})"),
 }
-
 # what an inline form raises where its table raises a NumericError
 _FORM_ERRORS = (ArithmeticError, ValueError)
 

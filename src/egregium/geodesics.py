@@ -14,8 +14,8 @@ region these curves bound, with all quadrature nodes of a pass evaluated at
 once.
 
 Shooting (Stoer and Bulirsch, Introduction to Numerical Analysis, section
-7.3) runs a secant on the initial angle over shots at a quarter of the final
-step, then returns one shot at the final step.  A miss is read at the
+7.3) runs a secant on the initial angle over shots of half the final step
+count, then returns one shot at the final step.  A miss is read at the
 closest approach on the shot's Hermite interpolant, where the side ends, and
 the secant's last slope judges the conjugate locus.
 """
@@ -220,14 +220,10 @@ def integrate_geodesic(metric, start, length, step):
 
 def energy_drift(metric, path):
     """Max relative metric-speed drift along a path, read from the speed^2
-    its integration kept at each state; a path of fewer than two states
-    has none."""
-    energies = path.energies
-    if len(energies) < 2:
-        return 0.0
-    e0 = energies[0]
+    its integration kept at each state; a path of one state has none."""
+    e0 = path.energies[0]
     worst = 0.0
-    for e in energies:
+    for e in path.energies[1:]:
         worst = max(worst, abs(e - e0) / e0)
     return worst
 

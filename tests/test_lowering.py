@@ -414,11 +414,10 @@ FORM_INPUTS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(),
                         st.floats(-1e3, 1e3))
 
 
-def inline_pair(table, form):
-    """x -> (f, f') of `table` through its inline form, as the emitter
-    writes it into an order-1 program."""
-    emitter = exprlang._FirstOrderSource()
-    f0, f1 = emitter._call(table, "c0", form)
+def inline_pair(emitter, table):
+    """x -> (f, f') of `table` through the inline form that `emitter` has
+    for it, as an order-1 program computes them."""
+    f0, f1 = emitter._call(table, "c0")
     assert emitter.lines[0] == "try:"
     lines = emitter.lines + [f"return {f0}, {f1}"]
     return emitter.compiled("def program(c0):\n" + "".join(
@@ -438,18 +437,20 @@ def pair_outcome(fn, x):
 @settings(max_examples=300)
 @given(n=st.integers(2, jets.INT_EXP_LIMIT), x=FORM_INPUTS)
 def test_power_form_matches_its_table(n, x):
-    table = jets.power_table(float(n))
-    run = inline_pair(table, exprlang._power_form(float(n)))
-    assert pair_outcome(run, x) == pair_outcome(table, x)
+    emitter = exprlang._FirstOrderSource()
+    emitter.pow_c(("c0", 1.0, 0.0), float(n))  # makes the table and form
+    table = emitter._powers[float(n)]
+    assert pair_outcome(inline_pair(emitter, table), x) == \
+        pair_outcome(table, x)
 
 
-@pytest.mark.parametrize("name", ["recip", "sin", "cos"])
+@pytest.mark.parametrize("table", [
+    jets.recip_table, jets.FUNCTION_TABLES["sin"],
+    jets.FUNCTION_TABLES["cos"]], ids=["recip", "sin", "cos"])
 @settings(max_examples=300)
 @given(x=FORM_INPUTS)
-def test_function_forms_match_their_tables(name, x):
-    table = (jets.recip_table if name == "recip"
-             else jets.FUNCTION_TABLES[name])
-    run = inline_pair(table, exprlang._FORMS[name])
+def test_function_forms_match_their_tables(table, x):
+    run = inline_pair(exprlang._FirstOrderSource(), table)
     assert pair_outcome(run, x) == pair_outcome(table, x)
 
 
