@@ -151,8 +151,8 @@ def _right_hand_side(metric):
 
 def _rk4_step(rhs, y, dt, first):
     """One classical RK4 step of the geodesic system from state y, whose
-    right-hand side `first` = rhs(*y) is the first stage; stage k has slopes
-    (pu_k, pv_k, au_k, av_k)."""
+    (u'', v'') are first[:2], from rhs(*y) or kept by a path, as the first
+    stage; stage k has slopes (pu_k, pv_k, au_k, av_k)."""
     u, v, pu, pv = y
     h = 0.5 * dt
     au, av = first[0], first[1]
