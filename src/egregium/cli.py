@@ -422,7 +422,7 @@ def cmd_geodesic(args):
     for i in range(0, len(path.states), stride):
         st = path.states[i]
         rows.append((path.s[i], st.u, st.v, st.pu, st.pv))
-    drift = geodesics.energy_drift(metric, path)
+    drift = geodesics.energy_drift(path)
     _emit(args, ["s", "u", "v", "pu", "pv"], rows,
           {"energy_drift": drift, "n_steps": len(path.states) - 1})
 

@@ -358,10 +358,14 @@ def lower_jet2(asts, seeds):
     """
     trees, picks, index = [], [], {}
     for ast in asts:
-        if ast not in index:
-            index[ast] = len(trees)
+        # Constant(0.0) == Constant(-0.0), so an equal tree is taken only
+        # when its repr matches too: only trees equal bit for bit merge
+        i = index.get(ast)
+        if i is None or repr(trees[i]) != repr(ast):
+            i = len(trees)
+            index.setdefault(ast, i)
             trees.append(ast)
-        picks.append(index[ast])
+        picks.append(i)
     programs = None
 
     def run(*coords):
@@ -847,9 +851,10 @@ class _FirstOrderSource:
         if e not in self._powers:
             table = self._powers[e] = jets.power_table(e)
             if e.is_integer() and 2.0 <= e <= jets.INT_EXP_LIMIT:
-                # v ** n of an int n rounds as v ** float(n)
-                self._forms[table] = (f"{{x}} ** {e!r}",
-                                      f"{e!r} * {{x}} ** {e - 1.0!r}")
+                # v ** n of an int n rounds as v ** float(n); v ** 1.0 has
+                # v's bits, so the square's slope makes no pow call
+                slope = "{x}" if e == 2.0 else f"{{x}} ** {e - 1.0!r}"
+                self._forms[table] = (f"{{x}} ** {e!r}", f"{e!r} * {slope}")
         return self._chain(a, self._powers[e])
 
     def c_pow(self, c, b):

@@ -4,20 +4,22 @@ for geodesic triangles.
 
 The right-hand side contracts connection coefficients from the metric's
 first partials in one emitted function per metric, which also returns the
-E, F, G it read (`MetricField.first_order_function`); the integrator is
-classical fixed-step RK4, whose first stages feed an energy-drift guard,
-instead of adaptive stepping, so fixtures are deterministic.  A path's dense
-output is the quintic Hermite interpolant of its states and the
-accelerations the first stages gave (Hairer, Norsett and Wanner, Solving
-ODEs I, section II.6), and the excess law integrates the curvature over the
-region these curves bound, with all quadrature nodes of a pass evaluated at
-once.
+E, F, G it read (`MetricField.first_order_function`).  The integrator takes
+fixed steps, not adaptive ones, so fixtures are deterministic, and each
+step's first stage feeds an energy-drift guard.  `integrate_geodesic` takes
+classical RK4 steps at the caller's step; shots take the order-8 steps of
+Dormand and Prince's 8(5,3) pair (Hairer, Norsett and Wanner, Solving ODEs
+I, section II.5), so a side takes 60 steps where RK4 took 400.  A path's
+dense output is the quintic Hermite interpolant of its states and the
+accelerations the first stages gave (ibid., section II.6), and the excess
+law integrates the curvature over the region these curves bound, with all
+quadrature nodes of a pass evaluated at once.
 
 Shooting (Stoer and Bulirsch, Introduction to Numerical Analysis, section
-7.3) runs a secant on the initial angle over shots of half the final step
-count, then returns one shot at the final step.  A miss is read at the
-closest approach on the shot's Hermite interpolant, where the side ends, and
-the secant's last slope judges the conjugate locus.
+7.3) runs a secant on the initial angle over shots of a quarter of the
+final step count, then returns one shot at the final step.  A miss is read
+at the closest approach on the shot's Hermite interpolant, where the side
+ends, and the secant's last slope judges the conjugate locus.
 """
 
 from __future__ import annotations
@@ -32,17 +34,17 @@ from .errors import InputError, NoConvergence, NotRevolution, StepTooLarge
 
 ENERGY_DRIFT_LIMIT = 1e-4
 
-# RK4 steps one integration may plan.  The benchmark's longest geodesic
-# takes 1,800 steps; 10^6 steps are about a minute of integration and keep
+# Steps one integration may plan.  The benchmark's longest geodesic takes
+# 1,800 RK4 steps; 10^6 of them are about a minute of integration and keep
 # every state in memory, so a longer plan is refused before it starts.
 MAX_GEODESIC_STEPS = 10**6
 
 # secant iterations one shooting solve may take
 MAX_SECANT_ITERATIONS = 50
 
-# RK4 steps over a shot's length: the secant runs on coarse shots, and the
-# side returned is one fine shot, whose knots the dense output reads
-COARSE_STEPS, FINE_STEPS = 200, 400
+# order-8 steps over a shot's length: the secant runs on coarse shots, and
+# the side returned is one fine shot, whose knots the dense output reads
+COARSE_STEPS, FINE_STEPS = 15, 60
 
 # Gauss-Legendre nodes per triangle side in the excess integral; each ray
 # from the centroid takes half as many
@@ -169,16 +171,83 @@ def _rk4_step(rhs, y, dt, first):
             pv + d6 * (av + 2.0 * av2 + 2.0 * av3 + av4))
 
 
+# Dormand and Prince's 8(5,3) pair (Prince and Dormand, J. Comput. Appl.
+# Math. 7 (1981); Hairer, Norsett and Wanner, Solving ODEs I, section II.5),
+# its order-8 part: the rows a_ij of stages 2 to 12 over the stages before
+# them, zeros written out, and the weights b_j of the 12 stages
+_DOP8_ROWS = (
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386,
+     0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998,
+     0.10726203044637328, -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636),
+)
+_DOP8_WEIGHTS = (
+    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+    -0.1521609496625161, 0.20136540080403034, 0.04471061572777259)
+
+
+def _unrolled_dop8_step():
+    """`_dop8_step` compiled from the table: the stages unrolled, stage k
+    with slopes (puk, pvk, auk, avk), and each sum over the nonzero
+    coefficients of its row, written as float literals."""
+    def combination(row, slope):
+        return " + ".join(f"{a!r} * {slope}{j}"
+                          for j, a in enumerate(row, 1) if a)
+
+    lines = ["def _dop8_step(rhs, y, dt, first):",
+             "    u, v, pu1, pv1 = y",
+             "    au1, av1 = first[0], first[1]"]
+    for k, row in enumerate(_DOP8_ROWS, 2):
+        lines += [
+            f"    pu{k} = pu1 + dt * ({combination(row, 'au')})",
+            f"    pv{k} = pv1 + dt * ({combination(row, 'av')})",
+            f"    au{k}, av{k}, _, _, _ = rhs(",
+            f"        u + dt * ({combination(row, 'pu')}),",
+            f"        v + dt * ({combination(row, 'pv')}), pu{k}, pv{k})"]
+    lines.append("    return (" + ",\n            ".join(
+        f"{base} + dt * ({combination(_DOP8_WEIGHTS, slope)})"
+        for base, slope in (("u", "pu"), ("v", "pv"), ("pu1", "au"),
+                            ("pv1", "av"))) + ")")
+    namespace = {}
+    exec(compile("\n".join(lines) + "\n", "<order-8 step>", "exec"),
+         namespace)
+    return namespace["_dop8_step"]
+
+
+# one order-8 step from state y, whose (u'', v'') are first[:2], as
+# `_rk4_step` takes it: eleven right-hand side evaluations
+_dop8_step = _unrolled_dop8_step()
+
+
 def _metric_speed2(first, pu, pv):
     """E pu^2 + 2F pu pv + G pv^2, with E, F, G of a right-hand side."""
     _, _, E, F, G = first
     return E * pu * pu + 2.0 * F * pu * pv + G * pv * pv
 
 
-def integrate_geodesic(metric, start, length, step):
-    """Fixed-step RK4 trajectory of the geodesic system over the given
-    arclength; metric speed is conserved along the way (guarded by the E, F,
-    G of each step's first stage)."""
+def integrate_geodesic(metric, start, length, step, *, stepper=None):
+    """Fixed-step trajectory of the geodesic system over the given
+    arclength, each step taken by `stepper` (`_rk4_step` when None); metric
+    speed is conserved along the way (guarded by the E, F, G of each step's
+    first stage)."""
     if step <= 0.0:
         raise InputError(f"step must be positive, got {step!r}")
     if abs(length) / step > MAX_GEODESIC_STEPS:
@@ -197,12 +266,13 @@ def integrate_geodesic(metric, start, length, step):
     n_steps = max(1, math.ceil(abs(length) / step))
     dt = (length / speed0) / n_steps
     energy0 = speed0 * speed0
+    advance = stepper or _rk4_step
 
     y = start
     s_values, states, energies = [0.0], [start], [energy]
     accelerations = [first[:2]]
     for k in range(n_steps):
-        y = _rk4_step(rhs, y, dt, first)
+        y = advance(rhs, y, dt, first)
         first = rhs(*y)  # the next step's first stage
         energy = _metric_speed2(first, y[2], y[3])
         if k % 8 == 0 or k == n_steps - 1:
@@ -218,7 +288,7 @@ def integrate_geodesic(metric, start, length, step):
                         tuple(accelerations))
 
 
-def energy_drift(metric, path):
+def energy_drift(path):
     """Max relative metric-speed drift along a path, read from the speed^2
     its integration kept at each state; a path of one state has none."""
     e0 = path.energies[0]
@@ -284,7 +354,8 @@ def _shoot(metric, a, angle, length, step):
     direction = (math.cos(angle), math.sin(angle))
     norm = metric.norm(a[0], a[1], direction)
     start = GeodesicState(a[0], a[1], direction[0] / norm, direction[1] / norm)
-    return integrate_geodesic(metric, start, length, step)
+    return integrate_geodesic(metric, start, length, step,
+                              stepper=_dop8_step)
 
 
 def connect_geodesic(metric, a, b, tol=1e-6):
@@ -308,8 +379,10 @@ def connect_geodesic(metric, a, b, tol=1e-6):
     # the straight chord is itself a competitor curve, so the geodesic
     # distance never exceeds its metric length
     length = 1.25 * _chord_metric_length(metric, a, b)
-    step = max(length / COARSE_STEPS, 1e-4)
-    fine = max(length / FINE_STEPS, 1e-4)
+    # a step one ulp above length / N, so that `integrate_geodesic` plans
+    # N steps where a quotient rounded up would plan N + 1
+    step = max(math.nextafter(length / COARSE_STEPS, math.inf), 1e-4)
+    fine = max(math.nextafter(length / FINE_STEPS, math.inf), 1e-4)
     phi0 = math.atan2(chord[1], chord[0])
 
     goal = 0.5 * tol
@@ -369,11 +442,11 @@ def _lateral_miss(metric, a, b, angle, length, step):
 
 
 def _refine_endpoint(metric, path, i, s):
-    """The path to sample i, its state replaced by an RK4 step of s - s[i]
-    whose end state keeps the speed^2 and acceleration the right-hand side
-    gives there."""
+    """The path to sample i, its state replaced by an order-8 step of
+    s - s[i] whose end state keeps the speed^2 and acceleration the
+    right-hand side gives there."""
     rhs = _right_hand_side(metric)
-    y = _rk4_step(rhs, path.states[i], s - path.s[i], path.accelerations[i])
+    y = _dop8_step(rhs, path.states[i], s - path.s[i], path.accelerations[i])
     first = rhs(*y)
     kept = max(1, i)
     return GeodesicPath(

@@ -16,9 +16,9 @@ oracle that shares no arithmetic with the jets.
 probe shot past the converged angle, before `geodesics.connect_geodesic`
 read the locus from its last secant slope.
 
-`energy_drift` is `geodesics.energy_drift` with the metric evaluated again
-at every state of the path, where the geodesic code reads the values its
-integrator's first stages computed.
+`energy_drift(metric, path)` is `geodesics.energy_drift(path)` with the
+metric evaluated again at every state of the path, where the geodesic code
+reads the values its integrator's first stages computed.
 """
 
 import math

@@ -74,7 +74,7 @@ class TestIntegrateGeodesic:
         ]
         for metric, start in cases:
             path = integrate_geodesic(metric, start, 1.0, 1e-3)
-            assert energy_drift(metric, path) <= 1e-7
+            assert energy_drift(path) <= 1e-7
 
     def test_reversibility(self):
         start = GeodesicState(1.0, 0.2, 0.4, 0.7)
@@ -124,7 +124,7 @@ class TestIntegrateGeodesic:
         rhs = geodesics._right_hand_side(metric)
         for path in (path, side):
             assert len(path.energies) == len(path.states)
-            assert struct.pack("d", energy_drift(metric, path)) == \
+            assert struct.pack("d", energy_drift(path)) == \
                 struct.pack("d", oracle.energy_drift(metric, path))
             # so do the accelerations the dense output reads
             assert list(path.accelerations) == [rhs(*st)[:2]
@@ -135,7 +135,7 @@ class TestIntegrateGeodesic:
         metric = catalog.build_metric(catalog.lookup("sphere_isothermal"))
         path = connect_geodesic(metric, (0.0, 0.0), (0.0, 1e-8))
         assert len(path.states) == len(path.energies) == 1
-        assert energy_drift(metric, path) == 0.0
+        assert energy_drift(path) == 0.0
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(InputError):
@@ -203,6 +203,46 @@ def _outcome(step, *args):
         return struct.pack("4d", *step(*args))
     except DegenerateMetric as exc:
         return str(exc)
+
+
+class TestOrderEightStep:
+    # the nodes c_k of Dormand and Prince's 8(5,3) pair in closed form
+    R6 = math.sqrt(6.0)
+    NODES = (0.0, (6.0 - R6) / 67.5, (6.0 - R6) / 45.0, (6.0 - R6) / 30.0,
+             (6.0 + R6) / 30.0, 1.0 / 3.0, 0.25, 4.0 / 13.0, 127.0 / 195.0,
+             0.6, 6.0 / 7.0, 1.0)
+
+    def test_rows_sum_to_their_nodes(self):
+        rows = geodesics._DOP8_ROWS
+        assert [len(row) for row in rows] == list(range(1, 12))
+        for row, c in zip(rows, self.NODES[1:]):
+            assert math.fsum(row) == pytest.approx(c, abs=1e-14)
+
+    def test_weights_integrate_polynomials_to_degree_seven(self):
+        # sum b_k c_k^(q-1) = 1/q for q = 1..8, the quadrature conditions
+        # of order 8; q = 1 says the weights sum to 1
+        weights = geodesics._DOP8_WEIGHTS
+        assert len(weights) == 12
+        for q in range(1, 9):
+            assert math.fsum(b * c ** (q - 1) for b, c in zip(
+                weights, self.NODES)) == pytest.approx(1.0 / q, abs=1e-15)
+
+    @pytest.mark.parametrize("steps", [4, 8])
+    def test_halving_the_step_shrinks_the_end_error_256_fold(self, steps):
+        # a side of SPHERE_ISO integrated at steps and 2 * steps against
+        # 256 steps; order 8 gives 2^8 = 256, RK4 would give 16
+        start = GeodesicState(-0.5, -0.5, 0.3, 0.45)
+
+        def end(n):
+            path = integrate_geodesic(SPHERE_ISO, start, 2.0, 2.0 / n,
+                                      stepper=geodesics._dop8_step)
+            assert len(path.states) == n + 1
+            return path.end
+
+        ref = end(256)
+        coarse, fine = (max(abs(x - r) for x, r in zip(end(n), ref))
+                        for n in (steps, 2 * steps))
+        assert 1e-12 < coarse and coarse >= 200.0 * fine
 
 
 class TestClairaut:
@@ -315,14 +355,25 @@ class TestConnectGeodesic:
 class TestShootingWork:
     def test_secant_on_coarse_shots_returns_one_fine_shot(self,
                                                           monkeypatch):
-        # counted as bench/spans.py counts them, through the integrator
-        shots = []
+        # shots counted as bench/spans.py counts them, through the
+        # integrator, each with the right-hand side evaluations it makes
+        shots, evaluations = [], [0]
         integrate = geodesics.integrate_geodesic
         connect = geodesics.connect_geodesic
+        right_hand_side = geodesics._right_hand_side
 
-        def counted_integrate(metric, start, length, step):
-            path = integrate(metric, start, length, step)
-            shots[-1].append((step, len(path.states) - 1))
+        def counted_right_hand_side(metric):
+            rhs = right_hand_side(metric)
+
+            def counted(*y):
+                evaluations[0] += 1
+                return rhs(*y)
+            return counted
+
+        def counted_integrate(*args, **kwargs):
+            before = evaluations[0]
+            path = integrate(*args, **kwargs)
+            shots[-1].append((args[3], evaluations[0] - before))
             return path
 
         def counted_connect(*args, **kwargs):
@@ -332,8 +383,10 @@ class TestShootingWork:
         monkeypatch.setattr(geodesics, "integrate_geodesic",
                             counted_integrate)
         monkeypatch.setattr(geodesics, "connect_geodesic", counted_connect)
+        monkeypatch.setattr(geodesics, "_right_hand_side",
+                            counted_right_hand_side)
         tri = build_triangle(SPHERE_ISO, (0.0, 0.0), (0.6, 0.1), (0.1, 0.5))
-        assert sum(n for side in shots for _, n in side) <= 3200
+        assert sum(n for side in shots for _, n in side) <= 3973
         assert len(shots) == 3
         for side, path in zip(shots, tri.sides):
             steps = [step for step, _ in side]
@@ -341,6 +394,11 @@ class TestShootingWork:
             assert steps.count(fine) == 1
             assert max(steps) == pytest.approx(
                 geodesics.FINE_STEPS / geodesics.COARSE_STEPS * fine)
+            # the planned steps, the fine shot last: eleven evaluations a
+            # step and one at each state for the next step's first stage
+            assert [n for _, n in side] == (
+                [1 + 12 * geodesics.COARSE_STEPS] * (len(side) - 1)
+                + [1 + 12 * geodesics.FINE_STEPS])
             # the returned side is the fine shot, cut at the approach
             gaps = [t - s for s, t in zip(path.s[:-2], path.s[1:-1])]
             assert gaps == pytest.approx([fine] * len(gaps),
