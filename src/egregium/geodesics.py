@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 from . import exprlang, intrinsic, quad, surfaces
@@ -204,6 +205,7 @@ _DOP8_WEIGHTS = (
     -0.1521609496625161, 0.20136540080403034, 0.04471061572777259)
 
 
+@cache
 def _unrolled_dop8_step():
     """`_dop8_step` compiled from the table: the stages unrolled, stage k
     with slopes (puk, pvk, auk, avk), and each sum over the nonzero
@@ -212,7 +214,7 @@ def _unrolled_dop8_step():
         return " + ".join(f"{a!r} * {slope}{j}"
                           for j, a in enumerate(row, 1) if a)
 
-    lines = ["def _dop8_step(rhs, y, dt, first):",
+    lines = ["def step(rhs, y, dt, first):",
              "    u, v, pu1, pv1 = y",
              "    au1, av1 = first[0], first[1]"]
     for k, row in enumerate(_DOP8_ROWS, 2):
@@ -229,12 +231,15 @@ def _unrolled_dop8_step():
     namespace = {}
     exec(compile("\n".join(lines) + "\n", "<order-8 step>", "exec"),
          namespace)
-    return namespace["_dop8_step"]
+    return namespace["step"]
 
 
-# one order-8 step from state y, whose (u'', v'') are first[:2], as
-# `_rk4_step` takes it: eleven right-hand side evaluations
-_dop8_step = _unrolled_dop8_step()
+def _dop8_step(rhs, y, dt, first):
+    """One order-8 step from state y, whose (u'', v'') are first[:2], as
+    `_rk4_step` takes it: eleven right-hand side evaluations.  The step is
+    compiled at its first call, so a process that shoots no geodesic does
+    not pay for it."""
+    return _unrolled_dop8_step()(rhs, y, dt, first)
 
 
 def _metric_speed2(first, pu, pv):
