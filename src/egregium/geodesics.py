@@ -6,14 +6,14 @@ The right-hand side contracts connection coefficients from the metric's
 first partials in one emitted function per metric, which also returns the
 E, F, G it read (`MetricField.first_order_function`).  The integrator takes
 fixed steps, not adaptive ones, so fixtures are deterministic, and each
-step's first stage feeds an energy-drift guard.  `integrate_geodesic` takes
-classical RK4 steps at the caller's step; shots take the order-8 steps of
-Dormand and Prince's 8(5,3) pair (Hairer, Norsett and Wanner, Solving ODEs
-I, section II.5), so a side takes 60 steps where RK4 took 400.  A path's
-dense output is the quintic Hermite interpolant of its states and the
-accelerations the first stages gave (ibid., section II.6), and the excess
-law integrates the curvature over the region these curves bound, with all
-quadrature nodes of a pass evaluated at once.
+step's first stage feeds an energy-drift guard.  Each step is compiled
+from a Butcher tableau: `integrate_geodesic` takes classical RK4 steps at
+the caller's step, shots the order-8 steps of Dormand and Prince's 8(5,3)
+pair (Hairer, Norsett and Wanner, Solving ODEs I, section II.5), so a side
+takes 60 steps where RK4 took 400.  A path's dense output is the quintic
+Hermite interpolant of its states and the accelerations the first stages
+gave (ibid., section II.6), and the excess law integrates the curvature
+over the region these curves bound, all quadrature nodes at once.
 
 Shooting (Stoer and Bulirsch, Introduction to Numerical Analysis, section
 7.3) runs a secant on the initial angle over shots of a quarter of the
@@ -31,7 +31,8 @@ from functools import cache
 from typing import NamedTuple
 
 from . import exprlang, intrinsic, quad, surfaces
-from .errors import InputError, NoConvergence, NotRevolution, StepTooLarge
+from .errors import (DomainError, InputError, NoConvergence, NotRevolution,
+                     StepTooLarge)
 
 ENERGY_DRIFT_LIMIT = 1e-4
 
@@ -152,30 +153,15 @@ def _right_hand_side(metric):
     return metric.first_order_function(_CONTRACTION, ("pu", "pv"))
 
 
-def _rk4_step(rhs, y, dt, first):
-    """One classical RK4 step of the geodesic system from state y, whose
-    (u'', v'') are first[:2], from rhs(*y) or kept by a path, as the first
-    stage; stage k has slopes (pu_k, pv_k, au_k, av_k)."""
-    u, v, pu, pv = y
-    h = 0.5 * dt
-    au, av = first[0], first[1]
-    pu2, pv2 = pu + h * au, pv + h * av
-    au2, av2, _, _, _ = rhs(u + h * pu, v + h * pv, pu2, pv2)
-    pu3, pv3 = pu + h * au2, pv + h * av2
-    au3, av3, _, _, _ = rhs(u + h * pu2, v + h * pv2, pu3, pv3)
-    pu4, pv4 = pu + dt * au3, pv + dt * av3
-    au4, av4, _, _, _ = rhs(u + dt * pu3, v + dt * pv3, pu4, pv4)
-    d6 = dt / 6.0
-    return (u + d6 * (pu + 2.0 * pu2 + 2.0 * pu3 + pu4),
-            v + d6 * (pv + 2.0 * pv2 + 2.0 * pv3 + pv4),
-            pu + d6 * (au + 2.0 * au2 + 2.0 * au3 + au4),
-            pv + d6 * (av + 2.0 * av2 + 2.0 * av3 + av4))
-
+# A Runge-Kutta method is its Butcher tableau (Hairer, Norsett and Wanner,
+# Solving ODEs I, section II.1), (rows, weights, divisor): the rows a_ij of
+# stages 2 to s over the stages before them, zeros written out, and the
+# weights b_j of the s stages over one divisor.  Classical RK4 weighs its
+# stages 1, 2, 2, 1 over 6, as its formula rounds them.
+RK4 = (((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1.0, 2.0, 2.0, 1.0), 6.0)
 
 # Dormand and Prince's 8(5,3) pair (Prince and Dormand, J. Comput. Appl.
-# Math. 7 (1981); Hairer, Norsett and Wanner, Solving ODEs I, section II.5),
-# its order-8 part: the rows a_ij of stages 2 to 12 over the stages before
-# them, zeros written out, and the weights b_j of the 12 stages
+# Math. 7 (1981); ibid., section II.5), its order-8 part; dt / 1.0 is exact
 _DOP8_ROWS = (
     (0.05260015195876773,),
     (0.0197250569845379, 0.0591751709536137),
@@ -203,43 +189,40 @@ _DOP8_WEIGHTS = (
     0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
     1.8915178993145003, -5.801203960010585, 0.3111643669578199,
     -0.1521609496625161, 0.20136540080403034, 0.04471061572777259)
+DOP8 = (_DOP8_ROWS, _DOP8_WEIGHTS, 1.0)
 
 
 @cache
-def _unrolled_dop8_step():
-    """`_dop8_step` compiled from the table: the stages unrolled, stage k
-    with slopes (puk, pvk, auk, avk), and each sum over the nonzero
-    coefficients of its row, written as float literals."""
+def _compiled_step(tableau):
+    """`step(rhs, y, dt, first)` of the tableau, from state y whose first
+    stage (u'', v'') is first[:2], compiled at its first call: stage k has
+    slopes (puk, pvk, auk, avk), and each sum runs over the nonzero
+    coefficients of its row as float literals, a 1.0 as the bare slope."""
+    rows, weights, divisor = tableau
+
     def combination(row, slope):
-        return " + ".join(f"{a!r} * {slope}{j}"
+        return " + ".join(f"{slope}{j}" if a == 1.0 else f"{a!r} * {slope}{j}"
                           for j, a in enumerate(row, 1) if a)
 
     lines = ["def step(rhs, y, dt, first):",
              "    u, v, pu1, pv1 = y",
              "    au1, av1 = first[0], first[1]"]
-    for k, row in enumerate(_DOP8_ROWS, 2):
+    for k, row in enumerate(rows, 2):
         lines += [
             f"    pu{k} = pu1 + dt * ({combination(row, 'au')})",
             f"    pv{k} = pv1 + dt * ({combination(row, 'av')})",
             f"    au{k}, av{k}, _, _, _ = rhs(",
             f"        u + dt * ({combination(row, 'pu')}),",
             f"        v + dt * ({combination(row, 'pv')}), pu{k}, pv{k})"]
+    lines.append(f"    h = dt / {divisor!r}")
     lines.append("    return (" + ",\n            ".join(
-        f"{base} + dt * ({combination(_DOP8_WEIGHTS, slope)})"
+        f"{base} + h * ({combination(weights, slope)})"
         for base, slope in (("u", "pu"), ("v", "pv"), ("pu1", "au"),
                             ("pv1", "av"))) + ")")
     namespace = {}
-    exec(compile("\n".join(lines) + "\n", "<order-8 step>", "exec"),
-         namespace)
+    exec(compile("\n".join(lines) + "\n", f"<{len(weights)}-stage step>",
+                 "exec"), namespace)
     return namespace["step"]
-
-
-def _dop8_step(rhs, y, dt, first):
-    """One order-8 step from state y, whose (u'', v'') are first[:2], as
-    `_rk4_step` takes it: eleven right-hand side evaluations.  The step is
-    compiled at its first call, so a process that shoots no geodesic does
-    not pay for it."""
-    return _unrolled_dop8_step()(rhs, y, dt, first)
 
 
 def _metric_speed2(first, pu, pv):
@@ -248,11 +231,11 @@ def _metric_speed2(first, pu, pv):
     return E * pu * pu + 2.0 * F * pu * pv + G * pv * pv
 
 
-def integrate_geodesic(metric, start, length, step, *, stepper=None):
+def integrate_geodesic(metric, start, length, step, *, tableau=RK4):
     """Fixed-step trajectory of the geodesic system over the given
-    arclength, each step taken by `stepper` (`_rk4_step` when None); metric
-    speed is conserved along the way (guarded by the E, F, G of each step's
-    first stage)."""
+    arclength, each step one of the tableau's method (classical RK4 by
+    default); metric speed is conserved along the way (guarded by the E, F,
+    G of each step's first stage)."""
     if step <= 0.0:
         raise InputError(f"step must be positive, got {step!r}")
     if abs(length) / step > MAX_GEODESIC_STEPS:
@@ -271,7 +254,7 @@ def integrate_geodesic(metric, start, length, step, *, stepper=None):
     n_steps = max(1, math.ceil(abs(length) / step))
     dt = (length / speed0) / n_steps
     energy0 = speed0 * speed0
-    advance = stepper or _rk4_step
+    advance = _compiled_step(tableau)
 
     y = start
     s_values, states, energies = [0.0], [start], [energy]
@@ -337,8 +320,13 @@ def clairaut_drift(revolution, path):
 
 
 def _nearest_sample(path, target):
-    d2 = [(st.u - target[0]) ** 2 + (st.v - target[1]) ** 2
-          for st in path.states]
+    try:
+        d2 = [(st.u - target[0]) ** 2 + (st.v - target[1]) ** 2
+              for st in path.states]
+    except OverflowError:
+        # float ** raises where * would give inf
+        raise DomainError(f"squared distance from a shot to {target!r} "
+                          f"overflows") from None
     return d2.index(min(d2))
 
 
@@ -359,8 +347,7 @@ def _shoot(metric, a, angle, length, step):
     direction = (math.cos(angle), math.sin(angle))
     norm = metric.norm(a[0], a[1], direction)
     start = GeodesicState(a[0], a[1], direction[0] / norm, direction[1] / norm)
-    return integrate_geodesic(metric, start, length, step,
-                              stepper=_dop8_step)
+    return integrate_geodesic(metric, start, length, step, tableau=DOP8)
 
 
 def connect_geodesic(metric, a, b, tol=1e-6):
@@ -421,8 +408,9 @@ def connect_geodesic(metric, a, b, tol=1e-6):
         raise NoConvergence(
             f"shooting did not reach the target within {tol!r}",
             best_residual=best[0])
-    # near a conjugate point the miss stops responding to the angle
-    if abs(df) < 0.05 * length * abs(dx):
+    # near a conjugate point the miss stops responding to the angle; it is
+    # a coordinate distance, bounded in the chord's coordinates as well
+    if abs(df) < 0.0625 * math.hypot(*chord) * abs(dx):
         raise NoConvergence(
             "endpoint insensitive to shooting angle (conjugate locus)",
             best_residual=best[0])
@@ -451,7 +439,8 @@ def _refine_endpoint(metric, path, i, s):
     s - s[i] whose end state keeps the speed^2 and acceleration the
     right-hand side gives there."""
     rhs = _right_hand_side(metric)
-    y = _dop8_step(rhs, path.states[i], s - path.s[i], path.accelerations[i])
+    y = _compiled_step(DOP8)(rhs, path.states[i], s - path.s[i],
+                             path.accelerations[i])
     first = rhs(*y)
     kept = max(1, i)
     return GeodesicPath(

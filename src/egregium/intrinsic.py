@@ -126,8 +126,13 @@ class MetricField:
     def norm(self, u, v, vec):
         """Metric length of a tangent vector at (u, v)."""
         E, F, G = self.values(u, v)
-        return math.sqrt(E * vec[0] ** 2 + 2.0 * F * vec[0] * vec[1]
-                         + G * vec[1] ** 2)
+        try:
+            return math.sqrt(E * vec[0] ** 2 + 2.0 * F * vec[0] * vec[1]
+                             + G * vec[1] ** 2)
+        except OverflowError:
+            # float ** raises where * would give inf
+            raise DomainError(f"metric length of {tuple(vec)!r} at "
+                              f"({u!r}, {v!r}) overflows") from None
 
     def area_element(self, u, v):
         E, F, G = self.values(u, v)

@@ -279,8 +279,9 @@ def probe_refuses(metric, a, b, tol=1e-6):
     """Whether shooting from a to b refuses: the secant on the angle at
     length/800 steps per shot, with the miss read at the nearest sample,
     stalls or misses b by more than tol/2; or, once it converges, a probe
-    shot 1e-3 rad further misses b by less than 0.05 * 1e-3 * length, so
-    that the endpoint is insensitive to the angle (the conjugate locus)."""
+    shot 1e-3 rad further misses b by less than 0.0625 * 1e-3 times the
+    chord's coordinate length, so that the endpoint is insensitive to the
+    angle (the conjugate locus)."""
     chord = (b[0] - a[0], b[1] - a[1])
     length = 1.25 * geodesics._chord_metric_length(metric, a, b)
     step = max(length / 800.0, 1e-4)
@@ -305,7 +306,7 @@ def probe_refuses(metric, a, b, tol=1e-6):
     probe = 1e-3
     lateral = _nearest_sample_miss(metric, a, b, best[1] + probe, length,
                                    step)
-    return abs(lateral) < 0.05 * probe * length
+    return abs(lateral) < 0.0625 * probe * math.hypot(*chord)
 
 
 def energy_drift(metric, path):

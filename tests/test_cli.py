@@ -278,6 +278,18 @@ class TestTriangleCommand:
         assert run_cli(capsys, "triangle", "--catalog", "catenoid",
                        "--vertices", vertices) == (2, "", error)
 
+    @pytest.mark.parametrize("vertices, error", [
+        ("0,0;1e155,0;0,1", "numeric failure: squared distance from a shot "
+                            "to (1e+155, 0.0) overflows\n"),
+        ("0,0;1e157,0;0,1", "numeric failure: metric length of (3.125e+155, "
+                            "0.0) at (1.5625e+155, 0.0) overflows\n"),
+    ])
+    def test_far_vertex_is_a_numeric_failure(self, capsys, vertices, error):
+        # float ** overflowed in the shot's nearest sample and in the
+        # chord's metric length, and ended in an OverflowError traceback
+        assert run_cli(capsys, "triangle", "--metric", "1,0,1",
+                       "--vertices", vertices) == (3, "", error)
+
 
 class TestGeodesicCommand:
     def test_equator_run(self, capsys):
@@ -953,9 +965,9 @@ class TestWorkBudgets:
         def no_step(*args):
             raise AssertionError("integrated past the step budget")
 
-        # every step goes through _rk4_step, and the start's first stage
-        # through _right_hand_side
-        monkeypatch.setattr(geodesics, "_rk4_step", no_step)
+        # every step comes from _compiled_step, and the start's first stage
+        # from _right_hand_side
+        monkeypatch.setattr(geodesics, "_compiled_step", no_step)
         monkeypatch.setattr(geodesics, "_right_hand_side", no_step)
         code, out, err = run_cli(capsys, "geodesic", "--catalog",
                                  "sphere_metric", "--start", "1.5,0,0,1",

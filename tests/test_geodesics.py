@@ -147,9 +147,9 @@ class TestIntegrateGeodesic:
         def no_step(*args):
             raise AssertionError("integrated past the step budget")
 
-        # the loop takes every step through _rk4_step, and the start's
+        # the loop takes every step _compiled_step gives, and the start's
         # first stage comes from _right_hand_side
-        monkeypatch.setattr(geodesics, "_rk4_step", no_step)
+        monkeypatch.setattr(geodesics, "_compiled_step", no_step)
         monkeypatch.setattr(geodesics, "_right_hand_side", no_step)
         with pytest.raises(InputError, match=r"budget of 1000000 steps$"):
             integrate_geodesic(FLAT, GeodesicState(0, 0, 1, 0), length, 1e-9)
@@ -185,17 +185,21 @@ def _reference_rk4_step(metric, y, dt):
     MetricField.from_expressions("exp(u*v)", "0.3*sin(u)", "1+u^2"),
     MetricField.from_surface(TORUS_SURF)])
 def test_rk4_step_matches_reference_bitwise(metric):
-    for i in range(40):
-        y = (0.3 + 0.02 * i, 0.2 - 0.03 * i, math.cos(i), math.sin(1.7 * i))
+    # velocities of the unit circle, then zero, signed-zero and subnormal
+    velocities = [(math.cos(i), math.sin(1.7 * i)) for i in range(40)] + [
+        (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (5e-324, -5e-324),
+        (-3e-320, 1e-310), (2.2250738585072014e-308, -0.0)]
+    for i, (pu, pv) in enumerate(velocities):
+        y = (0.3 + 0.02 * i, 0.2 - 0.03 * i, pu, pv)
         dt = (0.013 + 0.0071 * i) * (-1.0 if i % 3 == 0 else 1.0)
         assert _outcome(_rk4_step, metric, y, dt) == \
             _outcome(_reference_rk4_step, metric, y, dt)
 
 
 def _rk4_step(metric, y, dt):
-    """geodesics._rk4_step from y, its first stage evaluated here."""
+    """The compiled RK4 step from y, its first stage evaluated here."""
     rhs = geodesics._right_hand_side(metric)
-    return geodesics._rk4_step(rhs, y, dt, rhs(*y))
+    return geodesics._compiled_step(geodesics.RK4)(rhs, y, dt, rhs(*y))
 
 
 def _outcome(step, *args):
@@ -205,44 +209,57 @@ def _outcome(step, *args):
         return str(exc)
 
 
-class TestOrderEightStep:
-    # the nodes c_k of Dormand and Prince's 8(5,3) pair in closed form
-    R6 = math.sqrt(6.0)
-    NODES = (0.0, (6.0 - R6) / 67.5, (6.0 - R6) / 45.0, (6.0 - R6) / 30.0,
-             (6.0 + R6) / 30.0, 1.0 / 3.0, 0.25, 4.0 / 13.0, 127.0 / 195.0,
-             0.6, 6.0 / 7.0, 1.0)
+# the tableaus with their order and their nodes c_k, those of Dormand and
+# Prince's 8(5,3) pair in closed form
+R6 = math.sqrt(6.0)
+TABLEAUS = pytest.mark.parametrize("tableau, order, nodes", [
+    (geodesics.RK4, 4, (0.0, 0.5, 0.5, 1.0)),
+    (geodesics.DOP8, 8, (0.0, (6.0 - R6) / 67.5, (6.0 - R6) / 45.0,
+                         (6.0 - R6) / 30.0, (6.0 + R6) / 30.0, 1.0 / 3.0,
+                         0.25, 4.0 / 13.0, 127.0 / 195.0, 0.6, 6.0 / 7.0,
+                         1.0))], ids=["RK4", "DOP8"])
 
-    def test_rows_sum_to_their_nodes(self):
-        rows = geodesics._DOP8_ROWS
-        assert [len(row) for row in rows] == list(range(1, 12))
-        for row, c in zip(rows, self.NODES[1:]):
+
+class TestTableaus:
+    @TABLEAUS
+    def test_rows_sum_to_their_nodes(self, tableau, order, nodes):
+        rows = tableau[0]
+        assert [len(row) for row in rows] == list(range(1, len(nodes)))
+        for row, c in zip(rows, nodes[1:]):
             assert math.fsum(row) == pytest.approx(c, abs=1e-14)
 
-    def test_weights_integrate_polynomials_to_degree_seven(self):
-        # sum b_k c_k^(q-1) = 1/q for q = 1..8, the quadrature conditions
-        # of order 8; q = 1 says the weights sum to 1
-        weights = geodesics._DOP8_WEIGHTS
-        assert len(weights) == 12
-        for q in range(1, 9):
-            assert math.fsum(b * c ** (q - 1) for b, c in zip(
-                weights, self.NODES)) == pytest.approx(1.0 / q, abs=1e-15)
+    @TABLEAUS
+    def test_weights_meet_the_quadrature_conditions(self, tableau, order,
+                                                    nodes):
+        # sum b_k c_k^(q-1) = 1/q for q = 1..order, the quadrature
+        # conditions of the order; q = 1 says the weights sum to 1
+        _, weights, divisor = tableau
+        assert len(weights) == len(nodes)
+        for q in range(1, order + 1):
+            assert math.fsum(b / divisor * c ** (q - 1) for b, c in zip(
+                weights, nodes)) == pytest.approx(1.0 / q, abs=1e-15)
 
-    @pytest.mark.parametrize("steps", [4, 8])
-    def test_halving_the_step_shrinks_the_end_error_256_fold(self, steps):
+    @pytest.mark.parametrize("tableau, steps, fold", [
+        (geodesics.RK4, 8, 14.0), (geodesics.RK4, 16, 14.0),
+        (geodesics.DOP8, 4, 200.0), (geodesics.DOP8, 8, 200.0)],
+        ids=["RK4-8", "RK4-16", "DOP8-4", "DOP8-8"])
+    def test_halving_the_step_shrinks_the_end_error_by_its_order(
+            self, tableau, steps, fold):
         # a side of SPHERE_ISO integrated at steps and 2 * steps against
-        # 256 steps; order 8 gives 2^8 = 256, RK4 would give 16
+        # 256 steps; order p gives 2^p, 16 for RK4 and 256 for order 8
+        # (RK4 at 4 steps trips the energy guard)
         start = GeodesicState(-0.5, -0.5, 0.3, 0.45)
 
         def end(n):
             path = integrate_geodesic(SPHERE_ISO, start, 2.0, 2.0 / n,
-                                      stepper=geodesics._dop8_step)
+                                      tableau=tableau)
             assert len(path.states) == n + 1
             return path.end
 
         ref = end(256)
         coarse, fine = (max(abs(x - r) for x, r in zip(end(n), ref))
                         for n in (steps, 2 * steps))
-        assert 1e-12 < coarse and coarse >= 200.0 * fine
+        assert 1e-12 < coarse and coarse >= fold * fine
 
 
 class TestClairaut:
@@ -319,7 +336,7 @@ class TestConnectGeodesic:
         ((0.7, -0.2), (0.1, 0.9)), ((-0.5, -0.5), (0.7, -0.2)),
         ((0.1, 0.9), (-0.5, -0.5))])
     def test_arclength_is_the_great_circle_length(self, a, b):
-        # the side ends one RK4 step from its nearest sample, at the
+        # the side ends one order-8 step from its nearest sample, at the
         # closest approach on the Hermite curve: no gap to b along the
         # side, and at most the tol/2 the shooting allows beside it, so
         # the length is read to the end state, and to b where the miss is
@@ -350,6 +367,30 @@ class TestConnectGeodesic:
             refused = True
         assert refused == oracle.probe_refuses(SPHERE, a, b)
         assert refused == (delta < 0.1875)
+
+    @pytest.mark.parametrize("G, vertices, refused", [
+        ("1", ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), False),
+        ("sin(u)^2", ((math.pi / 2.0, 0.0), (math.pi / 2.0, math.pi - 0.15),
+                      (1.2, 0.5)), True),
+        ("sin(u)^2", ((math.pi / 2.0, 0.0), (math.pi / 2.0, math.pi - 0.25),
+                      (1.2, 0.5)), False)])
+    def test_scaling_the_metric_keeps_the_verdict_and_the_angles(
+            self, G, vertices, refused):
+        # the miss is a coordinate distance and so is the conjugate
+        # check's bound, so a constant factor on the metric moves neither
+        # the refusal near the antipode nor a triangle's angles; the flat
+        # triangle was refused at 10000 times the unit metric
+        angles = []
+        for scale in ("0.0001", "1", "10000"):
+            metric = MetricField.from_expressions(scale, "0",
+                                                  f"{scale}*{G}")
+            if refused:
+                with pytest.raises(NoConvergence, match="conjugate locus"):
+                    build_triangle(metric, *vertices)
+            else:
+                angles.append(build_triangle(metric, *vertices).angles)
+        for scaled in angles:
+            assert scaled == pytest.approx(angles[1], abs=1e-12)
 
 
 class TestShootingWork:
