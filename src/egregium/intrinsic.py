@@ -131,7 +131,7 @@ class MetricField:
                              + G * vec[1] ** 2)
         except OverflowError:
             # float ** raises where * would give inf
-            raise DomainError(f"metric length of {tuple(vec)!r} at "
+            raise DomainError(f"metric length of {vec!r} at "
                               f"({u!r}, {v!r}) overflows") from None
 
     def area_element(self, u, v):
