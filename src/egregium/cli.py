@@ -336,7 +336,7 @@ def cmd_egregia(args):
         comps = surfaces.embedding_jets(surface, u, v)
         fff = surfaces.fff_from_jets(*comps)
         if induced:
-            k_int = intrinsic.kappa_from_metric(intrinsic.metric_from_fff(fff))
+            k_int = intrinsic.kappa_from_metric(fff)
         k_ext = surfaces.gauss_from_jets(comps, fff)
         return k_int, k_ext, abs(k_int - k_ext)
 

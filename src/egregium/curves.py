@@ -14,7 +14,8 @@ the value slots) and `implicit_columns` (frame and |kappa|).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from . import exprlang, jets, quad
 from .errors import (CoincidentPoints, InputError, NotOnCurve,
@@ -33,12 +34,11 @@ GRADIENT_SIDE = "gradient-side"
 class GraphCurve:
     """y = f(x); the expression uses variable x."""
     f: exprlang.ExprAst
-    # f lowered once by exprlang.lower_jet2; x -> [slots of f]
-    lowered: object = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "lowered",
-                           exprlang.lower_jet2((self.f,), {"x": 0}))
+    @cached_property
+    def lowered(self):
+        """f lowered once by exprlang.lower_jet2; x -> [slots of f]"""
+        return exprlang.lower_jet2((self.f,), {"x": 0})
 
 
 @dataclass(frozen=True)
@@ -46,24 +46,22 @@ class ParametricCurve:
     """t -> (x(t), y(t)); both expressions use variable t."""
     x: exprlang.ExprAst
     y: exprlang.ExprAst
-    # both lowered once; t -> [slots of x, y]
-    lowered: object = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "lowered",
-                           exprlang.lower_jet2((self.x, self.y), {"t": 0}))
+    @cached_property
+    def lowered(self):
+        """Both lowered once; t -> [slots of x, y]"""
+        return exprlang.lower_jet2((self.x, self.y), {"t": 0})
 
 
 @dataclass(frozen=True)
 class ImplicitCurve:
     """W(x, y) = 0 at regular points."""
     w: exprlang.ExprAst
-    # W lowered once; (x, y) -> [slots of W]
-    lowered: object = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "lowered",
-                           exprlang.lower_jet2((self.w,), {"x": 0, "y": 1}))
+    @cached_property
+    def lowered(self):
+        """W lowered once; (x, y) -> [slots of W]"""
+        return exprlang.lower_jet2((self.w,), {"x": 0, "y": 1})
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ import math
 import re
 from dataclasses import dataclass
 from operator import add, itemgetter, mul, sub
-from typing import NamedTuple
 
 from . import jets
 from .errors import DivisionByZero, DomainError, InputError, NumericError, \
@@ -314,25 +313,29 @@ def _float_pow(base, exponent):
 
 # --- lowering -------------------------------------------------------------
 #
-# `_lower_with` walks a tree once.  It folds constant subtrees to floats and
-# builds every other node with a builder from a `_Nodes`, the kind of program
-# being made.  Every builder performs exactly the float operations that the
-# tree walk over operator jets in `tests/oracle.py` performs, in the same
-# order, so results are bit-identical and the same exceptions are raised with
-# the same messages.
+# `_lower_with` walks a tree once and is the only place that knows the
+# operator rules.  It folds constant subtrees to floats, chains a named
+# function through its table, and hands every other binary node to its rule
+# in `_OPERATORS`.  A backend, `nodes`, supplies only the operations on
+# slots that the rules name: variable raising then constant neg add sub
+# add_c sub_c c_sub scale mul chain pow_c pow, where `then(a, b)` is b after
+# a and `chain(a, table)` is f(a) from a table of f, f', f''.  The rules and
+# operations perform exactly the float operations that the tree walk over
+# operator jets in `tests/oracle.py` performs, in the same order, so results
+# are bit-identical and the same exceptions are raised with the same
+# messages.
 #
-# At order 2 a lowered node is a closure C -> (v, du, dv, duu, duv, dvv),
-# where C holds one slot tuple per coordinate.  At order 1 it is the triple
-# (v, du, dv) of one straight-line Python function that `_FirstOrderSource`
-# emits.  That function performs the part of the order-2 operations that
-# yields the first three slots: none of those reads a second-order slot.  A
-# table of f, f', f'' is called whole, so it raises where order 2 raises,
-# but where f'' cannot raise unless f or f' does (integer powers from 2, as
-# |v|^(n-2) overflows only where |v|^n does, the reciprocal, sin and cos),
-# f and f' are inline source that calls the table only where it raises.
-# A negative power's f'' can overflow alone, and sqrt's has its own check.
+# `_Closures` makes order-2 closures C -> (v, du, dv, duu, duv, dvv), where C
+# holds one slot tuple per coordinate.  `_FirstOrderSource` makes the triples
+# (v, du, dv) of one straight-line Python function that it emits.  That
+# function performs the part of the order-2 operations that yields the first
+# three slots: none of those reads a second-order slot.  A table of f, f',
+# f'' is called whole, so it raises where order 2 raises, but where f''
+# cannot raise unless f or f' does (integer powers from 2, as |v|^(n-2)
+# overflows only where |v|^n does, the reciprocal, sin and cos), f and f'
+# are inline source that calls the table only where it raises.  A negative
+# power's f'' can overflow alone, and sqrt's has its own check.
 
-_ONE = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 _SCALARS = (float, int)  # a point's coordinates; a grid's are arrays
 
 
@@ -371,8 +374,7 @@ def lower_jet2(asts, seeds):
     def run(*coords):
         nonlocal programs
         if programs is None:
-            programs = [_program(_lower_with(ast, seeds, _NODES))
-                        for ast in trees]
+            programs = [_lower_root(ast, seeds, _Closures) for ast in trees]
         if isinstance(coords[0], _SCALARS):
             C = _seeded(*coords)
             values = [program(C) for program in programs]
@@ -395,12 +397,10 @@ def _seeded(u, v=None, *held):
     return C
 
 
-def _program(node):
-    """A closure for a lowered tree; a constant becomes a constant jet."""
-    if callable(node):
-        return node
-    constant = (float(node),) + _ONE[1:]
-    return lambda C: constant
+def _lower_root(ast, seeds, nodes):
+    """The node of a whole tree; a tree that folds becomes a constant."""
+    node = _lower_with(ast, seeds, nodes)
+    return nodes.constant(float(node)) if _folded(node) else node
 
 
 def _folded(node):
@@ -423,16 +423,12 @@ def _lower_with(ast, seeds, nodes):
             return _fold(Unary(ast.op, Constant(child)), nodes)
         if ast.op == "neg":
             return nodes.neg(child)
-        return nodes.function(ast.op, child)
+        return nodes.chain(child, jets.FUNCTION_TABLES[ast.op])
     left = _lower_with(ast.left, seeds, nodes)
     right = _lower_with(ast.right, seeds, nodes)
     if _folded(left) and _folded(right):
         return _fold(Binary(ast.op, Constant(left), Constant(right)), nodes)
-    if _folded(right):
-        return nodes.jet_const[ast.op](left, float(right))
-    if _folded(left):
-        return nodes.const_jet[ast.op](float(left), right)
-    return nodes.jet_jet[ast.op](left, right)
+    return _OPERATORS[ast.op](nodes, left, right)
 
 
 def _fold(ast, nodes):
@@ -451,17 +447,58 @@ def _raiser(error, message):
     return raise_error
 
 
-class _Nodes(NamedTuple):
-    """Node builders by kind: negation and a named function of a node,
-    operators with nodes or constants (c) on each side, a coordinate by its
-    index, and a node that calls a callable which raises."""
-    neg: object
-    function: object
-    jet_jet: dict
-    jet_const: dict
-    const_jet: dict
-    variable: object
-    raising: object
+# The rule of each operator, over two nodes or a node and a constant on
+# either side.  A constant on the left of + and * commutes, as in the
+# operator jets' __radd__ and __rmul__.
+
+def _add(nodes, a, b):
+    if _folded(a):
+        a, b = b, a
+    return nodes.add_c(a, float(b)) if _folded(b) else nodes.add(a, b)
+
+
+def _sub(nodes, a, b):
+    if _folded(b):
+        return nodes.sub_c(a, float(b))
+    return nodes.c_sub(float(a), b) if _folded(a) else nodes.sub(a, b)
+
+
+def _mul(nodes, a, b):
+    if _folded(a):
+        a, b = b, a
+    return nodes.scale(a, float(b)) if _folded(b) else nodes.mul(a, b)
+
+
+def _div(nodes, a, b):
+    """a/c scales by 1/c; a divisor that is a node multiplies by its
+    reciprocal."""
+    if _folded(b):
+        if b == 0.0:
+            return nodes.then(a, nodes.raising(
+                _raiser(DivisionByZero, "division by zero")))
+        return nodes.scale(a, 1.0 / float(b))
+    recip = nodes.chain(b, jets.recip_table)
+    return nodes.scale(recip, float(a)) if _folded(a) else nodes.mul(a, recip)
+
+
+def _pow(nodes, a, b):
+    """a^b as the operator jets' `**`: a constant exponent takes a power
+    table, and any other power is exp(b log a)."""
+    if _folded(b):
+        if b == 0.0:
+            return nodes.then(a, nodes.constant(1.0))
+        return a if b == 1.0 else nodes.pow_c(a, float(b))
+    if _folded(a):
+        if a <= 0.0:
+            return nodes.then(b, nodes.raising(_raiser(
+                DomainError, f"power with non-positive base {float(a)!r}")))
+        return nodes.chain(nodes.scale(b, math.log(a)),
+                           jets.FUNCTION_TABLES["exp"])
+    # both operands first, then the base's check
+    return nodes.pow(a, b)
+
+
+_OPERATORS = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _pow}
 
 
 def _log_base(v):
@@ -473,59 +510,6 @@ def _log_base(v):
 
 # order 2: slot-wise closures
 
-def _lower_neg(a):
-    def neg(C):
-        v, du, dv, duu, duv, dvv = a(C)
-        return (-v, -du, -dv, -duu, -duv, -dvv)
-    return neg
-
-
-def _add_jj(a, b):
-    def add(C):
-        av, adu, adv, aduu, aduv, advv = a(C)
-        bv, bdu, bdv, bduu, bduv, bdvv = b(C)
-        return (av + bv, adu + bdu, adv + bdv,
-                aduu + bduu, aduv + bduv, advv + bdvv)
-    return add
-
-
-def _add_jc(a, c):
-    def add(C):
-        v, du, dv, duu, duv, dvv = a(C)
-        return (v + c, du, dv, duu, duv, dvv)
-    return add
-
-
-def _sub_jj(a, b):
-    def sub(C):
-        av, adu, adv, aduu, aduv, advv = a(C)
-        bv, bdu, bdv, bduu, bduv, bdvv = b(C)
-        return (av - bv, adu - bdu, adv - bdv,
-                aduu - bduu, aduv - bduv, advv - bdvv)
-    return sub
-
-
-def _sub_jc(a, c):
-    def sub(C):
-        v, du, dv, duu, duv, dvv = a(C)
-        return (v - c, du, dv, duu, duv, dvv)
-    return sub
-
-
-def _sub_cj(c, b):
-    def sub(C):
-        v, du, dv, duu, duv, dvv = b(C)
-        return (c - v, -du, -dv, -duu, -duv, -dvv)
-    return sub
-
-
-def _scale(a, c):
-    def scale(C):
-        v, du, dv, duu, duv, dvv = a(C)
-        return (v * c, du * c, dv * c, duu * c, duv * c, dvv * c)
-    return scale
-
-
 def _elementwise(table):
     """A scalar table that also takes a float64 array, running at each
     element (`jets.tabulate`), never numpy's exp, log or power, whose last
@@ -534,78 +518,115 @@ def _elementwise(table):
     return lambda v: table(v) if isinstance(v, _SCALARS) else tabulate(table, v)
 
 
-def _closure_nodes():
-    """The builders of order-2 closures.  Over a grid each slot is a float64
-    array, or a float where it does not depend on the point: + - * / run in
-    numpy, which rounds them as Python does, and each table runs at every
-    element, so the closures serve points and grids alike."""
-    mul, compose = jets.mul_slots, jets.compose_slots
-    recip, log_base, exp = map(_elementwise, (
-        jets.recip_table, _log_base, jets.FUNCTION_TABLES["exp"]))
+class _Closures:
+    """The operations on order-2 closures, for `_lower_with`.  Over a grid
+    each slot is a float64 array, or a float where it does not depend on
+    the point: + - * / run in numpy, which rounds them as Python does, and
+    each table runs at every element, so the closures serve points and
+    grids alike."""
 
+    variable = staticmethod(itemgetter)
+
+    @staticmethod
+    def raising(raise_error):
+        return lambda C: raise_error()
+
+    @staticmethod
+    def then(a, b):
+        def then(C):
+            a(C)
+            return b(C)
+        return then
+
+    @staticmethod
+    def constant(c):
+        slots = (c, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return lambda C: slots
+
+    @staticmethod
+    def neg(a):
+        def neg(C):
+            v, du, dv, duu, duv, dvv = a(C)
+            return (-v, -du, -dv, -duu, -duv, -dvv)
+        return neg
+
+    @staticmethod
+    def add(a, b):
+        def add(C):
+            av, adu, adv, aduu, aduv, advv = a(C)
+            bv, bdu, bdv, bduu, bduv, bdvv = b(C)
+            return (av + bv, adu + bdu, adv + bdv,
+                    aduu + bduu, aduv + bduv, advv + bdvv)
+        return add
+
+    @staticmethod
+    def sub(a, b):
+        def sub(C):
+            av, adu, adv, aduu, aduv, advv = a(C)
+            bv, bdu, bdv, bduu, bduv, bdvv = b(C)
+            return (av - bv, adu - bdu, adv - bdv,
+                    aduu - bduu, aduv - bduv, advv - bdvv)
+        return sub
+
+    @staticmethod
+    def add_c(a, c):
+        def add(C):
+            v, du, dv, duu, duv, dvv = a(C)
+            return (v + c, du, dv, duu, duv, dvv)
+        return add
+
+    @staticmethod
+    def sub_c(a, c):
+        def sub(C):
+            v, du, dv, duu, duv, dvv = a(C)
+            return (v - c, du, dv, duu, duv, dvv)
+        return sub
+
+    @staticmethod
+    def c_sub(c, b):
+        def sub(C):
+            v, du, dv, duu, duv, dvv = b(C)
+            return (c - v, -du, -dv, -duu, -duv, -dvv)
+        return sub
+
+    @staticmethod
+    def scale(a, c):
+        def scale(C):
+            v, du, dv, duu, duv, dvv = a(C)
+            return (v * c, du * c, dv * c, duu * c, duv * c, dvv * c)
+        return scale
+
+    @staticmethod
+    def mul(a, b):
+        mul = jets.mul_slots
+        return lambda C: mul(a(C), b(C))
+
+    @staticmethod
     def chain(a, table):
+        compose, table = jets.compose_slots, _elementwise(table)
+
         def apply(C):
             x = a(C)
             return compose(x, *table(x[0]))
         return apply
 
-    def function(name, a):
-        return chain(a, _elementwise(jets.FUNCTION_TABLES[name]))
+    @staticmethod
+    def pow_c(a, e):
+        return _Closures.chain(a, jets.power_table(e))
 
-    def mul_jj(a, b):
-        return lambda C: mul(a(C), b(C))
+    @staticmethod
+    def pow(a, b):
+        """a^b as exp(b * log a): both operands first, then the base's
+        check."""
+        mul, compose = jets.mul_slots, jets.compose_slots
+        log_base, exp = map(_elementwise,
+                            (_log_base, jets.FUNCTION_TABLES["exp"]))
 
-    def div_jc(a, c):
-        if c == 0.0:
-            def div(C):
-                a(C)
-                raise DivisionByZero("division by zero")
-            return div
-        return _scale(a, 1.0 / c)
-
-    def pow_jc(a, e):
-        """a^e for a constant exponent, following the operator jets' `**`."""
-        if e == 0.0:
-            def power(C):
-                a(C)
-                return _ONE
-            return power
-        if e == 1.0:
-            return a
-        return chain(a, _elementwise(jets.power_table(e)))
-
-    def pow_cj(c, b):
-        """c^b for a constant base: exp(b * log c), as the operator jets do."""
-        if c <= 0.0:
-            def power(C):
-                b(C)
-                raise DomainError(f"power with non-positive base {c!r}")
-            return power
-        return function("exp", _scale(b, math.log(c)))
-
-    def pow_jj(a, b):
-        """a^b as exp(b * log a), as the operator jets do: both operands
-        first, then the base's check."""
         def power(C):
             x = a(C)
             z = mul(b(C), compose(x, *log_base(x[0])))
             return compose(z, *exp(z[0]))
         return power
-
-    return _Nodes(
-        _lower_neg, function,
-        {"+": _add_jj, "-": _sub_jj, "*": mul_jj,
-         "/": lambda a, b: mul_jj(a, chain(b, recip)), "^": pow_jj},
-        {"+": _add_jc, "-": _sub_jc, "*": _scale, "/": div_jc, "^": pow_jc},
-        # constant on the left: + and * commute slot by slot, as in
-        # the operator jets' __radd__ and __rmul__
-        {"+": lambda c, b: _add_jc(b, c), "-": _sub_cj,
-         "*": lambda c, b: _scale(b, c),
-         "/": lambda c, b: _scale(chain(b, recip), c), "^": pow_cj},
-        itemgetter, lambda raise_error: lambda C: raise_error())
-
-
-_NODES = _closure_nodes()
 
 
 def _run_columns(programs, coords):
@@ -642,9 +663,7 @@ def first_order_function(asts, seeds, names, body, params, namespace):
     rename.update((name, emitter._bind(obj))
                   for name, obj in namespace.items())
     for ast, jet_names in zip(asts, names):
-        node = _lower_with(ast, seeds, emitter.nodes)
-        jet = ((emitter.literal(float(node)), 0.0, 0.0) if _folded(node)
-               else node)
+        jet = _lower_root(ast, seeds, emitter)
         rename.update((name, f"({slot!r})" if type(slot) is float else slot)
                       for name, slot in zip(jet_names, jet))
 
@@ -670,7 +689,9 @@ class _Text(str):
 
 
 class _FirstOrderSource:
-    """The statements of one order-1 program, emitted node by node.
+    """The operations on order-1 jets, for `_lower_with`, as the statements
+    of one program, emitted node by node: a node's operands are emitted
+    before it, so evaluation order is emission order.
 
     A jet is a triple (v, du, dv) whose slots are generated names or finite
     floats, written as literals.  An operation on two literals is done here,
@@ -692,17 +713,6 @@ class _FirstOrderSource:
         self._calls = {}  # text of an emitted table call -> its three names
         self._powers = {}  # exponent -> its power table
         self._forms = dict(_FORMS)  # table -> its inline form
-        self.nodes = _Nodes(
-            self.neg, self.function,
-            {"+": self.add, "-": self.sub, "*": self.mul, "/": self.div,
-             "^": self.pow},
-            {"+": self.add_c, "-": self.sub_c, "*": self.scale,
-             "/": self.div_c, "^": self.pow_c},
-            # constant on the left, as the order-2 closures take it
-            {"+": lambda c, b: self.add_c(b, c), "-": self.c_sub,
-             "*": lambda c, b: self.scale(b, c), "/": self.c_div,
-             "^": self.c_pow},
-            self.variable, self.raising)
 
     def compiled(self, source):
         exec(compile(source, "<order-1 program>", "exec"), self.namespace)
@@ -773,13 +783,6 @@ class _FirstOrderSource:
                                f"    {statement}"]
         return names[:2]
 
-    def _chain(self, a, table):
-        """f(a) from the table of f, f', f'' at a's value, as
-        `jets.compose_slots` takes its first three slots."""
-        f0, f1 = self._call(table, a[0])
-        return self._emit(f0, self._op(f1, "*", a[1]),
-                          self._op(f1, "*", a[2]))
-
     def variable(self, coordinate):
         # coordinate i is the parameter c{i}, seeded as `_seeded` seeds it
         return (f"c{coordinate}", float(coordinate == 0),
@@ -789,6 +792,13 @@ class _FirstOrderSource:
         names = (self._fresh(), self._fresh(), self._fresh())
         self.lines.append(f"{', '.join(names)} = {self._bind(raise_error)}()")
         return names
+
+    @staticmethod
+    def then(a, b):
+        return b  # a's statements are already emitted
+
+    def constant(self, c):
+        return (self.literal(c), 0.0, 0.0)
 
     def neg(self, a):
         return self._emit(*map(self._neg, a))
@@ -822,30 +832,14 @@ class _FirstOrderSource:
                           op(op(adu, "*", bv), "+", op(av, "*", bdu)),
                           op(op(adv, "*", bv), "+", op(av, "*", bdv)))
 
-    def function(self, name, a):
-        return self._chain(a, jets.FUNCTION_TABLES[name])
-
-    def div(self, a, b):
-        return self.mul(a, self._chain(b, jets.recip_table))
-
-    def div_c(self, a, c):
-        if c == 0.0:
-            return self.raising(_raiser(DivisionByZero, "division by zero"))
-        return self.scale(a, 1.0 / c)
-
-    def c_div(self, c, b):
-        return self.scale(self._chain(b, jets.recip_table), c)
-
-    def pow(self, a, b):
-        """a^b as exp(b * log a): the base's check after both operands."""
-        log_a = self._chain(a, _log_base)
-        return self._chain(self.mul(b, log_a), jets.FUNCTION_TABLES["exp"])
+    def chain(self, a, table):
+        """f(a) from the table of f, f', f'' at a's value, as
+        `jets.compose_slots` takes its first three slots."""
+        f0, f1 = self._call(table, a[0])
+        return self._emit(f0, self._op(f1, "*", a[1]),
+                          self._op(f1, "*", a[2]))
 
     def pow_c(self, a, e):
-        if e == 0.0:
-            return (1.0, 0.0, 0.0)
-        if e == 1.0:
-            return a
         # equal exponents have equal bits, as 0 and -0 do not get here; a
         # NaN equals no other key and gets a table of its own
         if e not in self._powers:
@@ -855,17 +849,16 @@ class _FirstOrderSource:
                 # v's bits, so the square's slope makes no pow call
                 slope = "{x}" if e == 2.0 else f"{{x}} ** {e - 1.0!r}"
                 self._forms[table] = (f"{{x}} ** {e!r}", f"{e!r} * {slope}")
-        return self._chain(a, self._powers[e])
+        return self.chain(a, self._powers[e])
 
-    def c_pow(self, c, b):
-        if c <= 0.0:
-            return self.raising(_raiser(
-                DomainError, f"power with non-positive base {c!r}"))
-        return self.function("exp", self.scale(b, math.log(c)))
+    def pow(self, a, b):
+        """a^b as exp(b * log a): the base's check after both operands."""
+        return self.chain(self.mul(b, self.chain(a, _log_base)),
+                          jets.FUNCTION_TABLES["exp"])
 
 
 # table -> the sources of its f and f' at {x} with its float operations, {f}
-# reading f (see above `_ONE`); each integer power from 2 adds its own
+# reading f (see the lowering notes); each integer power from 2 adds its own
 _FORMS = {
     jets.recip_table: ("1.0 / {x}", "-{f} * {f}"),
     jets.FUNCTION_TABLES["sin"]: ("{sin}({x})", "{cos}({x})"),

@@ -233,9 +233,9 @@ def _metric_speed2(first, pu, pv):
 
 def integrate_geodesic(metric, start, length, step, *, tableau=RK4):
     """Fixed-step trajectory of the geodesic system over the given
-    arclength, each step one of the tableau's method (classical RK4 by
-    default); metric speed is conserved along the way (guarded by the E, F,
-    G of each step's first stage)."""
+    arclength, in the fewest equal steps of at most `step`, each one of the
+    tableau's method (classical RK4 by default); metric speed is conserved
+    along the way (guarded by the E, F, G of each step's first stage)."""
     if step <= 0.0:
         raise InputError(f"step must be positive, got {step!r}")
     if abs(length) / step > MAX_GEODESIC_STEPS:
@@ -251,7 +251,13 @@ def integrate_geodesic(metric, start, length, step, *, tableau=RK4):
     speed0 = math.sqrt(energy)
     if speed0 <= 0.0:
         raise InputError("initial velocity must be nonzero")
+    if speed0 == math.inf:
+        raise DomainError(f"metric speed of the initial velocity "
+                          f"{(start.pu, start.pv)!r} overflows")
+    # the ceiling of a quotient that rounds up past an integer is one more
     n_steps = max(1, math.ceil(abs(length) / step))
+    if n_steps > 1 and (n_steps - 1) * step >= abs(length):
+        n_steps -= 1
     dt = (length / speed0) / n_steps
     energy0 = speed0 * speed0
     advance = _compiled_step(tableau)

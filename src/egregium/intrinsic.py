@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import exprlang, jets, surfaces
 from .errors import DegenerateMetric, DomainError, NotIsometric
@@ -36,24 +35,6 @@ _JETS = (("E", "Eu", "Ev"), ("F", "Fu", "Fv"), ("G", "Gu", "Gv"))
 _CHECK = (f"if E <= 0.0 or G <= 0.0 or E * G - F * F <= {EPS_REG!r}:\n"
           "    check(E, F, G, u, v)\n")
 _UNPACK, _RETURN = f"{_VALUES} = first_order(u, v)\n", f"return {_VALUES}"
-
-
-class MetricJet(NamedTuple):
-    """E, F, G, their first partials, and bracket = -E_vv + 2F_uv - G_uu."""
-    E: float
-    F: float
-    G: float
-    Eu: float
-    Ev: float
-    Fu: float
-    Fv: float
-    Gu: float
-    Gv: float
-    bracket: float
-
-    @property
-    def disc(self):
-        return self.E * self.G - self.F * self.F
 
 
 class MetricField:
@@ -90,8 +71,7 @@ class MetricField:
         DegenerateMetric off the cone, or for a surface
         DegenerateParametrization, over arrays where some point does."""
         if self._surface is not None:
-            return metric_from_fff(
-                surfaces.first_fundamental_form(self._surface, u, v))
+            return surfaces.first_fundamental_form(self._surface, u, v)
         e, f, g = self._jets(u, v)
         _check(e[0], f[0], g[0], u, v)
         return _metric_jet(e, f, g)
@@ -141,15 +121,8 @@ class MetricField:
 
 def _metric_jet(e, f, g):
     """The MetricJet of the 2-jet slots of E, F and G, floats or arrays."""
-    return MetricJet(e[0], f[0], g[0], e[1], e[2], f[1], f[2], g[1], g[2],
-                     -e[5] + 2.0 * f[4] - g[3])
-
-
-def metric_from_fff(fff):
-    """Metric data of the first fundamental form of a surface; floats, or
-    arrays over a grid."""
-    return MetricJet(fff.E, fff.F, fff.G, fff.E_p, fff.E_q, fff.F_p, fff.F_q,
-                     fff.G_p, fff.G_q, fff.bracket)
+    return surfaces.MetricJet(e[0], f[0], g[0], e[1], e[2], f[1], f[2], g[1],
+                              g[2], -e[5] + 2.0 * f[4] - g[3])
 
 
 def _check(E, F, G, u, v):
@@ -286,8 +259,8 @@ def egregium_check(surface_a, surface_b, grid, tol_metric=1e-8,
     rows = []
     max_defect = 0.0
     for (u, v, comps_a, fff_a, comps_b, fff_b) in points:
-        k_int = kappa_from_metric(metric_from_fff(fff_a))
-        k_int_b = kappa_from_metric(metric_from_fff(fff_b))
+        k_int = kappa_from_metric(fff_a)
+        k_int_b = kappa_from_metric(fff_b)
         k_ext_a = surfaces.gauss_from_jets(comps_a, fff_a)
         k_ext_b = surfaces.gauss_from_jets(comps_b, fff_b)
         ks = (k_int, k_int_b, k_ext_a, k_ext_b)

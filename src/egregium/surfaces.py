@@ -23,7 +23,9 @@ curvature itself is orientation-independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from . import exprlang, jets
 from .errors import (DegenerateAngle,
@@ -49,13 +51,12 @@ _IMPLICIT_SEEDS = ({"x": 0, "y": 1, "z": 2}, {"x": 0, "z": 1, "y": 2},
 class GraphSurface:
     """z = f(x, y); the expression uses variables x, y."""
     f: exprlang.ExprAst
-    # the embedding (p, q, f) lowered once by exprlang.lower_jet2;
-    # (p, q) -> [slots of p, q, f]
-    lowered: object = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "lowered", exprlang.lower_jet2(
-            (_P, _Q, self.f), _GRAPH_SEEDS))
+    @cached_property
+    def lowered(self):
+        """The embedding (p, q, f) lowered once by exprlang.lower_jet2;
+        (p, q) -> [slots of p, q, f]"""
+        return exprlang.lower_jet2((_P, _Q, self.f), _GRAPH_SEEDS)
 
 
 @dataclass(frozen=True)
@@ -64,27 +65,26 @@ class ParametricSurface:
     x: exprlang.ExprAst
     y: exprlang.ExprAst
     z: exprlang.ExprAst
-    # the components lowered once; (p, q) -> [slots of x, y, z]
-    lowered: object = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "lowered", exprlang.lower_jet2(
-            (self.x, self.y, self.z), _PARAMETRIC_SEEDS))
+    @cached_property
+    def lowered(self):
+        """The components lowered once; (p, q) -> [slots of x, y, z]"""
+        return exprlang.lower_jet2((self.x, self.y, self.z),
+                                   _PARAMETRIC_SEEDS)
 
 
 @dataclass(frozen=True)
 class ImplicitSurface:
     """W(x, y, z) = 0; regular points only."""
     w: exprlang.ExprAst
-    # W lowered once per pair of seeded coordinates, the third held:
-    # (x, y | z), (x, z | y) and (y, z | x); together they give all ten
-    # partials
-    lowered: object = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "lowered", tuple(
-            exprlang.lower_jet2((self.w,), seeds)
-            for seeds in _IMPLICIT_SEEDS))
+    @cached_property
+    def lowered(self):
+        """W lowered once per pair of seeded coordinates, the third held:
+        (x, y | z), (x, z | y) and (y, z | x); together they give all ten
+        partials"""
+        return tuple(exprlang.lower_jet2((self.w,), seeds)
+                     for seeds in _IMPLICIT_SEEDS)
 
 
 SurfaceDef = GraphSurface | ParametricSurface | ImplicitSurface
@@ -102,20 +102,24 @@ class NormalData:
     Z: float
 
 
-@dataclass(frozen=True)
-class FirstFundamentalForm:
-    """E, F, G with first partials and the one second-order combination
-    (-E_qq + 2 F_pq - G_pp) every downstream formula consumes."""
+class MetricJet(NamedTuple):
+    """E, F, G, their first partials, and bracket = -E_vv + 2F_uv - G_uu,
+    the one second-order combination every curvature formula consumes;
+    floats, or arrays over a grid.  Of a surface, u and v are p and q."""
     E: float
     F: float
     G: float
-    E_p: float
-    E_q: float
-    F_p: float
-    F_q: float
-    G_p: float
-    G_q: float
+    Eu: float
+    Ev: float
+    Fu: float
+    Fv: float
+    Gu: float
+    Gv: float
     bracket: float
+
+    @property
+    def disc(self):
+        return self.E * self.G - self.F * self.F
 
 
 @dataclass(frozen=True)
@@ -215,8 +219,8 @@ def first_fundamental_form(surface, p, q):
 
 
 def fff_from_jets(xj, yj, zj):
-    """First fundamental form from the embedding's 2-jets, floats or
-    arrays."""
+    """The MetricJet of the first fundamental form from the embedding's
+    2-jets, floats or arrays."""
     comps = (xj, yj, zj)
     E = sum(c.du * c.du for c in comps)
     F = sum(c.du * c.dv for c in comps)
@@ -232,7 +236,7 @@ def fff_from_jets(xj, yj, zj):
         raise DegenerateParametrization(
             f"first fundamental form not positive definite: "
             f"E={E!r}, F={F!r}, G={G!r}")
-    return FirstFundamentalForm(E, F, G, E_p, E_q, F_p, F_q, G_p, G_q, bracket)
+    return MetricJet(E, F, G, E_p, E_q, F_p, F_q, G_p, G_q, bracket)
 
 
 def second_order_scalars(surface, p, q):
@@ -287,7 +291,7 @@ def gauss_from_jets(comps, fff):
 def gauss_from_forms(fff, so):
     """Parametric curvature from the first form and the second-order
     scalars, floats or arrays."""
-    disc = fff.E * fff.G - fff.F * fff.F
+    disc = fff.disc
     return (so.D * so.D2 - so.D1 * so.D1) / (disc * disc)
 
 

@@ -325,6 +325,15 @@ class TestGeodesicCommand:
             3, "", "numeric failure: energy drift 0.0022506512718718638 "
             "after 57 steps of 0.05\n")
 
+    def test_overflowing_initial_speed_is_named(self, capsys):
+        # the speed overflowed to inf, so every step and arclength was
+        # 0 * inf and the run failed as "non-finite s=nan"
+        assert run_cli(capsys, "geodesic", "--metric", "1,0,1", "--start",
+                       "0,0,1e155,0", "--length", "1", "--step",
+                       "0.1") == (
+            3, "", "numeric failure: metric speed of the initial velocity "
+            "(1e+155, 0.0) overflows\n")
+
     def test_catalog_surface_induces_metric(self, capsys):
         code, out, _ = run_cli(capsys, "geodesic", "--catalog", "torus",
                                "--start", "0.4,0,0.5,0.25",

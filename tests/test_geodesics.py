@@ -40,6 +40,14 @@ class TestIntegrateGeodesic:
             assert st.u == pytest.approx(0.6 * s, abs=1e-12)
             assert st.v == pytest.approx(0.8 * s, abs=1e-12)
 
+    @pytest.mark.parametrize("k", range(1, 400))
+    def test_plans_the_fewest_steps_that_cover_the_length(self, k):
+        # k / 100 over 0.01 rounds above k for k = 7, 14, 28, ..., and its
+        # ceiling planned one step more
+        start = GeodesicState(0.0, 0.0, 1.0, 0.0)
+        path = integrate_geodesic(FLAT, start, k / 100, 0.01)
+        assert len(path.states) - 1 == k
+
     def test_equator_is_a_geodesic(self):
         start = GeodesicState(math.pi / 2.0, 0.0, 0.0, 1.0)
         path = integrate_geodesic(SPHERE, start, math.pi, 1e-3)

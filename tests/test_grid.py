@@ -128,7 +128,7 @@ def kernel(surface, p, q):
     fff = surfaces.fff_from_jets(*comps)
     so = surfaces.second_order_from_jets(comps, nd)
     return ([c.v for c in comps] + [nd.X, nd.Y, nd.Z]
-            + [getattr(fff, f) for f in fff.__dataclass_fields__]
+            + [getattr(fff, f) for f in fff._fields]
             + [surfaces.gauss_from_forms(fff, so),
                *surfaces.principal_values(fff, nd, so)])
 
@@ -145,7 +145,7 @@ def test_surface_grid_matches_per_point_functions(name, build):
         fff = surfaces.fff_from_jets(*comps)
         pc = surfaces.principal_curvatures(surface, p, q)
         want = ([c.v for c in comps] + [nd.X, nd.Y, nd.Z]
-                + [getattr(fff, f) for f in fff.__dataclass_fields__]
+                + [getattr(fff, f) for f in fff._fields]
                 + [surfaces.gauss_curvature_parametric(surface, p, q),
                    pc.k_min, pc.k_max])
         assert bits(column[i] for column in columns) == bits(want)

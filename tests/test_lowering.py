@@ -260,6 +260,7 @@ def test_first_order_takes_no_arrays_and_no_other_order():
     ("log(u-2)^0", 1.0, 0.5, "log of non-positive value -1.0"),
     ("(0-2)^log(u-2)", 1.0, 0.5, "log of non-positive value -1.0"),
     ("log(u-2)^log(v-2)", 1.0, 0.5, "log of non-positive value -1.0"),
+    ("(u-2)^log(v-2)", 1.0, 0.5, "log of non-positive value -1.5"),
     ("0/log(u-2)", 1.0, 0.5, "log of non-positive value -1.0"),
     ("u/(1-1)", 1.0, 0.5, "division by zero"),
     # a constant that raises when folded raises in evaluation order

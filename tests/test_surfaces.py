@@ -175,8 +175,8 @@ class TestFirstFundamentalForm:
         for _ in range(5):
             p, q = rng.uniform(0, 6.28), rng.uniform(0, 6.28)
             fff = first_fundamental_form(surf, p, q)
-            for which, slots in (("E", ("E_p", "E_q")), ("F", ("F_p", "F_q")),
-                                 ("G", ("G_p", "G_q"))):
+            for which, slots in (("E", ("Eu", "Ev")), ("F", ("Fu", "Fv")),
+                                 ("G", ("Gu", "Gv"))):
                 fd = oracle.fd_oracle(metric_entry(which), (p, q), 1e-4)
                 for slot, fd_val in zip(slots, (fd.du, fd.dv)):
                     got = getattr(fff, slot)
@@ -211,12 +211,12 @@ class TestSecondOrderScalars:
             so = second_order_scalars(surf, p, q)
             fff = first_fundamental_form(surf, p, q)
             checks = [
-                (so.m, 0.5 * fff.E_p),
-                (so.m1, 0.5 * fff.E_q),
-                (so.m2, fff.F_q - 0.5 * fff.G_p),
-                (so.n, fff.F_p - 0.5 * fff.E_q),
-                (so.n1, 0.5 * fff.G_p),
-                (so.n2, 0.5 * fff.G_q),
+                (so.m, 0.5 * fff.Eu),
+                (so.m1, 0.5 * fff.Ev),
+                (so.m2, fff.Fv - 0.5 * fff.Gu),
+                (so.n, fff.Fu - 0.5 * fff.Ev),
+                (so.n1, 0.5 * fff.Gu),
+                (so.n2, 0.5 * fff.Gv),
             ]
             for got, want in checks:
                 assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
